@@ -18,58 +18,21 @@ import (
 	"metricprox/internal/rbtree"
 )
 
-// benchExperiment runs a registered experiment at quick scale per iteration.
-func benchExperiment(b *testing.B, id string) {
-	r, ok := experiments.ByID(id)
-	if !ok {
-		b.Fatalf("experiment %q not registered", id)
-	}
+// BenchmarkExperiments runs every registered experiment at quick scale,
+// one sub-benchmark per experiment id (BenchmarkExperiments/fig4a, …), in
+// the registry's paper order; -bench 'Experiments/fig4a$' picks one.
+func BenchmarkExperiments(b *testing.B) {
 	cfg := experiments.Config{Quick: true, Seed: 42}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if tb := r.Run(cfg); len(tb.Rows) == 0 {
-			b.Fatalf("%s produced no rows", id)
-		}
+	for _, r := range experiments.All() {
+		b.Run(r.ID, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if tb := r.Run(cfg); len(tb.Rows) == 0 {
+					b.Fatalf("%s produced no rows", r.ID)
+				}
+			}
+		})
 	}
 }
-
-func BenchmarkTable2(b *testing.B) { benchExperiment(b, "table2") }
-func BenchmarkTable3(b *testing.B) { benchExperiment(b, "table3") }
-func BenchmarkFig3a(b *testing.B)  { benchExperiment(b, "fig3a") }
-func BenchmarkFig3b(b *testing.B)  { benchExperiment(b, "fig3b") }
-func BenchmarkFig3c(b *testing.B)  { benchExperiment(b, "fig3c") }
-func BenchmarkFig4a(b *testing.B)  { benchExperiment(b, "fig4a") }
-func BenchmarkFig4b(b *testing.B)  { benchExperiment(b, "fig4b") }
-func BenchmarkFig5a(b *testing.B)  { benchExperiment(b, "fig5a") }
-func BenchmarkFig5b(b *testing.B)  { benchExperiment(b, "fig5b") }
-func BenchmarkFig6a(b *testing.B)  { benchExperiment(b, "fig6a") }
-func BenchmarkFig6b(b *testing.B)  { benchExperiment(b, "fig6b") }
-func BenchmarkFig6c(b *testing.B)  { benchExperiment(b, "fig6c") }
-func BenchmarkFig6d(b *testing.B)  { benchExperiment(b, "fig6d") }
-func BenchmarkFig7a(b *testing.B)  { benchExperiment(b, "fig7a") }
-func BenchmarkFig7b(b *testing.B)  { benchExperiment(b, "fig7b") }
-func BenchmarkFig7c(b *testing.B)  { benchExperiment(b, "fig7c") }
-func BenchmarkFig7d(b *testing.B)  { benchExperiment(b, "fig7d") }
-func BenchmarkFig8a(b *testing.B)  { benchExperiment(b, "fig8a") }
-func BenchmarkFig8b(b *testing.B)  { benchExperiment(b, "fig8b") }
-func BenchmarkFig8c(b *testing.B)  { benchExperiment(b, "fig8c") }
-func BenchmarkFig8d(b *testing.B)  { benchExperiment(b, "fig8d") }
-func BenchmarkFig9a(b *testing.B)  { benchExperiment(b, "fig9a") }
-func BenchmarkFig9b(b *testing.B)  { benchExperiment(b, "fig9b") }
-func BenchmarkFig9c(b *testing.B)  { benchExperiment(b, "fig9c") }
-func BenchmarkFig9d(b *testing.B)  { benchExperiment(b, "fig9d") }
-func BenchmarkExt1(b *testing.B)   { benchExperiment(b, "ext1") }
-func BenchmarkExt2(b *testing.B)   { benchExperiment(b, "ext2") }
-func BenchmarkExt3(b *testing.B)   { benchExperiment(b, "ext3") }
-func BenchmarkExt4(b *testing.B)   { benchExperiment(b, "ext4") }
-func BenchmarkExt5(b *testing.B)   { benchExperiment(b, "ext5") }
-func BenchmarkExt6(b *testing.B)   { benchExperiment(b, "ext6") }
-func BenchmarkExt7(b *testing.B)   { benchExperiment(b, "ext7") }
-func BenchmarkExt8(b *testing.B)   { benchExperiment(b, "ext8") }
-func BenchmarkExt9(b *testing.B)   { benchExperiment(b, "ext9") }
-func BenchmarkExt10(b *testing.B)  { benchExperiment(b, "ext10") }
-func BenchmarkExt12(b *testing.B)  { benchExperiment(b, "ext12") }
-func BenchmarkExt13(b *testing.B)  { benchExperiment(b, "ext13") }
 
 // BenchmarkSearchGraphBuildIF / BenchmarkSearchGraphBuildNaive are the
 // ext13 gate pair: the same NSW construction over the planar SF

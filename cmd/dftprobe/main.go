@@ -62,9 +62,10 @@ func main() {
 							continue
 						}
 						total++
-						_, ub1 := splub.Bounds(i, j)
-						lb2, _ := splub.Bounds(k, l)
-						iv := ub1 < lb2
+						lb1, ub1 := splub.Bounds(i, j)
+						lb2, ub2 := splub.Bounds(k, l)
+						less, decided := bounds.DecideLess(lb1, ub1, lb2, ub2)
+						iv := decided && less
 						lp := dft.ProveLess(i, j, k, l)
 						if iv {
 							intervalDecided++

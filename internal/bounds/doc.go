@@ -22,4 +22,14 @@
 // Consumers normally reach these through internal/core's Session, which
 // wires a scheme to the oracle and exposes the re-authored IF surface
 // (DistIfLess and friends); the types here are the pluggable backends.
+//
+// The package also holds the one interval-decision kernel every consumer
+// decides with: DecideLess (and DecideLessThan, its collapsed-interval
+// form) settles a comparison from two sound intervals when they cannot
+// overlap, using endpoint comparisons only. core's sessions, their
+// aggregate comparisons, the proxclient mirror and cmd/dftprobe all call
+// it, so a verdict reached in one place is bit-identical to the verdict
+// reached anywhere else from the same intervals. Slack widening
+// (core.SlackPolicy.Relax) happens before the kernel and comparator proofs
+// (DFT) after it; neither lives here.
 package bounds

@@ -1,6 +1,9 @@
 package core
 
-import "metricprox/internal/fcmp"
+import (
+	"metricprox/internal/bounds"
+	"metricprox/internal/fcmp"
+)
 
 // Pair identifies one distance term of an aggregate comparison.
 type Pair struct{ A, B int }
@@ -15,63 +18,22 @@ type Pair struct{ A, B int }
 // certainly false. Only when the aggregate interval straddles c are the
 // unresolved terms resolved — largest bound-gap first, re-checking after
 // each resolution, so the oracle is consulted as few times as possible.
-func (s *Session) SumLessThan(pairs []Pair, c float64) bool {
-	lbSum, ubSum := 0.0, 0.0
-	type term struct {
-		p      Pair
-		lb, ub float64
-	}
-	var open []term
-	for _, p := range pairs {
-		lb, ub := s.Bounds(p.A, p.B)
-		lbSum += lb
-		ubSum += ub
-		if !fcmp.ExactEq(lb, ub) {
-			open = append(open, term{p: p, lb: lb, ub: ub})
-		}
-	}
-	for {
-		if ubSum < c {
-			s.noteSaved()
-			return true
-		}
-		if lbSum >= c {
-			s.noteSaved()
-			return false
-		}
-		if len(open) == 0 {
-			// Fully resolved and still straddling: impossible (lb==ub for
-			// every term means lbSum == ubSum), but guard for float edge
-			// cases where lbSum < c ≤ ubSum within rounding.
-			return lbSum < c
-		}
-		// Resolve the loosest term: it moves the aggregate interval most.
-		widest, gap := 0, -1.0
-		for i, t := range open {
-			if g := t.ub - t.lb; g > gap {
-				widest, gap = i, g
-			}
-		}
-		t := open[widest]
-		open[widest] = open[len(open)-1]
-		open = open[:len(open)-1]
-		s.ins.ResolvedComparisons.Inc()
-		d := s.Dist(t.p.A, t.p.B)
-		lbSum += d - t.lb
-		ubSum += d - t.ub
-	}
-}
+func (s *Session) SumLessThan(pairs []Pair, c float64) bool { return s.sumLess(pairs, nil, c) }
 
 // SumLess reports whether Σ dist over left is strictly less than Σ dist
 // over right, with the same bound-first, loosest-term-next resolution
 // strategy applied to both sides jointly.
-func (s *Session) SumLess(left, right []Pair) bool {
+func (s *Session) SumLess(left, right []Pair) bool { return s.sumLess(left, right, 0) }
+
+// sumLess decides Σ dist over left − Σ dist over right < c: the bounds
+// kernel settles the aggregate interval [lo, hi] against c, and until it
+// does the loosest unresolved term is resolved.
+func (s *Session) sumLess(left, right []Pair, c float64) bool {
 	type term struct {
 		p      Pair
 		lb, ub float64
 		sign   float64 // +1 for left, −1 for right
 	}
-	// Track bounds of Σleft − Σright.
 	lo, hi := 0.0, 0.0
 	var open []term
 	add := func(ps []Pair, sign float64) {
@@ -92,17 +54,23 @@ func (s *Session) SumLess(left, right []Pair) bool {
 	add(left, 1)
 	add(right, -1)
 	for {
-		if hi < 0 {
+		if less, decided := bounds.DecideLessThan(lo, hi, c); decided {
 			s.noteSaved()
-			return true
-		}
-		if lo >= 0 {
-			s.noteSaved()
-			return false
+			if len(open) > 0 {
+				// Derived intervals are still in the sum: classify like a
+				// scalar bounds decision, so slack-widened ones count.
+				s.boundsOutcome()
+			}
+			return less
 		}
 		if len(open) == 0 {
-			return lo < 0
+			// Fully resolved and still straddling: impossible in exact
+			// arithmetic (every term has lb == ub), but the running sums
+			// can round to lo < c ≤ hi; the resolved lower sum decides.
+			less, _ := bounds.DecideLessThan(lo, lo, c)
+			return less
 		}
+		// Resolve the loosest term: it moves the aggregate interval most.
 		widest, gap := 0, -1.0
 		for i, t := range open {
 			if g := t.ub - t.lb; g > gap {

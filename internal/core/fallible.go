@@ -1,10 +1,6 @@
 package core
 
-import (
-	"errors"
-
-	"metricprox/internal/obs"
-)
+import "errors"
 
 // ErrOracleUnavailable wraps every resolution failure surfaced by the
 // error-propagating Session methods (DistErr, LessErr, …): the bound
@@ -76,92 +72,10 @@ func (s *Session) noteOracleErr(err error) {
 }
 
 // estimate returns the midpoint of the current bounds for (i, j) — the
-// best-effort value the legacy methods fall back to when a resolution
-// fails. Estimates are never committed to the graph or the bound scheme,
-// so they cannot poison later exact answers.
+// best-effort value degrade falls back to when a resolution fails.
+// Estimates are never committed to the graph or the bound scheme, so they
+// cannot poison later exact answers.
 func (s *Session) estimate(i, j int) float64 {
 	lb, ub := s.Bounds(i, j)
 	return (lb + ub) / 2
-}
-
-// LessErr is Less with error propagation: it reports dist(i,j) <
-// dist(k,l), or a non-nil error wrapping ErrOracleUnavailable when the
-// bounds were inconclusive and a needed resolution failed.
-func (s *Session) LessErr(i, j, k, l int) (bool, error) {
-	r, out, gap := s.decideLess(i, j, k, l)
-	if out != OutcomeUndecided {
-		return r, nil
-	}
-	t0 := s.traceStart()
-	d1, err := s.DistErr(i, j)
-	var d2 float64
-	if err == nil {
-		d2, err = s.DistErr(k, l)
-	}
-	lat := s.traceSince(t0)
-	if err != nil {
-		s.traceCmp(obs.OpLess, i, j, k, l, obs.OutcomeError, gap, lat)
-		return false, err
-	}
-	s.traceCmp(obs.OpLess, i, j, k, l, obs.OutcomeOracle, gap, lat)
-	return d1 < d2, nil
-}
-
-// LessOutcome is Less plus a per-call outcome report. Unlike LessErr it
-// never fails: when a needed resolution errors it answers from bounds
-// midpoints and reports OutcomeUnavailable (counting a DegradedAnswer),
-// which is exactly the legacy Less behaviour made observable.
-func (s *Session) LessOutcome(i, j, k, l int) (result bool, out Outcome) {
-	r, out, gap := s.decideLess(i, j, k, l)
-	if out != OutcomeUndecided {
-		return r, out
-	}
-	t0 := s.traceStart()
-	d1, err := s.DistErr(i, j)
-	var d2 float64
-	if err == nil {
-		d2, err = s.DistErr(k, l)
-	}
-	lat := s.traceSince(t0)
-	if err == nil {
-		s.traceCmp(obs.OpLess, i, j, k, l, obs.OutcomeOracle, gap, lat)
-		return d1 < d2, OutcomeExact
-	}
-	s.ins.DegradedAnswers.Inc()
-	s.traceCmp(obs.OpLess, i, j, k, l, obs.OutcomeDegraded, gap, lat)
-	return s.estimate(i, j) < s.estimate(k, l), OutcomeUnavailable
-}
-
-// LessThanErr is LessThan with error propagation; see LessErr.
-func (s *Session) LessThanErr(i, j int, c float64) (bool, error) {
-	r, out, gap := s.decideLessThan(i, j, c)
-	if out != OutcomeUndecided {
-		return r, nil
-	}
-	t0 := s.traceStart()
-	d, err := s.DistErr(i, j)
-	lat := s.traceSince(t0)
-	if err != nil {
-		s.traceCmp(obs.OpLessThan, i, j, -1, -1, obs.OutcomeError, gap, lat)
-		return false, err
-	}
-	s.traceCmp(obs.OpLessThan, i, j, -1, -1, obs.OutcomeOracle, gap, lat)
-	return d < c, nil
-}
-
-// DistIfLessErr is DistIfLess with error propagation; see LessErr.
-func (s *Session) DistIfLessErr(i, j int, c float64) (float64, bool, error) {
-	d, less, out, gap := s.decideDistIfLess(i, j, c)
-	if out != OutcomeUndecided {
-		return d, less, nil
-	}
-	t0 := s.traceStart()
-	d, err := s.DistErr(i, j)
-	lat := s.traceSince(t0)
-	if err != nil {
-		s.traceCmp(obs.OpDistIfLess, i, j, -1, -1, obs.OutcomeError, gap, lat)
-		return 0, false, err
-	}
-	s.traceCmp(obs.OpDistIfLess, i, j, -1, -1, obs.OutcomeOracle, gap, lat)
-	return d, d < c, nil
 }

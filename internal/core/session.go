@@ -238,9 +238,10 @@ func (s *Session) callsCounter() *obs.Counter {
 
 // traceCmp emits one comparison event when a tracer is attached. For
 // two-term comparisons (Less) k and l identify the second distance; the
-// single-term shapes pass k = l = -1.
+// single-term shapes pass k = l = -1. The bare resolution behind Dist
+// (opDist) is not a comparison and emits nothing.
 func (s *Session) traceCmp(op string, i, j, k, l int, outcome string, gap float64, latency time.Duration) {
-	if s.tr == nil {
+	if s.tr == nil || op == opDist {
 		return
 	}
 	s.tr.Record(obs.Event{
@@ -482,11 +483,7 @@ func (s *Session) Known(i, j int) (float64, bool) { return s.g.Weight(i, j) }
 // the bound scheme, so the session's soundness invariants survive; use
 // DistErr when the caller needs to distinguish exact from estimated.
 func (s *Session) Dist(i, j int) float64 {
-	d, err := s.DistErr(i, j)
-	if err != nil {
-		s.ins.DegradedAnswers.Inc()
-		return s.estimate(i, j)
-	}
+	d, _, _ := s.degrade(opDist, i, j, -1, -1, 0)
 	return d
 }
 
@@ -642,8 +639,177 @@ func (s *Session) BoundsBatch(is, js []int, lb, ub []float64) {
 // from bounds-midpoint estimates. Use LessErr or LessOutcome to observe
 // failures per call.
 func (s *Session) Less(i, j, k, l int) bool {
-	r, _ := s.LessOutcome(i, j, k, l)
-	return r
+	_, less, _ := s.degrade(obs.OpLess, i, j, k, l, 0)
+	return less
+}
+
+// LessErr is Less with error propagation: it reports dist(i,j) <
+// dist(k,l), or a non-nil error wrapping ErrOracleUnavailable when the
+// bounds were inconclusive and a needed resolution failed.
+func (s *Session) LessErr(i, j, k, l int) (bool, error) {
+	_, less, _, err := s.compare(obs.OpLess, i, j, k, l, 0, false)
+	return less, err
+}
+
+// LessOutcome is Less plus a per-call outcome report. Unlike LessErr it
+// never fails: when a needed resolution errors it answers from bounds
+// midpoints and reports OutcomeUnavailable (counting a DegradedAnswer),
+// which is exactly the legacy Less behaviour made observable.
+func (s *Session) LessOutcome(i, j, k, l int) (bool, Outcome) {
+	_, less, out := s.degrade(obs.OpLess, i, j, k, l, 0)
+	return less, out
+}
+
+// LessThan reports whether dist(i,j) < c, resolving the distance only when
+// the bounds are inconclusive. On a failed resolution it degrades exactly
+// like Less; use LessThanErr to observe failures.
+func (s *Session) LessThan(i, j int, c float64) bool {
+	_, less, _ := s.degrade(obs.OpLessThan, i, j, -1, -1, c)
+	return less
+}
+
+// LessThanErr is LessThan with error propagation; see LessErr.
+func (s *Session) LessThanErr(i, j int, c float64) (bool, error) {
+	_, less, _, err := s.compare(obs.OpLessThan, i, j, -1, -1, c, false)
+	return less, err
+}
+
+// DistIfLess is the value-needed variant of LessThan used by algorithms
+// that must store the distance when the comparison succeeds (Prim's key
+// update, PAM's nearest-medoid assignment). If dist(i,j) ≥ c can be proven
+// from bounds, it returns (0, false) with no oracle call; otherwise it
+// resolves the distance and reports whether it is below c. On a failed
+// resolution it degrades like Dist (the returned value is an uncommitted
+// estimate); use DistIfLessErr to observe failures.
+func (s *Session) DistIfLess(i, j int, c float64) (float64, bool) {
+	d, less, _ := s.degrade(obs.OpDistIfLess, i, j, -1, -1, c)
+	return d, less
+}
+
+// DistIfLessErr is DistIfLess with error propagation; see LessErr.
+func (s *Session) DistIfLessErr(i, j int, c float64) (float64, bool, error) {
+	d, less, _, err := s.compare(obs.OpDistIfLess, i, j, -1, -1, c, false)
+	return d, less, err
+}
+
+// opDist names the bare resolution behind Dist for the comparison tail:
+// nothing to decide, and no trace event (Dist is not an IF statement).
+const opDist = "dist"
+
+// compare is Session's one comparison tail: every exported comparison
+// method adapts it, the degrading ones through degrade. op names the
+// shape by its trace op: obs.OpLess compares dist(i,j) with dist(k,l);
+// obs.OpLessThan and obs.OpDistIfLess compare dist(i,j) with c and pass
+// k = l = −1; opDist only resolves dist(i,j). What decide cannot settle is
+// resolved through DistErr and traced by noteResolution. A failed
+// resolution returns OutcomeUnavailable and its error; degrade marks a
+// caller that will answer with an estimate instead.
+func (s *Session) compare(op string, i, j, k, l int, c float64, degrade bool) (d float64, less bool, out Outcome, err error) {
+	var gap float64
+	if op != opDist {
+		if d, less, out, gap = s.decide(op, i, j, k, l, c); out != OutcomeUndecided {
+			return d, less, out, nil
+		}
+	}
+	t0 := s.traceStart()
+	d, err = s.DistErr(i, j)
+	if err == nil && op == obs.OpLess {
+		c, err = s.DistErr(k, l)
+	}
+	s.noteResolution(op, i, j, k, l, gap, t0, err, degrade)
+	if err != nil {
+		return 0, false, OutcomeUnavailable, err
+	}
+	return d, d < c, OutcomeExact, nil
+}
+
+// degrade is compare for the degrading methods (Dist, Less, LessOutcome,
+// LessThan, DistIfLess) and the one place a Session answers from
+// estimates: when a needed resolution failed, it compares bounds
+// midpoints instead. OracleErr was latched by the failure, and the
+// estimates are never committed, so they cannot poison later exact
+// answers.
+func (s *Session) degrade(op string, i, j, k, l int, c float64) (float64, bool, Outcome) {
+	d, less, out, err := s.compare(op, i, j, k, l, c, true)
+	if err != nil {
+		d = s.estimate(i, j)
+		if op == obs.OpLess {
+			c = s.estimate(k, l)
+		}
+		less = d < c
+	}
+	return d, less, out
+}
+
+// decide is the bookkeeping half of a comparison: it tries to settle it
+// from cached distances, the bounds kernel and the comparator alone,
+// counting and tracing what it settles. DistIfLess needs the value, so
+// only a "not less" verdict settles it. OutcomeUndecided means the caller
+// must resolve and compare; ResolvedComparisons has been counted, and gap
+// reports how far the bounds were from deciding (the "why did we pay?"
+// figure): the overlap of the two intervals for Less, ub − lb for
+// LessThan, and min(c, ub) − lb for DistIfLess, finite even at c = +Inf
+// (Prim's initial keys). decide never touches the oracle, which is why
+// SharedSession may call it under its lock.
+func (s *Session) decide(op string, i, j, k, l int, c float64) (d float64, less bool, out Outcome, gap float64) {
+	w, ok := s.Known(i, j)
+	rhs := c
+	if ok && op == obs.OpLess {
+		rhs, ok = s.Known(k, l)
+	}
+	if ok {
+		s.ins.CacheHits.Inc()
+		s.traceCmp(op, i, j, k, l, obs.OutcomeCache, 0, 0)
+		return w, w < rhs, OutcomeExact, 0
+	}
+	lb, ub := s.Bounds(i, j)
+	lb2, ub2 := c, c // a constant is a collapsed interval
+	if op == obs.OpLess {
+		lb2, ub2 = s.Bounds(k, l)
+	}
+	less, decided := bounds.DecideLess(lb, ub, lb2, ub2)
+	if op == obs.OpDistIfLess {
+		decided = decided && !less
+	}
+	if decided {
+		s.noteSaved()
+		out, oc := s.boundsOutcome()
+		s.traceCmp(op, i, j, k, l, oc, 0, 0)
+		return 0, less, out, 0
+	}
+	if s.cmp != nil {
+		if less, decided = s.prove(op, i, j, k, l, c); decided {
+			s.noteSaved()
+			s.traceCmp(op, i, j, k, l, obs.OutcomeBounds, 0, 0)
+			return 0, less, OutcomeBounds, 0
+		}
+	}
+	s.ins.ResolvedComparisons.Inc()
+	switch op {
+	case obs.OpLess:
+		gap = math.Min(ub, ub2) - math.Max(lb, lb2)
+	case obs.OpLessThan:
+		gap = ub - lb
+	case obs.OpDistIfLess:
+		gap = math.Min(c, ub) - lb
+	}
+	return 0, false, OutcomeUndecided, gap
+}
+
+// prove asks the installed comparator (DFT) to settle what the intervals
+// could not. Its Prove* methods are one-sided, so each verdict needs its
+// own proof; DistIfLess only ever takes "not less".
+func (s *Session) prove(op string, i, j, k, l int, c float64) (less, decided bool) {
+	switch {
+	case op == obs.OpLess:
+		if s.cmp.ProveLess(i, j, k, l) {
+			return true, true
+		}
+		return false, s.cmp.ProveLess(k, l, i, j) // dist(k,l) < dist(i,j): not less
+	case op == obs.OpLessThan && s.cmp.ProveLessC(i, j, c):
+		return true, true
+	}
+	return false, s.cmp.ProveGEC(i, j, c)
 }
 
 // noteSaved counts a comparison settled from bounds (or the comparator)
@@ -658,165 +824,22 @@ func (s *Session) noteSaved() {
 	}
 }
 
-// decideLess attempts to settle dist(i,j) < dist(k,l) from cached
-// distances, interval bounds, and the comparator alone, updating
-// statistics and tracing the settled outcomes. OutcomeUndecided means
-// the caller must resolve both distances and compare; ResolvedComparisons
-// has already been counted in that case, and gap reports the width of the
-// bound-interval overlap that kept the comparison undecided (the "why did
-// we pay?" figure; 0 when settled). This is the bookkeeping half of Less,
-// callable under SharedSession's lock because it never touches the
-// oracle.
-func (s *Session) decideLess(i, j, k, l int) (result bool, out Outcome, gap float64) {
-	kn1, ok1 := s.Known(i, j)
-	kn2, ok2 := s.Known(k, l)
-	if ok1 && ok2 {
-		s.ins.CacheHits.Inc()
-		s.traceCmp(obs.OpLess, i, j, k, l, obs.OutcomeCache, 0, 0)
-		return kn1 < kn2, OutcomeExact, 0
-	}
-	lb1, ub1 := s.Bounds(i, j)
-	lb2, ub2 := s.Bounds(k, l)
-	if ub1 < lb2 {
-		s.noteSaved()
-		out, oc := s.boundsOutcome()
-		s.traceCmp(obs.OpLess, i, j, k, l, oc, 0, 0)
-		return true, out, 0
-	}
-	if lb1 >= ub2 {
-		s.noteSaved()
-		out, oc := s.boundsOutcome()
-		s.traceCmp(obs.OpLess, i, j, k, l, oc, 0, 0)
-		return false, out, 0
-	}
-	if s.cmp != nil {
-		if s.cmp.ProveLess(i, j, k, l) {
-			s.noteSaved()
-			s.traceCmp(obs.OpLess, i, j, k, l, obs.OutcomeBounds, 0, 0)
-			return true, OutcomeBounds, 0
-		}
-		if s.cmp.ProveLess(k, l, i, j) {
-			// dist(k,l) < dist(i,j) implies not less.
-			s.noteSaved()
-			s.traceCmp(obs.OpLess, i, j, k, l, obs.OutcomeBounds, 0, 0)
-			return false, OutcomeBounds, 0
-		}
-	}
-	s.ins.ResolvedComparisons.Inc()
-	return false, OutcomeUndecided, math.Min(ub1, ub2) - math.Max(lb1, lb2)
-}
-
-// LessThan reports whether dist(i,j) < c, resolving the distance only when
-// the bounds are inconclusive. On a failed resolution it degrades exactly
-// like Less; use LessThanErr to observe failures.
-func (s *Session) LessThan(i, j int, c float64) bool {
-	r, out, gap := s.decideLessThan(i, j, c)
-	if out != OutcomeUndecided {
-		return r
-	}
-	t0 := s.traceStart()
-	d, err := s.DistErr(i, j)
-	lat := s.traceSince(t0)
+// noteResolution ends a comparison the oracle had to answer: it traces
+// the outcome with the bound gap that forced the call and the time since
+// t0, and counts a DegradedAnswer when the resolution failed for a caller
+// that will answer with an estimate (degrade) rather than the error. It
+// writes only atomic instruments and the synchronised tracer, so
+// SharedSession calls it without its lock.
+func (s *Session) noteResolution(op string, i, j, k, l int, gap float64, t0 time.Time, err error, degrade bool) {
+	oc := obs.OutcomeOracle
 	if err != nil {
-		s.ins.DegradedAnswers.Inc()
-		s.traceCmp(obs.OpLessThan, i, j, -1, -1, obs.OutcomeDegraded, gap, lat)
-		return s.estimate(i, j) < c
-	}
-	s.traceCmp(obs.OpLessThan, i, j, -1, -1, obs.OutcomeOracle, gap, lat)
-	return d < c
-}
-
-// decideLessThan is the bookkeeping half of LessThan; see decideLess. An
-// undecided gap is the width of the bound interval straddling c.
-func (s *Session) decideLessThan(i, j int, c float64) (result bool, out Outcome, gap float64) {
-	if w, ok := s.Known(i, j); ok {
-		s.ins.CacheHits.Inc()
-		s.traceCmp(obs.OpLessThan, i, j, -1, -1, obs.OutcomeCache, 0, 0)
-		return w < c, OutcomeExact, 0
-	}
-	lb, ub := s.Bounds(i, j)
-	if ub < c {
-		s.noteSaved()
-		out, oc := s.boundsOutcome()
-		s.traceCmp(obs.OpLessThan, i, j, -1, -1, oc, 0, 0)
-		return true, out, 0
-	}
-	if lb >= c {
-		s.noteSaved()
-		out, oc := s.boundsOutcome()
-		s.traceCmp(obs.OpLessThan, i, j, -1, -1, oc, 0, 0)
-		return false, out, 0
-	}
-	if s.cmp != nil {
-		if s.cmp.ProveLessC(i, j, c) {
-			s.noteSaved()
-			s.traceCmp(obs.OpLessThan, i, j, -1, -1, obs.OutcomeBounds, 0, 0)
-			return true, OutcomeBounds, 0
-		}
-		if s.cmp.ProveGEC(i, j, c) {
-			s.noteSaved()
-			s.traceCmp(obs.OpLessThan, i, j, -1, -1, obs.OutcomeBounds, 0, 0)
-			return false, OutcomeBounds, 0
+		oc = obs.OutcomeError
+		if degrade {
+			s.ins.DegradedAnswers.Inc()
+			oc = obs.OutcomeDegraded
 		}
 	}
-	s.ins.ResolvedComparisons.Inc()
-	return false, OutcomeUndecided, ub - lb
-}
-
-// DistIfLess is the value-needed variant of LessThan used by algorithms
-// that must store the distance when the comparison succeeds (Prim's key
-// update, PAM's nearest-medoid assignment). If dist(i,j) ≥ c can be proven
-// from bounds, it returns (0, false) with no oracle call; otherwise it
-// resolves the distance and reports whether it is below c. On a failed
-// resolution it degrades like Dist (the returned value is an uncommitted
-// estimate); use DistIfLessErr to observe failures.
-func (s *Session) DistIfLess(i, j int, c float64) (float64, bool) {
-	d, less, out, gap := s.decideDistIfLess(i, j, c)
-	if out != OutcomeUndecided {
-		return d, less
-	}
-	t0 := s.traceStart()
-	d, err := s.DistErr(i, j)
-	lat := s.traceSince(t0)
-	if err != nil {
-		s.ins.DegradedAnswers.Inc()
-		s.traceCmp(obs.OpDistIfLess, i, j, -1, -1, obs.OutcomeDegraded, gap, lat)
-		e := s.estimate(i, j)
-		return e, e < c
-	}
-	s.traceCmp(obs.OpDistIfLess, i, j, -1, -1, obs.OutcomeOracle, gap, lat)
-	return d, d < c
-}
-
-// decideDistIfLess is the bookkeeping half of DistIfLess; see decideLess.
-// An undecided gap is min(c, ub) − lb: how far below the cutoff the lower
-// bound sat, capped at the interval width so callers passing c = +Inf
-// (Prim's initial keys) report a finite, comparable figure (the value is
-// needed, so the upper bound alone can never save the call).
-func (s *Session) decideDistIfLess(i, j int, c float64) (d float64, less bool, out Outcome, gap float64) {
-	if w, ok := s.Known(i, j); ok {
-		s.ins.CacheHits.Inc()
-		s.traceCmp(obs.OpDistIfLess, i, j, -1, -1, obs.OutcomeCache, 0, 0)
-		return w, w < c, OutcomeExact, 0
-	}
-	lb, ub := s.Bounds(i, j)
-	if lb >= c {
-		s.noteSaved()
-		out, oc := s.boundsOutcome()
-		s.traceCmp(obs.OpDistIfLess, i, j, -1, -1, oc, 0, 0)
-		return 0, false, out, 0
-	}
-	if s.cmp != nil && s.cmp.ProveGEC(i, j, c) {
-		s.noteSaved()
-		s.traceCmp(obs.OpDistIfLess, i, j, -1, -1, obs.OutcomeBounds, 0, 0)
-		return 0, false, OutcomeBounds, 0
-	}
-	s.ins.ResolvedComparisons.Inc()
-	gap = c - lb
-	if ub < c {
-		gap = ub - lb
-	}
-	return 0, false, OutcomeUndecided, gap
+	s.traceCmp(op, i, j, k, l, oc, gap, s.traceSince(t0))
 }
 
 // Bootstrap resolves all landmark-to-object distances through the oracle

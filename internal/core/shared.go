@@ -50,27 +50,12 @@ func (c *SharedSession) N() int { return c.s.N() } // immutable, no lock
 // MaxDistance returns the configured distance cap.
 func (c *SharedSession) MaxDistance() float64 { return c.s.MaxDistance() } // immutable, no lock
 
-// resolve returns the exact distance for (i, j) when the oracle
-// cooperates, or a best-effort bounds-midpoint estimate (counting a
-// DegradedAnswer, latching OracleErr) when it does not; see resolveErr
-// for the error-propagating primitive.
-func (c *SharedSession) resolve(i, j int) float64 {
-	d, err := c.resolveErr(i, j)
-	if err != nil {
-		c.s.ins.DegradedAnswers.Inc() // atomic; no lock needed
-		c.mu.Lock()
-		d = c.s.estimate(i, j)
-		c.mu.Unlock()
-	}
-	return d
-}
-
-// resolveErr resolves the exact distance for (i, j), making at most one
-// oracle call per pair across all goroutines. The lock is released for
-// the duration of the oracle round-trip. A failed attempt is shared with
-// every goroutine waiting on the same flight but commits nothing, so the
-// pair can be retried by a later call.
-func (c *SharedSession) resolveErr(i, j int) (float64, error) {
+// DistErr resolves the exact distance for (i, j), making at most one
+// oracle call per pair across all goroutines; see Session.DistErr. The
+// lock is released for the duration of the oracle round-trip. A failed
+// attempt is shared with every goroutine waiting on the same flight but
+// commits nothing, so the pair can be retried by a later call.
+func (c *SharedSession) DistErr(i, j int) (float64, error) {
 	if i == j {
 		return 0, nil
 	}
@@ -106,10 +91,10 @@ func (c *SharedSession) resolveErr(i, j int) (float64, error) {
 
 // Dist resolves the exact distance (memoised, single-flight), degrading
 // like Session.Dist when the resolution fails.
-func (c *SharedSession) Dist(i, j int) float64 { return c.resolve(i, j) }
-
-// DistErr is Dist with error propagation; see Session.DistErr.
-func (c *SharedSession) DistErr(i, j int) (float64, error) { return c.resolveErr(i, j) }
+func (c *SharedSession) Dist(i, j int) float64 {
+	d, _, _ := c.degrade(opDist, i, j, -1, -1, 0)
+	return d
+}
 
 // Known reports an already-resolved pair.
 func (c *SharedSession) Known(i, j int) (float64, bool) {
@@ -140,146 +125,90 @@ func (c *SharedSession) BoundsBatch(is, js []int, lb, ub []float64) {
 // with the lock released. On a failed resolution it degrades like
 // Session.Less; use LessErr or LessOutcome to observe failures.
 func (c *SharedSession) Less(i, j, k, l int) bool {
-	r, _ := c.LessOutcome(i, j, k, l)
-	return r
+	_, less, _ := c.degrade(obs.OpLess, i, j, k, l, 0)
+	return less
 }
 
 // LessErr is Less with error propagation; see Session.LessErr.
 func (c *SharedSession) LessErr(i, j, k, l int) (bool, error) {
-	c.mu.Lock()
-	r, out, gap := c.s.decideLess(i, j, k, l)
-	c.mu.Unlock()
-	if out != OutcomeUndecided {
-		return r, nil
-	}
-	t0 := c.s.traceStart()
-	d1, err := c.resolveErr(i, j)
-	var d2 float64
-	if err == nil {
-		d2, err = c.resolveErr(k, l)
-	}
-	lat := c.s.traceSince(t0)
-	if err != nil {
-		c.s.traceCmp(obs.OpLess, i, j, k, l, obs.OutcomeError, gap, lat)
-		return false, err
-	}
-	c.s.traceCmp(obs.OpLess, i, j, k, l, obs.OutcomeOracle, gap, lat)
-	return d1 < d2, nil
+	_, less, _, err := c.compare(obs.OpLess, i, j, k, l, 0, false)
+	return less, err
 }
 
 // LessOutcome is Less plus a per-call outcome report; see
 // Session.LessOutcome.
-func (c *SharedSession) LessOutcome(i, j, k, l int) (result bool, out Outcome) {
-	c.mu.Lock()
-	r, out, gap := c.s.decideLess(i, j, k, l)
-	c.mu.Unlock()
-	if out != OutcomeUndecided {
-		return r, out
-	}
-	t0 := c.s.traceStart()
-	d1, err := c.resolveErr(i, j)
-	var d2 float64
-	if err == nil {
-		d2, err = c.resolveErr(k, l)
-	}
-	lat := c.s.traceSince(t0)
-	if err == nil {
-		c.s.traceCmp(obs.OpLess, i, j, k, l, obs.OutcomeOracle, gap, lat)
-		return d1 < d2, OutcomeExact
-	}
-	c.s.ins.DegradedAnswers.Inc()
-	c.s.traceCmp(obs.OpLess, i, j, k, l, obs.OutcomeDegraded, gap, lat)
-	c.mu.Lock()
-	r = c.s.estimate(i, j) < c.s.estimate(k, l)
-	c.mu.Unlock()
-	return r, OutcomeUnavailable
+func (c *SharedSession) LessOutcome(i, j, k, l int) (bool, Outcome) {
+	_, less, out := c.degrade(obs.OpLess, i, j, k, l, 0)
+	return less, out
 }
 
 // LessThan reports whether dist(i,j) < v, degrading like Session.LessThan
 // on a failed resolution.
 func (c *SharedSession) LessThan(i, j int, v float64) bool {
-	c.mu.Lock()
-	r, out, gap := c.s.decideLessThan(i, j, v)
-	c.mu.Unlock()
-	if out != OutcomeUndecided {
-		return r
-	}
-	t0 := c.s.traceStart()
-	d, err := c.resolveErr(i, j)
-	lat := c.s.traceSince(t0)
-	if err != nil {
-		c.s.ins.DegradedAnswers.Inc()
-		c.s.traceCmp(obs.OpLessThan, i, j, -1, -1, obs.OutcomeDegraded, gap, lat)
-		c.mu.Lock()
-		r = c.s.estimate(i, j) < v
-		c.mu.Unlock()
-		return r
-	}
-	c.s.traceCmp(obs.OpLessThan, i, j, -1, -1, obs.OutcomeOracle, gap, lat)
-	return d < v
+	_, less, _ := c.degrade(obs.OpLessThan, i, j, -1, -1, v)
+	return less
 }
 
 // LessThanErr is LessThan with error propagation; see Session.LessThanErr.
 func (c *SharedSession) LessThanErr(i, j int, v float64) (bool, error) {
-	c.mu.Lock()
-	r, out, gap := c.s.decideLessThan(i, j, v)
-	c.mu.Unlock()
-	if out != OutcomeUndecided {
-		return r, nil
-	}
-	t0 := c.s.traceStart()
-	d, err := c.resolveErr(i, j)
-	lat := c.s.traceSince(t0)
-	if err != nil {
-		c.s.traceCmp(obs.OpLessThan, i, j, -1, -1, obs.OutcomeError, gap, lat)
-		return false, err
-	}
-	c.s.traceCmp(obs.OpLessThan, i, j, -1, -1, obs.OutcomeOracle, gap, lat)
-	return d < v, nil
+	_, less, _, err := c.compare(obs.OpLessThan, i, j, -1, -1, v, false)
+	return less, err
 }
 
 // DistIfLess is the value-needed comparison; see Session.DistIfLess. On a
 // failed resolution the returned value is an uncommitted estimate.
 func (c *SharedSession) DistIfLess(i, j int, v float64) (float64, bool) {
-	c.mu.Lock()
-	d, less, out, gap := c.s.decideDistIfLess(i, j, v)
-	c.mu.Unlock()
-	if out != OutcomeUndecided {
-		return d, less
-	}
-	t0 := c.s.traceStart()
-	d, err := c.resolveErr(i, j)
-	lat := c.s.traceSince(t0)
-	if err != nil {
-		c.s.ins.DegradedAnswers.Inc()
-		c.s.traceCmp(obs.OpDistIfLess, i, j, -1, -1, obs.OutcomeDegraded, gap, lat)
-		c.mu.Lock()
-		d = c.s.estimate(i, j)
-		c.mu.Unlock()
-		return d, d < v
-	}
-	c.s.traceCmp(obs.OpDistIfLess, i, j, -1, -1, obs.OutcomeOracle, gap, lat)
-	return d, d < v
+	d, less, _ := c.degrade(obs.OpDistIfLess, i, j, -1, -1, v)
+	return d, less
 }
 
 // DistIfLessErr is DistIfLess with error propagation; see
 // Session.DistIfLessErr.
 func (c *SharedSession) DistIfLessErr(i, j int, v float64) (float64, bool, error) {
-	c.mu.Lock()
-	d, less, out, gap := c.s.decideDistIfLess(i, j, v)
-	c.mu.Unlock()
-	if out != OutcomeUndecided {
-		return d, less, nil
+	d, less, _, err := c.compare(obs.OpDistIfLess, i, j, -1, -1, v, false)
+	return d, less, err
+}
+
+// compare is SharedSession's one comparison tail; see Session.compare for
+// the shapes and results. The decision runs under the lock; the
+// resolutions run with it released, single-flight through DistErr.
+func (c *SharedSession) compare(op string, i, j, k, l int, v float64, degrade bool) (d float64, less bool, out Outcome, err error) {
+	var gap float64
+	if op != opDist {
+		c.mu.Lock()
+		d, less, out, gap = c.s.decide(op, i, j, k, l, v)
+		c.mu.Unlock()
+		if out != OutcomeUndecided {
+			return d, less, out, nil
+		}
 	}
 	t0 := c.s.traceStart()
-	d, err := c.resolveErr(i, j)
-	lat := c.s.traceSince(t0)
-	if err != nil {
-		c.s.traceCmp(obs.OpDistIfLess, i, j, -1, -1, obs.OutcomeError, gap, lat)
-		return 0, false, err
+	d, err = c.DistErr(i, j)
+	if err == nil && op == obs.OpLess {
+		v, err = c.DistErr(k, l)
 	}
-	c.s.traceCmp(obs.OpDistIfLess, i, j, -1, -1, obs.OutcomeOracle, gap, lat)
-	return d, d < v, nil
+	c.s.noteResolution(op, i, j, k, l, gap, t0, err, degrade)
+	if err != nil {
+		return 0, false, OutcomeUnavailable, err
+	}
+	return d, d < v, OutcomeExact, nil
+}
+
+// degrade is compare for the degrading methods and the one place a
+// SharedSession answers from estimates; see Session.degrade. The
+// estimates read the bound scheme, so they are taken under the lock.
+func (c *SharedSession) degrade(op string, i, j, k, l int, v float64) (float64, bool, Outcome) {
+	d, less, out, err := c.compare(op, i, j, k, l, v, true)
+	if err != nil {
+		c.mu.Lock()
+		d = c.s.estimate(i, j)
+		if op == obs.OpLess {
+			v = c.s.estimate(k, l)
+		}
+		c.mu.Unlock()
+		less = d < v
+	}
+	return d, less, out
 }
 
 // Bootstrap resolves landmark rows; see Session.Bootstrap. Bootstrap is a
@@ -287,7 +216,7 @@ func (c *SharedSession) DistIfLessErr(i, j int, v float64) (float64, bool, error
 func (c *SharedSession) Bootstrap(landmarks []int) int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	//proxlint:allow lockheldoracle -- setup phase: Bootstrap runs before workers start, so holding the lock across its oracle calls serialises nothing; resolve() is the hot path and releases the lock around every round-trip
+	//proxlint:allow lockheldoracle -- setup phase: Bootstrap runs before workers start, so holding the lock across its oracle calls serialises nothing; the comparison tail is the hot path and releases the lock around every round-trip
 	return c.s.Bootstrap(landmarks)
 }
 

@@ -156,7 +156,7 @@ func TestSlackOutcomeAndStats(t *testing.T) {
 	for i := 1; i < 16; i++ {
 		for j := i + 1; j < 16; j++ {
 			for _, c := range []float64{0.05, 0.5, 1.0} {
-				if _, out, _ := s.decideLessThan(i, j, c); out == OutcomeSlack {
+				if _, _, out, _ := s.decide(obs.OpLessThan, i, j, -1, -1, c); out == OutcomeSlack {
 					sawSlack = true
 				} else if out == OutcomeBounds {
 					t.Fatalf("bounds-settled outcome under active slack should be OutcomeSlack")
@@ -176,6 +176,49 @@ func TestSlackOutcomeAndStats(t *testing.T) {
 	}
 	if OutcomeSlack.String() != "slack" {
 		t.Fatalf("OutcomeSlack.String() = %q", OutcomeSlack)
+	}
+}
+
+// TestAggregateSlackClassification pins that the aggregate comparisons
+// classify a bounds-settled verdict like the scalar ones: under an active
+// slack policy, a SumLessThan or SumLess settled from derived (widened)
+// intervals with no oracle call counts in SlackResolved as well as in
+// SavedComparisons.
+func TestAggregateSlackClassification(t *testing.T) {
+	const n = 60
+	s := NewSession(metric.NewOracle(datasets.SFPOIPlanar(n, 1)), SchemeTri,
+		WithSlack(SlackPolicy{Additive: 1e-6}))
+	s.Bootstrap(PickLandmarks(n, 6, 1))
+	settled := 0
+	check := func(what string, terms []Pair, f func()) {
+		for _, p := range terms {
+			if _, known := s.Known(p.A, p.B); known || p.A == p.B {
+				return // an exact term: not every interval in the sum is derived
+			}
+		}
+		before := s.Stats()
+		f()
+		after := s.Stats()
+		if after.OracleCalls != before.OracleCalls {
+			return // resolved its way to the verdict
+		}
+		settled++
+		if saved := after.SavedComparisons - before.SavedComparisons; saved != 1 {
+			t.Fatalf("%s %v: SavedComparisons +%d, want +1", what, terms, saved)
+		}
+		if slack := after.SlackResolved - before.SlackResolved; slack != 1 {
+			t.Fatalf("%s %v settled from slack-widened bounds: SlackResolved +%d, want +1", what, terms, slack)
+		}
+	}
+	for a := 0; a+3 < n; a++ {
+		p, q := Pair{a, a + 1}, Pair{a + 2, a + 3}
+		for _, c := range []float64{0.05, 0.5, 2} {
+			check("SumLessThan", []Pair{p, q}, func() { s.SumLessThan([]Pair{p, q}, c) })
+		}
+		check("SumLess", []Pair{p, q}, func() { s.SumLess([]Pair{p}, []Pair{q}) })
+	}
+	if settled == 0 {
+		t.Fatal("no aggregate settled from bounds; the test exercises nothing")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"sync"
 
+	"metricprox/internal/bounds"
 	"metricprox/internal/core"
 	"metricprox/internal/service/api"
 )
@@ -244,7 +245,7 @@ func (s *Session) OracleErr() error {
 }
 
 // estimate mirrors core.Session.estimate: the midpoint of the current
-// (local) bounds, used by the degrading legacy methods.
+// (local) bounds, which degrade falls back to.
 func (s *Session) estimate(i, j int) float64 {
 	lb, ub := s.localBounds(i, j)
 	return (lb + ub) / 2
@@ -315,108 +316,105 @@ func (s *Session) DistErr(i, j int) (float64, error) {
 func (s *Session) Dist(i, j int) float64 {
 	d, err := s.DistErr(i, j)
 	if err != nil {
-		s.latch(err)
-		return s.estimate(i, j)
+		d, _ = s.degrade(err, i, j, -1, -1, 0)
 	}
 	return d
 }
 
-// decideLess settles dist(i,j) < dist(k,l) from the mirror alone.
-func (s *Session) decideLess(i, j, k, l int) (result bool, out core.Outcome) {
-	d1, ok1 := s.localKnown(i, j)
-	d2, ok2 := s.localKnown(k, l)
-	if ok1 && ok2 {
-		return d1 < d2, core.OutcomeExact
+// degrade is the legacy contract's answer to a failed remote call and the
+// one place this client answers from estimates: it latches err as
+// OracleErr and compares the mirror's bounds midpoints — dist(i,j)
+// against dist(k,l) when k ≥ 0, against c otherwise. The estimates are
+// never committed to the mirror.
+func (s *Session) degrade(err error, i, j, k, l int, c float64) (float64, bool) {
+	s.latch(err)
+	d := s.estimate(i, j)
+	if k >= 0 {
+		c = s.estimate(k, l)
 	}
-	lb1, ub1 := s.localBounds(i, j)
-	lb2, ub2 := s.localBounds(k, l)
-	if ub1 < lb2 {
-		return true, core.OutcomeBounds
+	return d, d < c
+}
+
+// decide settles dist(i,j) against dist(k,l) — or against c when k < 0 —
+// from the mirror alone, by the bounds kernel the server session uses.
+// OutcomeUndecided means the caller must ask the server.
+func (s *Session) decide(i, j, k, l int, c float64) (d float64, less bool, out core.Outcome) {
+	d, ok := s.localKnown(i, j)
+	rhs := c
+	if ok && k >= 0 {
+		rhs, ok = s.localKnown(k, l)
 	}
-	if lb1 >= ub2 {
-		return false, core.OutcomeBounds
+	if ok {
+		return d, d < rhs, core.OutcomeExact
 	}
-	return false, core.OutcomeUndecided
+	lb, ub := s.localBounds(i, j)
+	lb2, ub2 := c, c // a constant is a collapsed interval
+	if k >= 0 {
+		lb2, ub2 = s.localBounds(k, l)
+	}
+	if less, decided := bounds.DecideLess(lb, ub, lb2, ub2); decided {
+		return 0, less, core.OutcomeBounds
+	}
+	return 0, false, core.OutcomeUndecided
 }
 
 // LessErr reports dist(i,j) < dist(k,l), deciding locally when the mirror
 // can and round-tripping otherwise.
 func (s *Session) LessErr(i, j, k, l int) (bool, error) {
-	if r, out := s.decideLess(i, j, k, l); out != core.OutcomeUndecided {
-		return r, nil
+	less, _, err := s.less(i, j, k, l)
+	return less, err
+}
+
+// less is LessErr plus how the answer was reached: the mirror's outcome
+// when it settled the comparison, OutcomeExact for a server answer.
+func (s *Session) less(i, j, k, l int) (bool, core.Outcome, error) {
+	if _, less, out := s.decide(i, j, k, l, 0); out != core.OutcomeUndecided {
+		return less, out, nil
 	}
 	if i == j || k == l {
 		// The comparison endpoint rejects self-pairs; resolve the real
 		// pair instead (a self-pair's distance is locally known to be 0).
 		d1, err := s.DistErr(i, j)
-		if err != nil {
-			return false, err
+		var d2 float64
+		if err == nil {
+			d2, err = s.DistErr(k, l)
 		}
-		d2, err := s.DistErr(k, l)
 		if err != nil {
-			return false, err
+			return false, core.OutcomeUnavailable, err
 		}
-		return d1 < d2, nil
+		return d1 < d2, core.OutcomeExact, nil
 	}
 	var resp api.LessResponse
 	err := s.c.do(context.Background(), http.MethodPost, s.path("less"),
 		api.LessRequest{I: i, J: j, K: k, L: l}, &resp)
 	if err != nil {
-		return false, err
+		return false, core.OutcomeUnavailable, err
 	}
-	return resp.Less, nil
+	return resp.Less, core.OutcomeExact, nil
 }
 
 // LessOutcome is Less plus an outcome report; on a remote failure it
 // degrades to comparing bound midpoints, like core.Session.
 func (s *Session) LessOutcome(i, j, k, l int) (bool, core.Outcome) {
-	if r, out := s.decideLess(i, j, k, l); out != core.OutcomeUndecided {
-		return r, out
-	}
-	if i == j || k == l {
-		r, err := s.LessErr(i, j, k, l)
-		if err != nil {
-			s.latch(err)
-			return s.estimate(i, j) < s.estimate(k, l), core.OutcomeUnavailable
-		}
-		return r, core.OutcomeExact
-	}
-	var resp api.LessResponse
-	err := s.c.do(context.Background(), http.MethodPost, s.path("less"),
-		api.LessRequest{I: i, J: j, K: k, L: l}, &resp)
+	less, out, err := s.less(i, j, k, l)
 	if err != nil {
-		s.latch(err)
-		return s.estimate(i, j) < s.estimate(k, l), core.OutcomeUnavailable
+		_, less = s.degrade(err, i, j, k, l, 0)
+		out = core.OutcomeUnavailable
 	}
-	return resp.Less, core.OutcomeExact
+	return less, out
 }
 
 // Less reports dist(i,j) < dist(k,l), degrading like the legacy core
 // method on failure.
 func (s *Session) Less(i, j, k, l int) bool {
-	r, _ := s.LessOutcome(i, j, k, l)
-	return r
-}
-
-// decideLessThan settles dist(i,j) < c from the mirror alone.
-func (s *Session) decideLessThan(i, j int, c float64) (result bool, out core.Outcome) {
-	if d, ok := s.localKnown(i, j); ok {
-		return d < c, core.OutcomeExact
-	}
-	lb, ub := s.localBounds(i, j)
-	if ub < c {
-		return true, core.OutcomeBounds
-	}
-	if lb >= c {
-		return false, core.OutcomeBounds
-	}
-	return false, core.OutcomeUndecided
+	less, _ := s.LessOutcome(i, j, k, l)
+	return less
 }
 
 // LessThanErr reports dist(i,j) < c with error propagation.
 func (s *Session) LessThanErr(i, j int, c float64) (bool, error) {
-	if r, out := s.decideLessThan(i, j, c); out != core.OutcomeUndecided {
-		return r, nil
+	if _, less, out := s.decide(i, j, -1, -1, c); out != core.OutcomeUndecided {
+		return less, nil
 	}
 	var resp api.LessResponse
 	err := s.c.do(context.Background(), http.MethodPost, s.path("lessthan"),
@@ -433,12 +431,11 @@ func (s *Session) LessThanErr(i, j int, c float64) (bool, error) {
 // LessThan reports dist(i,j) < c, degrading like the legacy core method on
 // failure.
 func (s *Session) LessThan(i, j int, c float64) bool {
-	r, err := s.LessThanErr(i, j, c)
+	less, err := s.LessThanErr(i, j, c)
 	if err != nil {
-		s.latch(err)
-		return s.estimate(i, j) < c
+		_, less = s.degrade(err, i, j, -1, -1, c)
 	}
-	return r
+	return less
 }
 
 // DistIfLessErr resolves dist(i,j) only when it cannot be proved ≥ c,
@@ -446,11 +443,9 @@ func (s *Session) LessThan(i, j int, c float64) bool {
 // lower bound rises to c, so repeated probes against non-increasing
 // thresholds (Prim's relaxation pattern) stop round-tripping.
 func (s *Session) DistIfLessErr(i, j int, c float64) (float64, bool, error) {
-	if d, ok := s.localKnown(i, j); ok {
-		return d, d < c, nil
-	}
-	if lb, _ := s.localBounds(i, j); lb >= c {
-		return 0, false, nil
+	// The value is needed, so only an exact or a "not less" verdict settles.
+	if d, less, out := s.decide(i, j, -1, -1, c); out == core.OutcomeExact || (out == core.OutcomeBounds && !less) {
+		return d, less, nil
 	}
 	var resp api.DistIfLessResponse
 	err := s.c.do(context.Background(), http.MethodPost, s.path("distifless"),
@@ -471,9 +466,7 @@ func (s *Session) DistIfLessErr(i, j int, c float64) (float64, bool, error) {
 func (s *Session) DistIfLess(i, j int, c float64) (float64, bool) {
 	d, less, err := s.DistIfLessErr(i, j, c)
 	if err != nil {
-		s.latch(err)
-		e := s.estimate(i, j)
-		return e, e < c
+		d, less = s.degrade(err, i, j, -1, -1, c)
 	}
 	return d, less
 }

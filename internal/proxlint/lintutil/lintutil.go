@@ -227,7 +227,6 @@ var coreOracleEntrypoints = map[string]bool{
 	"SumLess":         true,
 	"Bootstrap":       true,
 	"GreedyLandmarks": true,
-	"resolve":         true,
 
 	// Error-propagating variants of the comparison API (fallible-oracle
 	// subsystem) — same oracle reach as their legacy counterparts.
@@ -237,8 +236,12 @@ var coreOracleEntrypoints = map[string]bool{
 	"LessThanErr":       true,
 	"DistIfLessErr":     true,
 	"BootstrapErr":      true,
-	"resolveErr":        true,
 	"oracleDistanceErr": true,
+
+	// The comparison tail every method above adapts, and its degrading
+	// wrapper (Session and SharedSession alike).
+	"compare": true,
+	"degrade": true,
 }
 
 // IsCoreOracleEntry reports whether f is a core-session method that can

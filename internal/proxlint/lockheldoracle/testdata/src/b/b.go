@@ -134,3 +134,27 @@ func errVariantAfterUnlock(g *guarded) (bool, error) {
 	g.mu.Unlock()
 	return g.s.LessErr(1, 2, 3, 4) // resolved with the lock released: fine
 }
+
+// tail has the shape of the core comparison tail: an unexported method
+// that reaches the oracle through a session entrypoint, wrapped by a
+// degrading method that takes the lock only around its estimate.
+func (g *guarded) tail(i, j int) (float64, error) { return g.s.DistErr(i, j) }
+
+func (g *guarded) lenient(i, j int) float64 {
+	d, err := g.tail(i, j) // resolved with the lock released: fine
+	if err != nil {
+		g.mu.Lock()
+		lb, ub := g.s.Bounds(i, j) // the estimate is bookkeeping: fine
+		g.mu.Unlock()
+		d = (lb + ub) / 2
+	}
+	return d
+}
+
+func tailUnderLock(g *guarded) float64 {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	d, _ := g.tail(1, 2) // want `call to tail may reach the distance oracle while "g\.mu" is held`
+	e := g.lenient(3, 4) // want `call to lenient may reach the distance oracle while "g\.mu" is held`
+	return d + e
+}

@@ -303,7 +303,7 @@ func (s *Server) handleDistIfLess(w http.ResponseWriter, r *http.Request, entry 
 	if less {
 		// d is exact whenever less is true: the relaxed-bounds decision
 		// path returns less=false, so a shipped D is always a cache hit or
-		// an oracle resolution. The taint is decideDistIfLess's gap metric
+		// an oracle resolution. The taint is core's decision gap metric
 		// sharing the function-level fact.
 		resp.D = api.WireFloat(d) //proxlint:allow slackescape -- D ships only on the exact (cache/oracle) path; the bounds-decided path never sets less
 	}
