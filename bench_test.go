@@ -5,6 +5,7 @@
 package metricprox_test
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -178,8 +179,11 @@ func BenchmarkTriBoundsCSR(b *testing.B) {
 }
 
 // BenchmarkTriBoundsBatch measures the batch entry point on the same
-// workload: all 1024 query pairs answered per outer iteration, grouped by
-// anchor so each shared row streams through the cache once.
+// workload: all 1024 query pairs answered per outer iteration, in input
+// order. The pairs are drawn at random, about 2 per anchor over 512
+// objects, so almost every pair changes the anchor and pays its own
+// stamp: this is the batch sweep's worst shape, not its intended one
+// (BenchmarkTriBoundsRow is that).
 func BenchmarkTriBoundsBatch(b *testing.B) {
 	g, pairs := triWorkload()
 	tri := bounds.NewTri(g, 1)
@@ -197,6 +201,63 @@ func BenchmarkTriBoundsBatch(b *testing.B) {
 	}
 	b.ReportMetric(float64(len(pairs)), "pairs/op")
 }
+
+// BenchmarkTriBoundsRow measures the batch entry point on the shape the
+// kNN and Prim row scans emit: one anchor against every other object
+// (n−1 = 511 pairs per op), on the same graph as BenchmarkTriBoundsCSR.
+// The anchor walks every object in turn, so the op averages over rows of
+// every degree; resolved pairs answer exactly, and pairs/op is the
+// divisor for a per-pair figure.
+func BenchmarkTriBoundsRow(b *testing.B) {
+	g, _ := triWorkload()
+	tri := bounds.NewTri(g, 1)
+	n := g.N()
+	is := make([]int, n-1)
+	js := make([]int, n-1)
+	lb := make([]float64, n-1)
+	ub := make([]float64, n-1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a := i % n
+		for v, x := 0, 0; v < n; v++ {
+			if v != a {
+				is[x], js[x] = a, v
+				x++
+			}
+		}
+		tri.BoundsBatch(is, js, lb, ub)
+	}
+	b.ReportMetric(float64(n-1), "pairs/op")
+}
+
+// BenchmarkKNNRowShared is one op of the benchmark's knn-inproc workload
+// (cmd/proxload): prox.KNNRow with k = 10 on a SharedSession over the
+// planar UrbanGB surrogate, n = 3000, bootstrapped on ⌊log₂ n⌋ = 11
+// landmark rows. Rows walk a seeded permutation; each pass over the
+// universe starts from a fresh session, rebuilt off the clock, so every
+// row meets the knowledge of a partly built graph as in a load round.
+func BenchmarkKNNRowShared(b *testing.B) {
+	const n, k = 3000, 10
+	space := datasets.UrbanGBPlanar(n, 1)
+	lms := core.PickLandmarks(n, bits.Len(n)-1, 1)
+	order := rand.New(rand.NewSource(1)).Perm(n)
+	var shared *core.SharedSession
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%n == 0 {
+			b.StopTimer()
+			s := core.NewSessionWithLandmarks(metric.NewOracle(space), core.SchemeTri, lms)
+			s.Bootstrap(lms)
+			shared = core.Share(s)
+			b.StartTimer()
+		}
+		knnRowSink = prox.KNNRow(shared, order[i%n], k)
+	}
+}
+
+var knnRowSink []prox.Neighbor
 
 // BenchmarkTriBoundsRBTreeRef is the reference the flat layout replaced:
 // the identical triangle search as a sorted-merge of two per-node

@@ -16,15 +16,20 @@ type Bounder interface {
 
 // BatchBounder is an optional Bounder extension for schemes that can
 // answer many bound queries in one pass over their internal state. The
-// canonical implementation is Tri, whose flat-row layout lets a batch
-// grouped by anchor object stream each shared adjacency row through the
-// cache once. BoundsBatch must write, for every x, exactly the interval
+// canonical implementation is Tri, whose flat-row layout lets a run of
+// pairs sharing an anchor (first) object stamp the anchor's adjacency
+// row once for the whole run. Pairs are answered in input order, so a
+// caller that wants the saving emits its pairs anchor-contiguous.
+// BoundsBatch must write, for every x, exactly the interval
 // Bounds(is[x], js[x]) would return — batching is a cost optimisation,
 // never a semantic one; all four slices must share a length.
 type BatchBounder interface {
 	Bounder
-	// BoundsBatch answers pair (is[x], js[x]) into lb[x], ub[x].
-	BoundsBatch(is, js []int, lb, ub []float64)
+	// BoundsBatch answers pair (is[x], js[x]) into lb[x], ub[x] and
+	// returns the number of derived pairs: those that are neither
+	// self-pairs nor already resolved, i.e. the pairs a per-pair loop
+	// would have taken to the scheme's bound computation.
+	BoundsBatch(is, js []int, lb, ub []float64) int
 }
 
 // Comparator resolves distance comparisons directly, without going through

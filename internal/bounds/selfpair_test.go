@@ -96,25 +96,113 @@ func TestTriBoundsBatchMatchesScalar(t *testing.T) {
 	is, js = append(is, is[0]), append(js, js[0]) // duplicate query
 	is, js = append(is, n-1), append(js, 0)       // isolated anchor row
 
-	lb := make([]float64, len(is))
-	ub := make([]float64, len(is))
 	for trial := 0; trial < 2; trial++ { // second pass reuses warm scratch
-		tri.BoundsBatch(is, js, lb, ub)
-		for q := range is {
-			wl, wu := tri.Bounds(is[q], js[q])
-			if lb[q] != wl || ub[q] != wu {
-				t.Fatalf("trial %d: batch[%d] (%d,%d) = [%v,%v], scalar [%v,%v]",
-					trial, q, is[q], js[q], lb[q], ub[q], wl, wu)
-			}
-		}
+		checkTriBatch(t, tri, g, is, js)
 	}
 
+	lb := make([]float64, len(is))
+	ub := make([]float64, len(is))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("BoundsBatch with mismatched slice lengths did not panic")
 		}
 	}()
 	tri.BoundsBatch(is, js[:1], lb, ub)
+}
+
+// checkTriBatch runs one BoundsBatch over the pairs and holds it to the
+// BatchBounder contract: every interval bit-identical to the scalar
+// Bounds call, and the returned count equal to the number of pairs that
+// are neither self-pairs nor resolved in g.
+func checkTriBatch(t *testing.T, tri *Tri, g *pgraph.Graph, is, js []int) {
+	t.Helper()
+	lb := make([]float64, len(is))
+	ub := make([]float64, len(is))
+	derived := tri.BoundsBatch(is, js, lb, ub)
+	want := 0
+	for q := range is {
+		if is[q] != js[q] && !g.Known(is[q], js[q]) {
+			want++
+		}
+		wl, wu := tri.Bounds(is[q], js[q])
+		if lb[q] != wl || ub[q] != wu {
+			t.Fatalf("batch[%d] (%d,%d) = [%v,%v], scalar [%v,%v]",
+				q, is[q], js[q], lb[q], ub[q], wl, wu)
+		}
+	}
+	if derived != want {
+		t.Fatalf("BoundsBatch derived %d pairs, want %d (neither self nor resolved)", derived, want)
+	}
+}
+
+// TestTriBoundsBatchShapes holds BoundsBatch to the scalar answers on the
+// batch shapes its input-order sweep treats specially: a full row against
+// one anchor, a landmark anchor whose row is complete (every pair
+// resolved, detected by stamp alone) next to an isolated anchor (no
+// stamps at all), and an anchor that returns after another anchor's row
+// was stamped — b's stamps must not read as a's neighbours.
+func TestTriBoundsBatchShapes(t *testing.T) {
+	const n = 40
+	m := datasets.SFPOI(n, 5)
+	g := pgraph.New(n)
+	const landmark, isolated = 0, n - 1
+	for v := 1; v < isolated; v++ { // the landmark's row: all but isolated
+		g.AddEdge(landmark, v, m.Distance(landmark, v))
+	}
+	rng := rand.New(rand.NewSource(11))
+	for g.M() < 200 {
+		i, j := 1+rng.Intn(n-2), 1+rng.Intn(n-2)
+		if i != j && !g.Known(i, j) {
+			g.AddEdge(i, j, m.Distance(i, j))
+		}
+	}
+	tri := NewTri(g, 1)
+
+	row := func(a int) (is, js []int) {
+		for v := 0; v < n; v++ {
+			is, js = append(is, a), append(js, v) // includes the self-pair
+		}
+		return is, js
+	}
+	concat := func(parts ...[]int) []int {
+		var out []int
+		for _, p := range parts {
+			out = append(out, p...)
+		}
+		return out
+	}
+
+	t.Run("one-anchor-row", func(t *testing.T) {
+		is, js := row(5)
+		checkTriBatch(t, tri, g, is, js)
+	})
+	t.Run("landmark-and-isolated", func(t *testing.T) {
+		li, lj := row(landmark)
+		ii, ij := row(isolated)
+		checkTriBatch(t, tri, g, concat(li, ii), concat(lj, ij))
+	})
+	t.Run("anchor-returns", func(t *testing.T) {
+		// a and b share few neighbours, so b's stamps cover objects that
+		// are not a's neighbours; the second run of a asks exactly those.
+		a, b := 3, 4
+		var bOnly []int
+		nb, _ := g.Row(b)
+		for _, v := range nb {
+			if int(v) != a && !g.Known(a, int(v)) {
+				bOnly = append(bOnly, int(v))
+			}
+		}
+		if len(bOnly) == 0 {
+			t.Fatal("workload gives b no neighbour outside a's row; reseed it")
+		}
+		ai, aj := row(a)
+		bi, bj := row(b)
+		ret := make([]int, len(bOnly))
+		for x := range ret {
+			ret[x] = a
+		}
+		checkTriBatch(t, tri, g, concat(ai, bi, ret), concat(aj, bj, bOnly))
+	})
 }
 
 // TestTriBatchInterleavedWithUpdates checks that batch answers stay

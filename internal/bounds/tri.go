@@ -34,11 +34,6 @@ type Tri struct {
 	stamp []uint64
 	pos   []int32
 	qid   uint64
-
-	// order and cnt are reusable scratch for BoundsBatch's anchor-grouping
-	// counting sort, allocation-free once warm.
-	order []int32
-	cnt   []int32
 }
 
 // NewTri returns a Tri bounder over the given partial graph.
@@ -150,61 +145,47 @@ func (t *Tri) probe(wi []float64, nj []int32, wj []float64) (lb, ub float64) {
 }
 
 // BoundsBatch implements BatchBounder: it answers every (is[x], js[x])
-// pair, writing into lb[x]/ub[x]. Queries are processed grouped by their
-// anchor (first) row, which is stamped into the intersection scratch once
-// per group — a batch probing many pairs that share an anchor object, the
-// shape the service's /batch endpoint and the prox builders'
-// PrefetchBounds emit, pays each anchor row once instead of once per
-// pair. Resolved pairs and self-pairs answer exactly, like Bounds.
-func (t *Tri) BoundsBatch(is, js []int, lb, ub []float64) {
+// pair in input order, writing into lb[x]/ub[x], and returns how many
+// pairs it derived — those neither self-pairs nor resolved. A run of
+// consecutive pairs sharing an anchor (first object) stamps the anchor's
+// row into the intersection scratch once, when the anchor changes; while
+// it stays stamped a pair is resolved exactly when its second object
+// carries the stamp, and the stamped position holds the weight, so no
+// pair pays a known-map lookup. The in-repo emitters are anchor-
+// contiguous (a kNN or Prim row, an NSW frontier, PAM's point×medoid
+// grid) or carry one pair per anchor (PAM's swap column, which no
+// grouping could shorten), so a batch stamps each anchor row once; an
+// interleaved batch stays correct and pays one stamp per anchor change.
+func (t *Tri) BoundsBatch(is, js []int, lb, ub []float64) int {
 	if len(is) != len(js) || len(is) != len(lb) || len(is) != len(ub) {
 		panic("bounds: BoundsBatch slice lengths differ")
 	}
-	// Group queries by their anchor row with a stable counting sort —
-	// O(n + q) integer passes, far cheaper than a comparison sort and
-	// allocation-free once the scratch is warm.
-	n := t.g.N()
-	if cap(t.cnt) < n+1 {
-		t.cnt = make([]int32, n+1)
-	}
-	cnt := t.cnt[:n+1]
-	for x := range cnt {
-		cnt[x] = 0
-	}
-	for _, i := range is {
-		cnt[i+1]++
-	}
-	for x := 1; x <= n; x++ {
-		cnt[x] += cnt[x-1]
-	}
-	if cap(t.order) < len(is) {
-		t.order = make([]int32, len(is))
-	}
-	order := t.order[:len(is)]
-	for x, i := range is {
-		order[cnt[i]] = int32(x)
-		cnt[i]++
-	}
+	derived := 0
 	anchor := -1
 	var wa []float64
-	for _, q := range order {
-		i, j := is[q], js[q]
+	for q, i := range is {
+		j := js[q]
 		if i == j {
 			lb[q], ub[q] = 0, 0
 			continue
 		}
-		if w, ok := t.g.Weight(i, j); ok {
-			lb[q], ub[q] = w, w
-			continue
-		}
 		if i != anchor {
+			// A fresh qid per anchor change: stamps left by an earlier
+			// anchor (or an earlier Bounds call) never match again.
 			anchor = i
 			var na []int32
 			na, wa = t.g.Row(i)
 			t.mark(na)
 		}
+		if t.stamp[j] == t.qid {
+			w := wa[t.pos[j]]
+			lb[q], ub[q] = w, w
+			continue
+		}
 		nj, wj := t.g.Row(j)
 		l, u := t.probe(wa, nj, wj)
 		lb[q], ub[q] = clamp(l, u, t.maxDist)
+		derived++
 	}
+	return derived
 }

@@ -589,11 +589,13 @@ func (s *Session) Bounds(i, j int) (lb, ub float64) {
 // BoundsBatch answers one bound query per (is[x], js[x]) pair into
 // lb[x]/ub[x], with no oracle calls — exactly the intervals Bounds would
 // return pair by pair, including the self-pair and resolved-pair exact
-// answers. When the active scheme implements bounds.BatchBounder (Tri
-// does), the whole batch runs in one pass over the scheme's state; other
-// schemes fall back to a per-pair loop. All four slices must share a
-// length. This is the entry point the service's /batch endpoint and the
-// remote client's prefetch drive.
+// answers, and the same BoundProbes count. When the active scheme
+// implements bounds.BatchBounder (Tri does), the whole batch runs in one
+// pass over the scheme's state, in input order, and the scheme reports
+// how many pairs it derived; other schemes fall back to a per-pair loop.
+// All four slices must share a length. This is the entry point the
+// service's /batch endpoint, the remote client's prefetch and the
+// in-process kNN row scan drive.
 func (s *Session) BoundsBatch(is, js []int, lb, ub []float64) {
 	if len(is) != len(js) || len(is) != len(lb) || len(is) != len(ub) {
 		panic("core: BoundsBatch slice lengths differ")
@@ -605,22 +607,11 @@ func (s *Session) BoundsBatch(is, js []int, lb, ub []float64) {
 		}
 		return
 	}
-	// Count probes exactly as the per-pair loop would: one per pair that
-	// reaches the bounder (not a self-pair, not already resolved), so the
-	// stats surface cannot tell the two paths apart.
-	var probes int64
-	for q := range is {
-		if is[q] != js[q] && !s.g.Known(is[q], js[q]) {
-			probes++
-		}
-	}
-	bb.BoundsBatch(is, js, lb, ub)
-	s.ins.BoundProbes.Add(probes)
+	s.ins.BoundProbes.Add(int64(bb.BoundsBatch(is, js, lb, ub)))
 	if s.slackAdditive() {
 		if eps := s.slackEps(); eps > 0 {
-			// Relax exactly the derived intervals: the same predicate as
-			// the probe count, so self-pairs and resolved pairs stay
-			// exact on the batch path too.
+			// Relax exactly the derived intervals, so self-pairs and
+			// resolved pairs stay exact on the batch path too.
 			for q := range is {
 				if is[q] != js[q] && !s.g.Known(is[q], js[q]) {
 					lb[q], ub[q] = s.slack.Relax(lb[q], ub[q], eps, s.maxDist)

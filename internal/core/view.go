@@ -66,10 +66,14 @@ type BoundsPrefetcher interface {
 
 // BatchBoundsView is an optional View extension for implementations that
 // answer many bound queries in one pass — Session and SharedSession
-// (single lock acquisition, one sweep over the bound scheme's state via
-// bounds.BatchBounder) implement it, and the service's /batch handler
-// probes for it to serve runs of bounds ops without per-pair dispatch.
-// The answers are exactly what per-pair Bounds calls would return.
+// (single lock acquisition, one input-order sweep over the bound
+// scheme's state via bounds.BatchBounder) implement it. The service's
+// /batch handler probes for it to serve runs of bounds ops without
+// per-pair dispatch, and the prox kNN row scan to read a row's n−1
+// bounds in one call. The answers are bit-identical to what per-pair
+// Bounds calls would return, and BoundProbes advances by the same
+// count; pairs sharing their first object should be contiguous, since
+// the sweep pays once per change of that object.
 type BatchBoundsView interface {
 	// BoundsBatch answers pair (is[x], js[x]) into lb[x], ub[x]; all four
 	// slices must share a length.

@@ -61,8 +61,8 @@ func (g *Graph) Search(v core.View, q, k, efSearch int) ([]prox.Neighbor, error)
 // (distance, id) order, at most ef of them.
 func (g *Graph) searchLayer(v core.View, q, ef, exclude int) ([]prox.Neighbor, error) {
 	visited := make([]bool, g.n)
-	var cands minHeap    // unexpanded discoveries, closest first
-	var results beamList // current ef best, canonical order
+	var cands prox.MinHeap // unexpanded discoveries, closest first
+	var results beamList   // current ef best, canonical order
 
 	// Seed resolutions are unconditional: the beam has no threshold yet,
 	// and on a session bootstrapped on the same landmarks they are cache
@@ -74,7 +74,7 @@ func (g *Graph) searchLayer(v core.View, q, ef, exclude int) ([]prox.Neighbor, e
 		}
 		visited[e] = true
 		if e == exclude {
-			cands.push(prox.Neighbor{ID: e, Dist: 0})
+			cands.Push(prox.Neighbor{ID: e, Dist: 0})
 			return nil
 		}
 		d, err := resolveAlways(v, q, e)
@@ -82,7 +82,7 @@ func (g *Graph) searchLayer(v core.View, q, ef, exclude int) ([]prox.Neighbor, e
 			return err
 		}
 		en := prox.Neighbor{ID: e, Dist: d}
-		cands.push(en)
+		cands.Push(en)
 		results.add(en, ef)
 		return nil
 	}
@@ -97,8 +97,8 @@ func (g *Graph) searchLayer(v core.View, q, ef, exclude int) ([]prox.Neighbor, e
 		}
 	}
 
-	for cands.len() > 0 {
-		c := cands.pop()
+	for cands.Len() > 0 {
+		c := cands.Pop()
 		if results.full(ef) {
 			// Every later pop is canonically ≥ c; once c cannot displace
 			// the beam's worst, nothing on the frontier can.
@@ -122,7 +122,7 @@ func (g *Graph) searchLayer(v core.View, q, ef, exclude int) ([]prox.Neighbor, e
 				if x != exclude {
 					results.add(prox.Neighbor{ID: x, Dist: d}, ef)
 				}
-				cands.push(prox.Neighbor{ID: x, Dist: d})
+				cands.Push(prox.Neighbor{ID: x, Dist: d})
 				continue
 			}
 			// The canonical IF: is dist(q, x) smaller than the beam's
@@ -137,7 +137,7 @@ func (g *Graph) searchLayer(v core.View, q, ef, exclude int) ([]prox.Neighbor, e
 			if x != exclude {
 				results.add(prox.Neighbor{ID: x, Dist: d}, ef)
 			}
-			cands.push(prox.Neighbor{ID: x, Dist: d})
+			cands.Push(prox.Neighbor{ID: x, Dist: d})
 		}
 	}
 	return results.items, nil
@@ -182,49 +182,6 @@ func prefetchFrontier(v core.View, q int, row []prox.Neighbor, visited []bool) {
 	if len(pairs) > 0 {
 		p.PrefetchBounds(pairs)
 	}
-}
-
-// minHeap is a binary min-heap of neighbours in canonical (distance, id)
-// order — the frontier of the beam search.
-type minHeap struct{ items []prox.Neighbor }
-
-func (h *minHeap) len() int { return len(h.items) }
-
-func (h *minHeap) push(e prox.Neighbor) {
-	h.items = append(h.items, e)
-	i := len(h.items) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !fcmp.TieLess(h.items[i].Dist, h.items[i].ID, h.items[parent].Dist, h.items[parent].ID) {
-			break
-		}
-		h.items[i], h.items[parent] = h.items[parent], h.items[i]
-		i = parent
-	}
-}
-
-func (h *minHeap) pop() prox.Neighbor {
-	top := h.items[0]
-	last := len(h.items) - 1
-	h.items[0] = h.items[last]
-	h.items = h.items[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < len(h.items) && fcmp.TieLess(h.items[l].Dist, h.items[l].ID, h.items[smallest].Dist, h.items[smallest].ID) {
-			smallest = l
-		}
-		if r < len(h.items) && fcmp.TieLess(h.items[r].Dist, h.items[r].ID, h.items[smallest].Dist, h.items[smallest].ID) {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		h.items[i], h.items[smallest] = h.items[smallest], h.items[i]
-		i = smallest
-	}
-	return top
 }
 
 // beamList is the ef-wide result beam: a small sorted slice in canonical

@@ -1,7 +1,7 @@
 package prox
 
 import (
-	"sort"
+	"sync"
 
 	"metricprox/internal/core"
 	"metricprox/internal/fcmp"
@@ -14,6 +14,14 @@ import (
 // stops as soon as the next candidate's lower bound reaches the running
 // k-th-nearest distance — every remaining candidate is pruned wholesale.
 // Bounds only tighten as edges resolve, so the early exit is sound.
+//
+// A row reads all n−1 lower bounds up front — in one BoundsBatch call
+// when s is an in-process core.BatchBoundsView, after one PrefetchBounds
+// hint when it is a core.BoundsPrefetcher — and pops candidates lazily
+// from a heap in (lower bound, id) order, so the few it examines cost
+// O(log n) each instead of a sort of the whole row. Either way the scan
+// sees the same candidates in the same order and makes the same oracle
+// calls as a per-pair Bounds loop followed by a full sort.
 //
 // Each inner comparison is the paper's canonical IF: `is dist(u,v) smaller
 // than the current k-th nearest distance?` — re-authored as
@@ -78,6 +86,54 @@ func emptyNeighborLists(n int) [][]Neighbor {
 	return out
 }
 
+// rowScratch is one row scan's working set: the BoundsBatch argument
+// slices and the candidate heap's backing array, each n−1 long. Rows draw
+// it from rowPool, so a build allocates it once per concurrent row scan
+// rather than once per row; no row a builder returns aliases it.
+type rowScratch struct {
+	is, js []int
+	lb, ub []float64
+	cands  []Neighbor
+}
+
+var rowPool = sync.Pool{New: func() any { return new(rowScratch) }}
+
+// rowBounds returns u's candidates v ≠ u in id order, each keyed by its
+// current lower bound. An in-process view answers the row with one
+// BoundsBatch call — for a SharedSession, one lock acquisition and one
+// stamp of u's adjacency row for all n−1 pairs; any other view gets the
+// prefetch hint and then one Bounds call per pair.
+func (sc *rowScratch) rowBounds(s core.View, u, n int) []Neighbor {
+	cands := sc.cands[:0]
+	if bb, ok := s.(core.BatchBoundsView); ok {
+		is, js := sc.is[:0], sc.js[:0]
+		for v := 0; v < n; v++ {
+			if v != u {
+				is, js = append(is, u), append(js, v)
+			}
+		}
+		if cap(sc.lb) < len(is) {
+			sc.lb, sc.ub = make([]float64, len(is)), make([]float64, len(is))
+		}
+		lb, ub := sc.lb[:len(is)], sc.ub[:len(is)]
+		bb.BoundsBatch(is, js, lb, ub)
+		for x, v := range js {
+			cands = append(cands, Neighbor{ID: v, Dist: lb[x]})
+		}
+		sc.is, sc.js = is, js
+	} else {
+		prefetchRow(s, u, n)
+		for v := 0; v < n; v++ {
+			if v != u {
+				lb, _ := s.Bounds(u, v)
+				cands = append(cands, Neighbor{ID: v, Dist: lb})
+			}
+		}
+	}
+	sc.cands = cands
+	return cands
+}
+
 // knnForNode runs the candidate scan for one node. It is shared verbatim
 // by the sequential and parallel builders (core.View abstracts the
 // session), which is what makes the single-worker parallel build match the
@@ -88,31 +144,19 @@ func emptyNeighborLists(n int) [][]Neighbor {
 // lexicographically, so the returned set is the canonical k smallest
 // (distance, id) pairs regardless of the order candidates resolve in.
 func knnForNode(s core.View, u, k int) []Neighbor {
-	n := s.N()
-	prefetchRow(s, u, n)
-	type cand struct {
-		id int
-		lb float64
-	}
-	cands := make([]cand, 0, n-1)
-	for v := 0; v < n; v++ {
-		if v == u {
-			continue
-		}
-		lb, _ := s.Bounds(u, v)
-		cands = append(cands, cand{id: v, lb: lb})
-	}
-	sort.Slice(cands, func(a, b int) bool {
-		return fcmp.TieLess(cands[a].lb, cands[a].id, cands[b].lb, cands[b].id)
-	})
+	sc := rowPool.Get().(*rowScratch)
+	defer rowPool.Put(sc)
+	var cands MinHeap // keyed by lower bound: Dist holds lb(u, ID)
+	cands.init(sc.rowBounds(s, u, s.N()))
 
 	// Running top-k as a simple sorted slice (k is small).
 	best := make([]Neighbor, 0, k+1)
 	kth := s.MaxDistance() * 2 // +∞ until k candidates are in
 	kthID := -1                // id of the current k-th neighbour
-	for _, c := range cands {
-		if len(best) == k && (c.lb > kth || (fcmp.ExactEq(c.lb, kth) && c.id > kthID)) {
-			// Candidates are sorted by (lb, id): every remaining one has
+	for cands.Len() > 0 {
+		c := cands.Pop()
+		if len(best) == k && (c.Dist > kth || (fcmp.ExactEq(c.Dist, kth) && c.ID > kthID)) {
+			// Candidates pop in (lb, id) order: every remaining one has
 			// d ≥ lb > kth, or ties at kth with an id that loses to the
 			// incumbent k-th neighbour. All pruned wholesale.
 			break
@@ -121,27 +165,27 @@ func knnForNode(s core.View, u, k int) []Neighbor {
 		if len(best) < k {
 			threshold = s.MaxDistance() * 2
 		}
-		d, less := s.DistIfLess(u, c.id, threshold)
+		d, less := s.DistIfLess(u, c.ID, threshold)
 		if !less {
-			// d ≥ kth. A tie d == kth still wins when c.id beats the
+			// d ≥ kth. A tie d == kth still wins when c.ID beats the
 			// incumbent k-th neighbour's id in the canonical order.
-			if len(best) < k || c.id > kthID {
+			if len(best) < k || c.ID > kthID {
 				continue
 			}
-			if w, ok := s.Known(u, c.id); ok {
+			if w, ok := s.Known(u, c.ID); ok {
 				d = w // resolved by DistIfLess (or a concurrent worker)
 			} else {
-				lb, _ := s.Bounds(u, c.id)
+				lb, _ := s.Bounds(u, c.ID)
 				if lb > kth {
 					continue // provably beyond the k-th distance
 				}
-				d = s.Dist(u, c.id)
+				d = s.Dist(u, c.ID)
 			}
 			if !fcmp.ExactEq(d, kth) {
 				continue
 			}
 		}
-		best = append(best, Neighbor{ID: c.id, Dist: d})
+		best = append(best, Neighbor{ID: c.ID, Dist: d})
 		sortNeighbors(best)
 		if len(best) > k {
 			best = best[:k]

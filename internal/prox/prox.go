@@ -35,3 +35,70 @@ func sortNeighbors(ns []Neighbor) {
 // search-graph builder keeps its adjacency in this order so traversal is
 // deterministic.
 func SortNeighbors(ns []Neighbor) { sortNeighbors(ns) }
+
+// MinHeap is a binary min-heap of neighbours in the canonical
+// (distance, id) order: Pop returns the fcmp.TieLess-smallest entry, so
+// a sequence of pops is exactly the prefix of a full sort by that rule.
+// The nsw beam search keeps its frontier in one; the kNN row scan
+// heapifies a row's candidates keyed by lower bound in O(n) and pops
+// only the few it examines.
+type MinHeap struct{ items []Neighbor }
+
+// Len returns the number of entries.
+func (h *MinHeap) Len() int { return len(h.items) }
+
+// Push adds e.
+func (h *MinHeap) Push(e Neighbor) {
+	h.items = append(h.items, e)
+	i := len(h.items) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !h.less(i, parent) {
+			break
+		}
+		h.items[i], h.items[parent] = h.items[parent], h.items[i]
+		i = parent
+	}
+}
+
+// Pop removes and returns the smallest entry. The heap must not be
+// empty.
+func (h *MinHeap) Pop() Neighbor {
+	top := h.items[0]
+	last := len(h.items) - 1
+	h.items[0] = h.items[last]
+	h.items = h.items[:last]
+	h.down(0)
+	return top
+}
+
+// init adopts items as the heap's backing array and orders it in O(n)
+// by sifting down every internal node, bottom-up.
+func (h *MinHeap) init(items []Neighbor) {
+	h.items = items
+	for i := len(items)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+func (h *MinHeap) less(a, b int) bool {
+	return fcmp.TieLess(h.items[a].Dist, h.items[a].ID, h.items[b].Dist, h.items[b].ID)
+}
+
+func (h *MinHeap) down(i int) {
+	for {
+		l, r := 2*i+1, 2*i+2
+		smallest := i
+		if l < len(h.items) && h.less(l, smallest) {
+			smallest = l
+		}
+		if r < len(h.items) && h.less(r, smallest) {
+			smallest = r
+		}
+		if smallest == i {
+			return
+		}
+		h.items[i], h.items[smallest] = h.items[smallest], h.items[i]
+		i = smallest
+	}
+}
