@@ -39,21 +39,21 @@ func BenchmarkExperiments(b *testing.B) {
 // ext13 gate pair: the same NSW construction over the planar SF
 // surrogate, IF-driven (Tri session, landmark-seeded beams, bootstrap
 // included) versus naive (raw oracle, textbook single entry). Each
-// reports its deterministic oracle-call count as the ns/op metric, so
-// the benchgate "speedup" — naive calls ÷ IF calls — is an exact call
-// ratio, independent of machine and scheduler; CI's bench-smoke job
-// enforces ≥1.5× via:
+// reports its deterministic oracle-call count as calls/op, and benchgate
+// compares that unit, so the gated "speedup" — naive calls ÷ IF calls —
+// is an exact call ratio, independent of machine and scheduler; CI's
+// bench-smoke job enforces ≥1.5× via:
 //
 //	go test -run '^$' -bench 'SearchGraphBuild' -benchtime 1x . | benchgate \
 //	    -subject BenchmarkSearchGraphBuildIF \
 //	    -base BenchmarkSearchGraphBuildNaive \
-//	    -min 1.5 -out BENCH_searchgraph.json
+//	    -unit calls/op -min 1.5 -out BENCH_searchgraph.json
 func BenchmarkSearchGraphBuildIF(b *testing.B) {
 	var calls int64
 	for i := 0; i < b.N; i++ {
 		calls = experiments.SearchGraphIFBuildCalls(searchGraphN, searchGraphSeed)
 	}
-	b.ReportMetric(float64(calls), "ns/op")
+	b.ReportMetric(float64(calls), "calls/op")
 }
 
 func BenchmarkSearchGraphBuildNaive(b *testing.B) {
@@ -61,7 +61,7 @@ func BenchmarkSearchGraphBuildNaive(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		calls = experiments.SearchGraphNaiveBuildCalls(searchGraphN, searchGraphSeed)
 	}
-	b.ReportMetric(float64(calls), "ns/op")
+	b.ReportMetric(float64(calls), "calls/op")
 }
 
 // The gated workload's scale: large enough that the one-time landmark
@@ -76,20 +76,20 @@ const (
 // cluster-failover gate pair: the same server-side kNN build on a node
 // that inherited replicated bound state from a dead primary versus a
 // node starting from nothing. Each reports its deterministic oracle-call
-// count as the ns/op metric, so the benchgate "speedup" — cold calls ÷
-// warm calls — is an exact call ratio; CI's bench-smoke job enforces
-// ≥1.5× via:
+// count as calls/op, so the benchgate "speedup" — cold calls ÷ warm
+// calls, compared in that unit — is an exact call ratio; CI's
+// bench-smoke job enforces ≥1.5× via:
 //
 //	go test -run '^$' -bench 'Cluster(WarmReplay|ColdSession)' -benchtime 1x . | benchgate \
 //	    -subject BenchmarkClusterWarmReplay \
 //	    -base BenchmarkClusterColdSession \
-//	    -min 1.5 -out BENCH_cluster.json
+//	    -unit calls/op -min 1.5 -out BENCH_cluster.json
 func BenchmarkClusterWarmReplay(b *testing.B) {
 	var calls int64
 	for i := 0; i < b.N; i++ {
 		calls = experiments.ClusterWarmReplayCalls(clusterBenchN, clusterBenchSeed)
 	}
-	b.ReportMetric(float64(calls), "ns/op")
+	b.ReportMetric(float64(calls), "calls/op")
 }
 
 func BenchmarkClusterColdSession(b *testing.B) {
@@ -97,7 +97,7 @@ func BenchmarkClusterColdSession(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		calls = experiments.ClusterColdSessionCalls(clusterBenchN, clusterBenchSeed)
 	}
-	b.ReportMetric(float64(calls), "ns/op")
+	b.ReportMetric(float64(calls), "calls/op")
 }
 
 // The cluster gate's scale: big enough that the kNN build resolves far
@@ -181,9 +181,9 @@ func BenchmarkTriBoundsCSR(b *testing.B) {
 // BenchmarkTriBoundsBatch measures the batch entry point on the same
 // workload: all 1024 query pairs answered per outer iteration, in input
 // order. The pairs are drawn at random, about 2 per anchor over 512
-// objects, so almost every pair changes the anchor and pays its own
-// stamp: this is the batch sweep's worst shape, not its intended one
-// (BenchmarkTriBoundsRow is that).
+// objects, so almost every pair starts a run of its own and pays its own
+// stamp and cost check before its probe: this is the batch entry point's
+// worst shape, not its intended one (BenchmarkTriBoundsRow is that).
 func BenchmarkTriBoundsBatch(b *testing.B) {
 	g, pairs := triWorkload()
 	tri := bounds.NewTri(g, 1)
@@ -206,8 +206,9 @@ func BenchmarkTriBoundsBatch(b *testing.B) {
 // kNN and Prim row scans emit: one anchor against every other object
 // (n−1 = 511 pairs per op), on the same graph as BenchmarkTriBoundsCSR.
 // The anchor walks every object in turn, so the op averages over rows of
-// every degree; resolved pairs answer exactly, and pairs/op is the
-// divisor for a per-pair figure.
+// every degree, most of which take the neighbour-major sweep; resolved
+// pairs answer exactly, and pairs/op is the divisor for a per-pair
+// figure.
 func BenchmarkTriBoundsRow(b *testing.B) {
 	g, _ := triWorkload()
 	tri := bounds.NewTri(g, 1)

@@ -12,10 +12,21 @@
 //	    -base BenchmarkTriBoundsRBTreeRef \
 //	    -min 5 -out BENCH_boundstore.json
 //
-// Every benchmark line on stdin is recorded in the JSON report; with
-// -count > 1 the best (minimum) ns/op per benchmark is used, the usual
-// guard against scheduler noise. Exit status 1 when the subject or base
-// benchmark is missing or the speedup is below -min.
+// The gate compares one named unit, ns/op unless -unit says otherwise;
+// the unit must be a cost, lower being better. Call-count benchmarks
+// report their deterministic oracle calls as calls/op, and their gates
+// pass -unit calls/op:
+//
+//	go test -run '^$' -bench 'SearchGraphBuild' -benchtime 1x . | benchgate \
+//	    -subject BenchmarkSearchGraphBuildIF \
+//	    -base BenchmarkSearchGraphBuildNaive \
+//	    -unit calls/op -min 1.5 -out BENCH_searchgraph.json
+//
+// Every benchmark line on stdin that carries the unit is recorded in the
+// JSON report; with -count > 1 the best (minimum) value per benchmark is
+// used, the usual guard against scheduler noise. Exit status 1 when the
+// subject or base benchmark is missing, when its line lacks the unit, or
+// when the speedup is below -min.
 package main
 
 import (
@@ -32,16 +43,17 @@ import (
 
 // result is one benchmark's aggregated measurement in the JSON report.
 type result struct {
-	Name    string  `json:"name"`
-	NsPerOp float64 `json:"ns_per_op"` // best (min) across runs
-	Runs    int     `json:"runs"`
+	Name  string  `json:"name"`
+	Value float64 `json:"value"` // best (min) across runs, in the report's unit
+	Runs  int     `json:"runs"`
 }
 
-// report is the BENCH_boundstore.json schema.
+// report is the schema of the BENCH_*.json reports.
 type report struct {
 	Subject    string   `json:"subject"`
 	Base       string   `json:"base"`
-	Speedup    float64  `json:"speedup"` // base ns/op ÷ subject ns/op
+	Unit       string   `json:"unit"`
+	Speedup    float64  `json:"speedup"` // base value ÷ subject value
 	MinSpeedup float64  `json:"min_speedup"`
 	Pass       bool     `json:"pass"`
 	Benchmarks []result `json:"benchmarks"`
@@ -50,11 +62,12 @@ type report struct {
 func main() {
 	subject := flag.String("subject", "BenchmarkTriBoundsCSR", "benchmark whose throughput is gated")
 	base := flag.String("base", "BenchmarkTriBoundsRBTreeRef", "baseline benchmark the subject is compared against")
-	min := flag.Float64("min", 5, "minimum required speedup (base ns/op ÷ subject ns/op)")
+	unit := flag.String("unit", "ns/op", "benchmark unit to compare, a cost per op (lower is better)")
+	min := flag.Float64("min", 5, "minimum required speedup (base value ÷ subject value, in -unit)")
 	out := flag.String("out", "", "write the JSON report to this file ('' = stdout only)")
 	flag.Parse()
 
-	rep, err := gate(os.Stdin, *subject, *base, *min)
+	rep, err := gate(os.Stdin, *subject, *base, *unit, *min)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchgate: %v\n", err)
 		os.Exit(1)
@@ -73,83 +86,76 @@ func main() {
 		}
 	}
 	if !rep.Pass {
-		fmt.Fprintf(os.Stderr, "benchgate: FAIL: %s is %.2fx faster than %s, floor is %.2fx\n",
-			rep.Subject, rep.Speedup, rep.Base, rep.MinSpeedup)
+		fmt.Fprintf(os.Stderr, "benchgate: FAIL: %s is %.2fx better than %s in %s, floor is %.2fx\n",
+			rep.Subject, rep.Speedup, rep.Base, rep.Unit, rep.MinSpeedup)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "benchgate: ok: %s is %.2fx faster than %s (floor %.2fx)\n",
-		rep.Subject, rep.Speedup, rep.Base, rep.MinSpeedup)
+	fmt.Fprintf(os.Stderr, "benchgate: ok: %s is %.2fx better than %s in %s (floor %.2fx)\n",
+		rep.Subject, rep.Speedup, rep.Base, rep.Unit, rep.MinSpeedup)
 }
 
-// gate parses benchmark output and evaluates the speedup floor. It is
-// the whole tool behind the flag handling, split out for testing.
-func gate(r io.Reader, subject, base string, minSpeedup float64) (*report, error) {
-	best, runs, err := parseBench(r)
+// gate parses benchmark output and evaluates the speedup floor in the
+// given unit. It is the whole tool behind the flag handling, split out
+// for testing.
+func gate(r io.Reader, subject, base, unit string, minSpeedup float64) (*report, error) {
+	best, runs, seen, err := parseBench(r, unit)
 	if err != nil {
 		return nil, err
 	}
-	if len(best) == 0 {
+	if len(seen) == 0 {
 		return nil, fmt.Errorf("no benchmark lines on input (want `go test -bench` output)")
 	}
-	sNs, okS := best[subject]
-	bNs, okB := best[base]
-	if !okS || !okB {
-		names := make([]string, 0, len(best))
-		for n := range best {
-			names = append(names, n)
+	for _, name := range []string{subject, base} {
+		if !seen[name] {
+			return nil, fmt.Errorf("benchmark %q missing; saw %v", name, sortedKeys(seen))
 		}
-		sort.Strings(names)
-		return nil, fmt.Errorf("subject %q present=%v, base %q present=%v; saw %v", subject, okS, base, okB, names)
+		if _, ok := best[name]; !ok {
+			return nil, fmt.Errorf("benchmark %q reports no %s", name, unit)
+		}
 	}
 	rep := &report{
 		Subject:    subject,
 		Base:       base,
-		Speedup:    bNs / sNs,
+		Unit:       unit,
+		Speedup:    best[base] / best[subject],
 		MinSpeedup: minSpeedup,
 	}
 	rep.Pass = rep.Speedup >= minSpeedup
-	names := make([]string, 0, len(best))
-	for n := range best {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		rep.Benchmarks = append(rep.Benchmarks, result{Name: n, NsPerOp: best[n], Runs: runs[n]})
+	for _, n := range sortedKeys(best) {
+		rep.Benchmarks = append(rep.Benchmarks, result{Name: n, Value: best[n], Runs: runs[n]})
 	}
 	return rep, nil
 }
 
-// parseBench extracts ns/op figures from `go test -bench` output. A
+// sortedKeys returns m's keys in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
+	names := make([]string, 0, len(m))
+	for n := range m {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// parseBench extracts one unit's figures from `go test -bench` output. A
 // benchmark line looks like
 //
 //	BenchmarkTriBoundsCSR-8   3825606   148.8 ns/op   0 B/op   0 allocs/op
 //
-// (the -8 GOMAXPROCS suffix is optional). Repeated lines for the same
-// benchmark (-count > 1) keep the minimum. Non-benchmark lines are
-// ignored, so the raw `go test` stream can be piped in unfiltered.
-func parseBench(r io.Reader) (best map[string]float64, runs map[string]int, err error) {
+// (the -8 GOMAXPROCS suffix is optional), each value followed by its
+// unit. Repeated lines for the same benchmark (-count > 1) keep the
+// minimum. seen names every benchmark with a line, best and runs only
+// those whose lines carry the unit. Non-benchmark lines are ignored, so
+// the raw `go test` stream can be piped in unfiltered.
+func parseBench(r io.Reader, unit string) (best map[string]float64, runs map[string]int, seen map[string]bool, err error) {
 	best = make(map[string]float64)
 	runs = make(map[string]int)
+	seen = make(map[string]bool)
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	for sc.Scan() {
 		f := strings.Fields(sc.Text())
 		if len(f) < 4 || !strings.HasPrefix(f[0], "Benchmark") {
-			continue
-		}
-		// Locate the "ns/op" unit; its value is the preceding field.
-		ns := -1.0
-		for x := 2; x < len(f); x++ {
-			if f[x] == "ns/op" {
-				v, perr := strconv.ParseFloat(f[x-1], 64)
-				if perr != nil {
-					return nil, nil, fmt.Errorf("line %q: bad ns/op value %q", sc.Text(), f[x-1])
-				}
-				ns = v
-				break
-			}
-		}
-		if ns < 0 {
 			continue
 		}
 		name := f[0]
@@ -160,10 +166,22 @@ func parseBench(r io.Reader) (best map[string]float64, runs map[string]int, err 
 				name = name[:cut]
 			}
 		}
-		if old, ok := best[name]; !ok || ns < old {
-			best[name] = ns
+		seen[name] = true
+		// Locate the unit; its value is the preceding field.
+		for x := 2; x < len(f); x++ {
+			if f[x] != unit {
+				continue
+			}
+			v, perr := strconv.ParseFloat(f[x-1], 64)
+			if perr != nil {
+				return nil, nil, nil, fmt.Errorf("line %q: bad %s value %q", sc.Text(), unit, f[x-1])
+			}
+			if old, ok := best[name]; !ok || v < old {
+				best[name] = v
+			}
+			runs[name]++
+			break
 		}
-		runs[name]++
 	}
-	return best, runs, sc.Err()
+	return best, runs, seen, sc.Err()
 }

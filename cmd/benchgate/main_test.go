@@ -19,8 +19,15 @@ PASS
 ok  	metricprox	12.345s
 `
 
+// callsOutput is the call-count gate's shape: ns/op is the wall time of
+// one build, calls/op its deterministic oracle-call count.
+const callsOutput = `BenchmarkSearchGraphBuildIF-8      	       1	 812345678 ns/op	      4520 calls/op
+BenchmarkSearchGraphBuildNaive-8   	       1	 401234567 ns/op	      8498 calls/op
+PASS
+`
+
 func TestParseBench(t *testing.T) {
-	best, runs, err := parseBench(strings.NewReader(sampleOutput))
+	best, runs, _, err := parseBench(strings.NewReader(sampleOutput), "ns/op")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +57,7 @@ func TestParseBenchKeepsDashedNames(t *testing.T) {
 	// Only a numeric trailing segment is a GOMAXPROCS suffix; sub-benchmark
 	// names with dashes survive intact.
 	in := "BenchmarkThing/size-big-4   10   50.0 ns/op\nBenchmarkPlain   10   25.0 ns/op\n"
-	best, _, err := parseBench(strings.NewReader(in))
+	best, _, _, err := parseBench(strings.NewReader(in), "ns/op")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +71,7 @@ func TestParseBenchKeepsDashedNames(t *testing.T) {
 
 func TestGatePassAndFail(t *testing.T) {
 	rep, err := gate(strings.NewReader(sampleOutput),
-		"BenchmarkTriBoundsCSR", "BenchmarkTriBoundsRBTreeRef", 5)
+		"BenchmarkTriBoundsCSR", "BenchmarkTriBoundsRBTreeRef", "ns/op", 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +88,7 @@ func TestGatePassAndFail(t *testing.T) {
 	}
 
 	rep, err = gate(strings.NewReader(sampleOutput),
-		"BenchmarkTriBoundsCSR", "BenchmarkTriBoundsRBTreeRef", 100)
+		"BenchmarkTriBoundsCSR", "BenchmarkTriBoundsRBTreeRef", "ns/op", 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,10 +98,42 @@ func TestGatePassAndFail(t *testing.T) {
 }
 
 func TestGateMissingBenchmark(t *testing.T) {
-	if _, err := gate(strings.NewReader(sampleOutput), "BenchmarkNope", "BenchmarkTriBoundsRBTreeRef", 5); err == nil {
+	if _, err := gate(strings.NewReader(sampleOutput), "BenchmarkNope", "BenchmarkTriBoundsRBTreeRef", "ns/op", 5); err == nil {
 		t.Error("missing subject benchmark not reported")
 	}
-	if _, err := gate(strings.NewReader("PASS\nok x 1s\n"), "A", "B", 5); err == nil {
+	if _, err := gate(strings.NewReader("PASS\nok x 1s\n"), "A", "B", "ns/op", 5); err == nil {
 		t.Error("benchmark-free input not reported")
+	}
+}
+
+// TestGateCallsUnit gates the call-count pair on calls/op, not on the
+// wall time its lines also carry.
+func TestGateCallsUnit(t *testing.T) {
+	rep, err := gate(strings.NewReader(callsOutput),
+		"BenchmarkSearchGraphBuildIF", "BenchmarkSearchGraphBuildNaive", "calls/op", 1.5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 8498.0 / 4520.0; rep.Speedup != want || !rep.Pass {
+		t.Errorf("speedup = %v pass = %v, want %v and pass", rep.Speedup, rep.Pass, want)
+	}
+	if rep.Unit != "calls/op" || len(rep.Benchmarks) != 2 || rep.Benchmarks[0].Value != 4520 {
+		t.Errorf("report = %+v, want unit calls/op and the IF build's value 4520", rep)
+	}
+}
+
+// TestGateMissingUnit fails a gate whose subject or base line lacks the
+// unit instead of comparing nothing.
+func TestGateMissingUnit(t *testing.T) {
+	_, err := gate(strings.NewReader(sampleOutput),
+		"BenchmarkTriBoundsCSR", "BenchmarkTriBoundsRBTreeRef", "calls/op", 1.5)
+	if err == nil || !strings.Contains(err.Error(), "reports no calls/op") {
+		t.Errorf("gate on a unit no line carries: err = %v, want a missing-unit error", err)
+	}
+	mixed := callsOutput + "BenchmarkTriBoundsCSR-8   3825606   151.2 ns/op\n"
+	_, err = gate(strings.NewReader(mixed),
+		"BenchmarkTriBoundsCSR", "BenchmarkSearchGraphBuildNaive", "calls/op", 1.5)
+	if err == nil || !strings.Contains(err.Error(), `"BenchmarkTriBoundsCSR" reports no calls/op`) {
+		t.Errorf("subject line without the unit: err = %v, want a missing-unit error naming it", err)
 	}
 }

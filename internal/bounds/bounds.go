@@ -18,8 +18,10 @@ type Bounder interface {
 // answer many bound queries in one pass over their internal state. The
 // canonical implementation is Tri, whose flat-row layout lets a run of
 // pairs sharing an anchor (first) object stamp the anchor's adjacency
-// row once for the whole run. Pairs are answered in input order, so a
-// caller that wants the saving emits its pairs anchor-contiguous.
+// row once for the whole run, and answer a long run by streaming each of
+// the anchor's neighbour rows once instead of one row per pair. Pairs
+// are answered in input order, so a caller that wants the saving emits
+// its pairs anchor-contiguous.
 // BoundsBatch must write, for every x, exactly the interval
 // Bounds(is[x], js[x]) would return — batching is a cost optimisation,
 // never a semantic one; all four slices must share a length.

@@ -1,6 +1,10 @@
 package bounds
 
-import "metricprox/internal/pgraph"
+import (
+	"math"
+
+	"metricprox/internal/pgraph"
+)
 
 // Tri is the Triangle Induced Solution Scheme of Section 4.2
 // (Algorithm 2). For an unknown edge (i, j) it inspects only the triangles
@@ -18,6 +22,16 @@ import "metricprox/internal/pgraph"
 // O(m/n) (Theorem 4.2); updates are the sorted-run insertions done by the
 // shared partial graph.
 //
+// A batch row — one anchor u against many objects j, the shape of a kNN
+// or Prim row — is answered the cheaper of two ways (see BoundsBatch).
+// Probing each unresolved j's row against u's stamp reads Σ deg(j)
+// cells, about n·(2m/n) for a full row. Sweeping u's neighbour rows once
+// reads Σ deg(w) over u's neighbours w: about n for each landmark among
+// them and 2m/n for each other neighbour. Both read a landmark's n cells
+// once per row, but the sweep skips every cell of j's row outside u's
+// neighbours, which closes no triangle with u, and it has no per-cell
+// branch.
+//
 // The bounds are looser than SPLUB's — only paths of length 2 are
 // considered — but queries avoid both Dijkstra bottlenecks, which is why
 // the paper crowns Tri the practical choice for large instances.
@@ -34,7 +48,18 @@ type Tri struct {
 	stamp []uint64
 	pos   []int32
 	qid   uint64
+
+	// Sweep accumulators, allocated on the first neighbour-major sweep
+	// (16n bytes): acc[v] folds the candidate interval of the pair
+	// (anchor, v). Only the cells of the current run's pairs are reset
+	// and read; the rest hold stale folds. Guarded by the session lock
+	// like the stamps.
+	acc []span
 }
+
+// span is one object's sweep accumulator: the running max of its lower
+// bound candidates and min of its upper bound candidates.
+type span struct{ lo, hi float64 }
 
 // NewTri returns a Tri bounder over the given partial graph.
 func NewTri(g *pgraph.Graph, maxDist float64) *Tri {
@@ -146,46 +171,149 @@ func (t *Tri) probe(wi []float64, nj []int32, wj []float64) (lb, ub float64) {
 
 // BoundsBatch implements BatchBounder: it answers every (is[x], js[x])
 // pair in input order, writing into lb[x]/ub[x], and returns how many
-// pairs it derived — those neither self-pairs nor resolved. A run of
-// consecutive pairs sharing an anchor (first object) stamps the anchor's
-// row into the intersection scratch once, when the anchor changes; while
-// it stays stamped a pair is resolved exactly when its second object
-// carries the stamp, and the stamped position holds the weight, so no
-// pair pays a known-map lookup. The in-repo emitters are anchor-
-// contiguous (a kNN or Prim row, an NSW frontier, PAM's point×medoid
-// grid) or carry one pair per anchor (PAM's swap column, which no
-// grouping could shorten), so a batch stamps each anchor row once; an
-// interleaved batch stays correct and pays one stamp per anchor change.
+// pairs it derived — those neither self-pairs nor resolved. Consecutive
+// pairs sharing an anchor (first object) form a run, which stamps the
+// anchor's row into the intersection scratch once; a self-pair never
+// ends a run. While the anchor stays stamped a pair is resolved exactly
+// when its second object carries the stamp, and the stamped position
+// holds the weight, so no pair pays a known-map lookup. The in-repo
+// emitters are anchor-contiguous (a kNN or Prim row, an NSW frontier,
+// PAM's point×medoid grid) or carry one pair per anchor (PAM's swap
+// column, which no grouping could shorten); an interleaved batch stays
+// correct and pays one stamp per anchor change.
+//
+// A run's unresolved pairs are answered one of two ways, whichever
+// visits fewer adjacency cells: probing each pair's own row against the
+// stamp (Σ deg(j) over the unresolved pairs), or one neighbour-major
+// sweep of the anchor's neighbour rows (Σ deg(w) over the anchor's
+// neighbours), which reaches every triangle of every pair at once.
 func (t *Tri) BoundsBatch(is, js []int, lb, ub []float64) int {
 	if len(is) != len(js) || len(is) != len(lb) || len(is) != len(ub) {
 		panic("bounds: BoundsBatch slice lengths differ")
 	}
 	derived := 0
-	anchor := -1
-	var wa []float64
-	for q, i := range is {
-		j := js[q]
-		if i == j {
+	for q := 0; q < len(is); {
+		u := is[q]
+		if u == js[q] {
 			lb[q], ub[q] = 0, 0
+			q++
 			continue
 		}
-		if i != anchor {
-			// A fresh qid per anchor change: stamps left by an earlier
-			// anchor (or an earlier Bounds call) never match again.
-			anchor = i
-			var na []int32
-			na, wa = t.g.Row(i)
-			t.mark(na)
+		end := q + 1
+		for end < len(is) && (is[end] == u || is[end] == js[end]) {
+			end++
 		}
-		if t.stamp[j] == t.qid {
-			w := wa[t.pos[j]]
-			lb[q], ub[q] = w, w
-			continue
-		}
-		nj, wj := t.g.Row(j)
-		l, u := t.probe(wa, nj, wj)
-		lb[q], ub[q] = clamp(l, u, t.maxDist)
-		derived++
+		derived += t.run(u, is[q:end], js[q:end], lb[q:end], ub[q:end])
+		q = end
 	}
 	return derived
+}
+
+// run answers one anchor run: u is the first object of every pair that
+// is not a self-pair. It stamps u's row, answers self-pairs and resolved
+// pairs, and derives the rest by probe or by sweep, and returns how many
+// it derived.
+func (t *Tri) run(u int, is, js []int, lb, ub []float64) int {
+	na, wa := t.g.Row(u)
+	t.mark(na)
+	qid, stamp := t.qid, t.stamp
+	derived, probeCells := 0, 0
+	for x, j := range js {
+		switch {
+		case is[x] == j:
+			lb[x], ub[x] = 0, 0
+		case stamp[j] == qid:
+			w := wa[t.pos[j]]
+			lb[x], ub[x] = w, w
+		default:
+			derived++
+			probeCells += t.g.Degree(j)
+		}
+	}
+	if derived == 0 {
+		return 0
+	}
+	swept := t.sweepCheaper(na, probeCells)
+	if swept {
+		if t.acc == nil {
+			t.acc = make([]span, len(t.stamp))
+		}
+		for x, j := range js {
+			if is[x] != j && stamp[j] != qid {
+				t.acc[j] = span{0, t.maxDist}
+			}
+		}
+		t.sweep(na, wa)
+	}
+	for x, j := range js {
+		if is[x] == j || stamp[j] == qid {
+			continue
+		}
+		var l, h float64
+		if swept {
+			l, h = t.acc[j].lo, t.acc[j].hi
+		}
+		if !swept || math.IsNaN(l) || !(h > 0) {
+			// The probe answers every pair of a probed run, and the
+			// swept pairs whose folds may differ from its own: a fold
+			// a NaN candidate reached (max/min carry NaN, the probe
+			// skips it) and an upper bound of zero or less (min picks
+			// −0 where the probe keeps the first zero it meets).
+			nj, wj := t.g.Row(j)
+			l, h = t.probe(wa, nj, wj)
+		}
+		lb[x], ub[x] = clamp(l, h, t.maxDist)
+	}
+	return derived
+}
+
+// sweepCheaper reports whether sweeping the anchor's neighbour rows
+// visits fewer cells than probing the run's unresolved pairs, whose rows
+// hold probeCells cells in all. It stops summing the neighbours' degrees
+// as soon as the sweep has lost.
+func (t *Tri) sweepCheaper(na []int32, probeCells int) bool {
+	cells := 0
+	for _, w := range na {
+		if cells += t.g.Degree(int(w)); cells >= probeCells {
+			return false
+		}
+	}
+	return true
+}
+
+// sweep is the neighbour-major form of probe, LAESA's pivot-row scan
+// with the anchor's neighbours as pivots: for every neighbour w of the
+// stamped anchor it streams w's row once and folds the triangle
+// (anchor, w, v) into acc[v] for each v in it. Every pair (anchor, v)
+// thus receives exactly the candidates probe would give it, one per
+// common neighbour, and since max and min are order-free the folded
+// interval is probe's — except where a NaN candidate poisons the fold
+// or a zero upper bound is reached, which run hands back to probe. The
+// folds use the min/max builtins so the inner loop has no branch.
+// Cells of objects outside the run are written too and never read: run
+// resets the cells of its own pairs before the sweep.
+func (t *Tri) sweep(na []int32, wa []float64) {
+	acc, rho := t.acc, t.rho
+	for x, w := range na {
+		a := wa[x]
+		nw, ww := t.g.Row(int(w))
+		ww = ww[:len(nw)]
+		if rho == 1 {
+			// |a − b| is the larger of probe's a − b and b − a.
+			for y, v := range nw {
+				b := ww[y]
+				c := &acc[v]
+				c.lo = max(c.lo, math.Abs(a-b))
+				c.hi = min(c.hi, a+b)
+			}
+			continue
+		}
+		ar := a / rho
+		for y, v := range nw {
+			b := ww[y]
+			c := &acc[v]
+			c.lo = max(c.lo, ar-b, b/rho-a)
+			c.hi = min(c.hi, rho*(a+b))
+		}
+	}
 }

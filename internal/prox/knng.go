@@ -100,9 +100,11 @@ var rowPool = sync.Pool{New: func() any { return new(rowScratch) }}
 
 // rowBounds returns u's candidates v ≠ u in id order, each keyed by its
 // current lower bound. An in-process view answers the row with one
-// BoundsBatch call — for a SharedSession, one lock acquisition and one
-// stamp of u's adjacency row for all n−1 pairs; any other view gets the
-// prefetch hint and then one Bounds call per pair.
+// BoundsBatch call — for a SharedSession, one lock acquisition for all
+// n−1 pairs, which Tri answers as one run: one stamp of u's adjacency
+// row, and one pass over u's neighbour rows when that reads fewer cells
+// than probing each pair's row; any other view gets the prefetch hint
+// and then one Bounds call per pair.
 func (sc *rowScratch) rowBounds(s core.View, u, n int) []Neighbor {
 	cands := sc.cands[:0]
 	if bb, ok := s.(core.BatchBoundsView); ok {
