@@ -197,7 +197,7 @@ func main() {
 		go func() {
 			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
 			defer cancel()
-			if n, err := cluster.Rebalance(ctx, *cacheDir, topo, nil, 0, logf); err != nil {
+			if n, err := repl.Rebalance(ctx, *cacheDir); err != nil {
 				logf("rebalance: %v", err)
 			} else if n > 0 {
 				logf("rebalance: pushed %d session logs to their owners", n)

@@ -24,7 +24,6 @@ type DFT struct {
 	prob    *lp.Problem
 	base    int // row count of the immutable triangle/box system plus equalities
 	known   map[int64]float64
-	probes  int // LP solves performed, for CPU-cost reporting
 }
 
 // NewDFT builds the full triangle-inequality system for n objects with all
@@ -70,9 +69,6 @@ func (d *DFT) varOf(i, j int) int {
 // Name returns "dft".
 func (d *DFT) Name() string { return "dft" }
 
-// Probes returns the number of LP feasibility solves performed so far.
-func (d *DFT) Probes() int { return d.probes }
-
 // Update pins the resolved distance with an equality pair.
 func (d *DFT) Update(i, j int, dist float64) {
 	k := pgraph.Key(i, j)
@@ -93,7 +89,6 @@ func (d *DFT) probe(coeffs map[int]float64, rhs float64, ge bool) bool {
 	} else {
 		d.prob.AddLE(coeffs, rhs)
 	}
-	d.probes++
 	feasible := d.prob.Feasible()
 	d.prob.Rollback(snap)
 	return !feasible

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -56,22 +55,17 @@ func LoadMeta(dir, name string) (meta api.ReplMeta, ok bool, err error) {
 // Rebalance pushes every session store under dir to the session's
 // current owner set — the join/leave story for static membership: after a
 // config change, each restarted node offers what it holds to whoever the
-// new ring says should hold it. Push-only and idempotent (appends are
+// new ring says should hold it. Each store streams through the pump's own
+// sender from the cursor an empty append probes, so a peer already caught
+// up costs one round-trip. Push-only and idempotent (appends are
 // sequence-checked and overlap-skipped), so any subset of nodes
 // rebalancing in any order converges. Sessions without a meta sidecar are
 // skipped with a log line; peers that refuse or are down are skipped too
-// (the background replicator catches them up once the session goes live).
-// Returns the number of sessions offered to at least one peer.
-func Rebalance(ctx context.Context, dir string, topo *Topology, hc *http.Client, batch int, logf func(string, ...any)) (int, error) {
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	if hc == nil {
-		hc = &http.Client{}
-	}
-	if batch <= 0 {
-		batch = DefaultReplBatch
-	}
+// (the pump catches them up once the session goes live). Rebalance runs
+// beside the pump and takes none of its locks: the streams and cursors it
+// pushes through are its own. Returns the number of sessions that reached
+// at least one peer in full (or found it hosting the session live).
+func (r *Replicator) Rebalance(ctx context.Context, dir string) (int, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return 0, err
@@ -84,30 +78,22 @@ func Rebalance(ctx context.Context, dir string, topo *Topology, hc *http.Client,
 		name := strings.TrimSuffix(e.Name(), ".cache")
 		meta, ok, err := LoadMeta(dir, name)
 		if err != nil {
-			logf("cluster: rebalance %q: %v", name, err)
+			r.logf("cluster: rebalance %q: %v", name, err)
 			continue
 		}
 		if !ok {
-			logf("cluster: rebalance %q: no meta sidecar, skipping (pre-cluster store)", name)
+			r.logf("cluster: rebalance %q: no meta sidecar, skipping (pre-cluster store)", name)
 			continue
 		}
 		store, err := cachestore.Open(filepath.Join(dir, e.Name()))
 		if err != nil {
-			logf("cluster: rebalance %q: opening store: %v", name, err)
+			r.logf("cluster: rebalance %q: opening store: %v", name, err)
 			continue
 		}
-		any := false
-		for _, peer := range topo.Peers(name) {
-			if err := pushStore(ctx, store, name, meta, peer, topo.SelfName(), hc, batch); err != nil {
-				logf("cluster: rebalance %q -> %s: %v", name, peer.Name, err)
-				continue
-			}
-			any = true
-		}
-		store.Close()
-		if any {
+		if r.rebalanceStore(ctx, &replStream{name: name, store: store, meta: meta}) {
 			pushed++
 		}
+		store.Close()
 		if ctx.Err() != nil {
 			return pushed, ctx.Err()
 		}
@@ -115,80 +101,24 @@ func Rebalance(ctx context.Context, dir string, topo *Topology, hc *http.Client,
 	return pushed, nil
 }
 
-// pushStore streams one full store to one peer, honouring the peer's
-// cursor (an empty first batch probes it, so a peer already caught up
-// costs one round-trip).
-func pushStore(ctx context.Context, store *cachestore.Store, name string, meta api.ReplMeta, peer Node, self string, hc *http.Client, batch int) error {
-	cursor, err := probeCursor(ctx, name, meta, peer, self, hc)
+// rebalanceStore pushes one store to each of its peers, reporting whether
+// any peer ended caught up or turned out to host the session live (it
+// needs nothing from us).
+func (r *Replicator) rebalanceStore(ctx context.Context, st *replStream) bool {
+	head, err := st.store.LastSeq()
 	if err != nil {
-		return err
+		r.logf("cluster: rebalance %q: reading log head: %v", st.name, err)
+		return false
 	}
-	if cursor < 0 {
-		return nil // peer hosts the session live; it needs nothing from us
-	}
-	head, err := store.LastSeq()
-	if err != nil {
-		return err
-	}
-	for cursor < head {
-		recs, err := store.ReadFrom(cursor, batch)
-		if err != nil {
-			return err
+	done := false
+	for _, peer := range r.cfg.Topology.Peers(st.name) {
+		// An empty append probes the peer's cursor; ship counts and logs a
+		// failed probe.
+		pc := &peerCursor{node: peer}
+		probed := r.ship(ctx, st, pc, nil, head)
+		if pc.halted || probed && r.pushPeer(ctx, st, pc, head) == 0 {
+			done = true
 		}
-		if len(recs) == 0 {
-			return nil // damaged tail: the prefix is all there is
-		}
-		ack, err := appendBatch(ctx, name, meta, peer, self, cursor, recs, hc)
-		if err != nil {
-			return err
-		}
-		if ack < 0 {
-			return nil // promoted mid-push: stop, it is the live host now
-		}
-		if ack <= cursor {
-			return fmt.Errorf("no progress at cursor %d (peer acked %d)", cursor, ack)
-		}
-		cursor = ack
 	}
-	return nil
-}
-
-// probeCursor asks the peer where its replica log stands via an empty
-// append; -1 means the peer hosts the session live.
-func probeCursor(ctx context.Context, name string, meta api.ReplMeta, peer Node, self string, hc *http.Client) (int64, error) {
-	return appendBatch(ctx, name, meta, peer, self, 0, nil, hc)
-}
-
-// appendBatch is the rebalance-side twin of the Replicator's sendBatch,
-// kept separate because rebalance runs before any Replicator exists.
-func appendBatch(ctx context.Context, name string, meta api.ReplMeta, peer Node, self string, from int64, recs []cachestore.Record, hc *http.Client) (int64, error) {
-	body := api.ReplAppendRequest{Node: self, Meta: meta, From: from}
-	for _, r := range recs {
-		body.Records = append(body.Records, api.ReplRecord{I: r.I, J: r.J, D: api.WireFloat(r.Dist)})
-	}
-	buf, err := json.Marshal(body)
-	if err != nil {
-		return 0, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, peer.URL+"/v1/repl/"+name, strings.NewReader(string(buf)))
-	if err != nil {
-		return 0, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := hc.Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusConflict {
-		return -1, nil
-	}
-	if resp.StatusCode != http.StatusOK {
-		return 0, fmt.Errorf("peer answered %d", resp.StatusCode)
-	}
-	var ack api.ReplAppendResponse
-	if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
-		return 0, err
-	}
-	return ack.Seq, nil
+	return done
 }

@@ -290,35 +290,57 @@ func (r *Replicator) pushPeer(ctx context.Context, st *replStream, pc *peerCurso
 		if len(recs) == 0 {
 			return 0 // torn tail in flight; next cycle
 		}
-		ack, err := r.sendBatch(ctx, st, pc, recs)
-		if err != nil {
-			r.errs(pc.node.Name).Inc()
-			r.logf("cluster: repl %q -> %s: %v", st.name, pc.node.Name, err)
+		from := pc.seq
+		if !r.ship(ctx, st, pc, recs, head) || pc.seq == from {
+			// An error or a conflict (ship handled both), or no progress
+			// without an error: the peer rewound us to a cursor we already
+			// sent from — only possible transiently; bail out of this cycle
+			// rather than spin.
+			if pc.halted {
+				return 0
+			}
 			return head - pc.seq
 		}
-		if ack < 0 { // conflict: peer hosts the session
-			pc.halted = true
-			r.conflicts.Inc()
-			r.logf("cluster: repl %q -> %s: peer hosts session, stream halted", st.name, pc.node.Name)
-			return 0
-		}
-		if ack > pc.seq {
-			r.sent(pc.node.Name).Add(ack - pc.seq)
-		}
-		if ack == pc.seq && ack < pc.seq+int64(len(recs)) {
-			// No progress without an error means the peer rewound us to a
-			// cursor we already sent from — only possible transiently; bail
-			// out of this cycle rather than spin.
-			return head - pc.seq
-		}
-		pc.seq = ack
 	}
 	return 0
 }
 
+// ship sends recs — none for a cursor probe — from pc.seq and adopts the
+// peer's ack as the new cursor. It reports false when the stream cannot
+// go on this cycle: an append error (counted and logged; the cursor
+// stays) or a 409 repl_conflict (the peer hosts the session itself, so
+// the stream halts for good).
+func (r *Replicator) ship(ctx context.Context, st *replStream, pc *peerCursor, recs []cachestore.Record, head int64) bool {
+	ack, err := r.sendBatch(ctx, st, pc, recs, head)
+	switch {
+	case err != nil:
+		r.errs(pc.node.Name).Inc()
+		r.logf("cluster: repl %q -> %s: %v", st.name, pc.node.Name, err)
+		return false
+	case ack < 0:
+		pc.halted = true
+		r.conflicts.Inc()
+		r.logf("cluster: repl %q -> %s: peer hosts session, stream halted", st.name, pc.node.Name)
+		return false
+	}
+	if n := min(ack, pc.seq+int64(len(recs))) - pc.seq; n > 0 {
+		r.sent(pc.node.Name).Add(n)
+	}
+	pc.seq = ack
+	return true
+}
+
 // sendBatch performs one append round-trip, returning the peer's new
-// cursor; -1 signals a permanent conflict (409 repl_conflict).
-func (r *Replicator) sendBatch(ctx context.Context, st *replStream, pc *peerCursor, recs []cachestore.Record) (int64, error) {
+// cursor; -1 signals a permanent conflict (409 repl_conflict). An ack up
+// to the sender's own log length is adopted even past the batch's end:
+// the replica already holds every record below its ack (it applies by
+// sequence and skips what it has), which is how a cursor probe, or a
+// replica that already holds more of the log than this sender has
+// confirmed, moves the cursor forward. The log holds at least head
+// records (sampled when the cycle began) and every record just sent (a
+// batch may read past head); an ack beyond both is impossible for a
+// replica of this log and is an error.
+func (r *Replicator) sendBatch(ctx context.Context, st *replStream, pc *peerCursor, recs []cachestore.Record, head int64) (int64, error) {
 	reqBody := api.ReplAppendRequest{
 		Node:    r.cfg.Topology.SelfName(),
 		Meta:    st.meta,
@@ -354,8 +376,8 @@ func (r *Replicator) sendBatch(ctx context.Context, st *replStream, pc *peerCurs
 	if err := json.Unmarshal(body, &ack); err != nil {
 		return 0, fmt.Errorf("bad ack: %w", err)
 	}
-	if ack.Seq < 0 || ack.Seq > pc.seq+int64(len(recs)) {
-		return 0, fmt.Errorf("peer acked impossible cursor %d (sent [%d,%d))", ack.Seq, pc.seq, pc.seq+int64(len(recs)))
+	if end := pc.seq + int64(len(recs)); ack.Seq < 0 || ack.Seq > max(head, end) {
+		return 0, fmt.Errorf("peer acked impossible cursor %d (sent [%d,%d) of a %d-record log)", ack.Seq, pc.seq, end, head)
 	}
 	return ack.Seq, nil
 }

@@ -21,8 +21,9 @@ type fakePeer struct {
 	t     *testing.T
 	store *cachestore.Store
 	mu    sync.Mutex
-	mode  string // "", "down", "conflict"
+	mode  string // "", "down", "conflict", "lie" (ack a cursor past any log)
 	metas []api.ReplMeta
+	sizes []int // records carried by each applied request, in order
 	srv   *httptest.Server
 }
 
@@ -64,6 +65,11 @@ func (p *fakePeer) handle(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	p.metas = append(p.metas, req.Meta)
+	p.sizes = append(p.sizes, len(req.Records))
+	if p.mode == "lie" {
+		json.NewEncoder(w).Encode(api.ReplAppendResponse{Seq: 1 << 40})
+		return
+	}
 	recs := make([]cachestore.Record, len(req.Records))
 	for i, rr := range req.Records {
 		recs[i] = cachestore.Record{I: rr.I, J: rr.J, Dist: float64(rr.D)}
@@ -73,6 +79,13 @@ func (p *fakePeer) handle(w http.ResponseWriter, r *http.Request) {
 		p.t.Errorf("peer: AppendFrom: %v", err)
 	}
 	json.NewEncoder(w).Encode(api.ReplAppendResponse{Seq: seq})
+}
+
+// requests returns the record counts of the requests applied so far.
+func (p *fakePeer) requests() []int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return append([]int(nil), p.sizes...)
 }
 
 func (p *fakePeer) seq() int64 {
@@ -288,5 +301,174 @@ func TestReplicatorNoPeersIsNoop(t *testing.T) {
 	defer cancel()
 	if err := r.Flush(ctx); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// fillStore appends count distinct records to store.
+func fillStore(t *testing.T, store *cachestore.Store, count int) {
+	t.Helper()
+	for k := 0; k < count; k++ {
+		if err := store.Append(k/60, 60+k%60, float64(k+1)/64); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// A replica that already holds more than one batch of the log (the
+// primary restarted, or Rebalance pushed it) acks its own cursor past
+// the batch's end; the sender must adopt it instead of refusing the ack
+// on every cycle and never shipping another record.
+func TestReplicatorAdoptsReplicaAhead(t *testing.T) {
+	const n = 128
+	peer := newFakePeer(t, n)
+	topo := replTopo(t, peer.srv.URL)
+	src, err := cachestore.Create(filepath.Join(t.TempDir(), "src.cache"), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	fillStore(t, src, 16)
+	recs, err := src.ReadFrom(0, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := peer.store.AppendFrom(0, recs); err != nil {
+		t.Fatal(err)
+	}
+
+	r := NewReplicator(ReplicatorConfig{Topology: topo, Interval: time.Hour, Batch: 4})
+	defer r.Close()
+	r.Track("sess", src, testMeta(n))
+	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+	defer cancel()
+	if err := r.Flush(ctx); err != nil {
+		t.Fatalf("flush toward a replica already at the head: %v", err)
+	}
+	if got := peer.seq(); got != 16 {
+		t.Fatalf("peer has %d records, want 16", got)
+	}
+}
+
+// A batch may read records appended after the cycle sampled the log
+// head; the peer's ack of them is within the log and must be adopted,
+// not refused and re-sent on every cycle.
+func TestReplicatorAdoptsAckPastSampledHead(t *testing.T) {
+	const n = 128
+	peer := newFakePeer(t, n)
+	src, err := cachestore.Create(filepath.Join(t.TempDir(), "src.cache"), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	fillStore(t, src, 10)
+	r := NewReplicator(ReplicatorConfig{Topology: replTopo(t, peer.srv.URL)})
+	defer r.Close()
+	st := &replStream{name: "sess", store: src, meta: testMeta(n)}
+	pc := &peerCursor{node: Node{Name: "peer", URL: peer.srv.URL}}
+	const sampledHead = 4 // the log grew to 10 after the cycle read its head
+	if lag := r.pushPeer(context.Background(), st, pc, sampledHead); lag != 0 || pc.seq != 10 {
+		t.Fatalf("pushPeer = lag %d, cursor %d; want lag 0, cursor 10", lag, pc.seq)
+	}
+	if got := r.errs("peer").Value(); got != 0 {
+		t.Fatalf("%d append errors, want 0", got)
+	}
+	if got := peer.requests(); len(got) != 1 || got[0] != 10 {
+		t.Fatalf("requests carried %v records, want one batch of 10", got)
+	}
+}
+
+// rebalanceDir writes a session store of count records plus its meta
+// sidecar into a fresh directory, the state a restarted node finds.
+func rebalanceDir(t *testing.T, n, count int) string {
+	t.Helper()
+	dir := t.TempDir()
+	store, err := cachestore.Create(filepath.Join(dir, "sess.cache"), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillStore(t, store, count)
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := SaveMeta(dir, "sess", testMeta(n)); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+func TestRebalancePushesAndProbes(t *testing.T) {
+	const n = 128
+	dir := rebalanceDir(t, n, 1100)
+	peer := newFakePeer(t, n)
+	r := NewReplicator(ReplicatorConfig{Topology: replTopo(t, peer.srv.URL)})
+	defer r.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+
+	pushed, err := r.Rebalance(ctx, dir)
+	if err != nil || pushed != 1 {
+		t.Fatalf("Rebalance = %d, %v; want 1 session pushed", pushed, err)
+	}
+	if got := peer.seq(); got != 1100 {
+		t.Fatalf("peer has %d records after rebalance, want 1100", got)
+	}
+
+	// Against the caught-up peer a second pass costs one empty append (the
+	// cursor probe) and still counts the session.
+	before := len(peer.requests())
+	pushed, err = r.Rebalance(ctx, dir)
+	if err != nil || pushed != 1 {
+		t.Fatalf("second Rebalance = %d, %v; want 1 session pushed", pushed, err)
+	}
+	if got := peer.requests()[before:]; len(got) != 1 || got[0] != 0 {
+		t.Fatalf("second Rebalance sent requests carrying %v records, want one empty probe", got)
+	}
+}
+
+func TestRebalanceRefusesImpossibleAck(t *testing.T) {
+	const n = 128
+	dir := rebalanceDir(t, n, 10)
+	peer := newFakePeer(t, n)
+	peer.setMode("lie")
+	r := NewReplicator(ReplicatorConfig{Topology: replTopo(t, peer.srv.URL)})
+	defer r.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	pushed, err := r.Rebalance(ctx, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pushed != 0 {
+		t.Fatalf("Rebalance counted %d sessions pushed to a peer acking cursor 2^40 of a 10-record log, want 0", pushed)
+	}
+}
+
+// Rebalance runs beside the pump and takes none of its locks: both push
+// the same log to the same peer at once, each adopting the acks the
+// other's appends produce, and the peer ends with the log exactly once.
+// (A pump cycle may time out under -race; it retries on the next tick.)
+func TestRebalanceBesidePump(t *testing.T) {
+	const n = 128
+	dir := rebalanceDir(t, n, 600)
+	peer := newFakePeer(t, n)
+	r := NewReplicator(ReplicatorConfig{Topology: replTopo(t, peer.srv.URL), Interval: 5 * time.Millisecond, Batch: 16})
+	defer r.Close()
+	store, err := cachestore.Open(filepath.Join(dir, "sess.cache"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	r.Track("sess", store, testMeta(n))
+	r.Start()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if pushed, err := r.Rebalance(ctx, dir); err != nil || pushed != 1 {
+		t.Fatalf("Rebalance = %d, %v; want 1 session pushed", pushed, err)
+	}
+	if err := r.Flush(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := peer.seq(); got != 600 {
+		t.Fatalf("peer has %d records, want 600", got)
 	}
 }

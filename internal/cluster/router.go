@@ -27,10 +27,6 @@ const (
 	MetricRouterExhausted = "cluster_exhausted_total"
 )
 
-// maxProxyBody caps a buffered request body (64 MiB — far above any
-// legitimate API payload; a batch of 10k ops is ~1 MiB).
-const maxProxyBody = 64 << 20
-
 // RouterConfig parameterises a Router.
 type RouterConfig struct {
 	// Topology supplies the ring; Self may be empty (the router is not a
@@ -164,7 +160,7 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 
 // handleCreate routes POST /v1/sessions by the name inside the body.
 func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxProxyBody))
+	body, err := io.ReadAll(io.LimitReader(r.Body, api.MaxBodyBytes))
 	if err != nil {
 		rt.writeError(w, http.StatusBadRequest, api.CodeBadRequest, "reading body: "+err.Error())
 		return
@@ -181,7 +177,7 @@ func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
 
 // handleSession routes every per-session path by the {name} segment.
 func (rt *Router) handleSession(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxProxyBody))
+	body, err := io.ReadAll(io.LimitReader(r.Body, api.MaxBodyBytes))
 	if err != nil {
 		rt.writeError(w, http.StatusBadRequest, api.CodeBadRequest, "reading body: "+err.Error())
 		return
@@ -263,36 +259,43 @@ func (rt *Router) forward(r *http.Request, node Node, body []byte) (*http.Respon
 }
 
 // classify decides whether an upstream response is relayed to the client
-// or treated as a node-death symptom worth failing over. It reads the
-// body either way (the relay needs it, the draining check inspects it).
+// or treated as a node-death symptom worth failing over (FailsOver). It
+// reads the body either way (the relay needs it) but parses only a 5xx
+// body, for its error code.
 func (rt *Router) classify(resp *http.Response) (relay bool, body []byte) {
-	body, err := io.ReadAll(io.LimitReader(resp.Body, maxProxyBody))
+	body, err := io.ReadAll(io.LimitReader(resp.Body, api.MaxBodyBytes))
 	resp.Body.Close()
 	if err != nil {
 		return false, nil // truncated upstream answer: try the next owner
 	}
-	switch resp.StatusCode {
-	case http.StatusBadGateway, http.StatusGatewayTimeout:
-		// The node's own upstream (the oracle) failed it, or an
-		// intermediary did; 502 oracle_unavailable is NOT retried on a
-		// replica — it would re-pay the oracle outage elsewhere — but a
-		// bare 502/504 with no API code is an infrastructure symptom.
-		var eb api.ErrorBody
-		if json.Unmarshal(body, &eb) == nil && eb.Code == api.CodeOracleUnavailable {
-			return true, body
+	code := ""
+	if resp.StatusCode >= 500 {
+		var eb api.ErrorBody // declared here: decoding moves it to the heap
+		if json.Unmarshal(body, &eb) == nil {
+			code = eb.Code
 		}
-		return false, body
-	case http.StatusServiceUnavailable:
-		// Draining means the node is going away: fail over. Overloaded is
-		// per-session backpressure: relay, the client must back off.
-		var eb api.ErrorBody
-		if json.Unmarshal(body, &eb) == nil && eb.Code == api.CodeDraining {
-			return false, body
-		}
-		return true, body
-	default:
-		return true, body
 	}
+	return !FailsOver(resp.StatusCode, code), body
+}
+
+// FailsOver reports whether an answer with this HTTP status and API error
+// code is a node-death symptom, so the request moves on to the session's
+// next owner: the one failover taxonomy of the router and of proxclient's
+// smart client (docs/CLUSTER.md). A 503 draining (the node is going away)
+// and a bare 502/504 (an intermediary failed it) fail over. A 503
+// overloaded is per-session backpressure and a 502 oracle_unavailable a
+// shared oracle outage — failing over on them would cold-start session
+// copies under load or re-pay the outage on a replica — so they are
+// relayed to the client, like every other answer. A transport error has
+// no status and always fails over; callers decide that before asking.
+func FailsOver(status int, code string) bool {
+	switch status {
+	case http.StatusServiceUnavailable:
+		return code == api.CodeDraining
+	case http.StatusBadGateway, http.StatusGatewayTimeout:
+		return code != api.CodeOracleUnavailable
+	}
+	return false
 }
 
 // relay copies an upstream response to the client.

@@ -45,8 +45,8 @@ func ext12(cfg Config) *stats.Table {
 	exhaustive := refSession.Stats().OracleCalls
 
 	t := &stats.Table{
-		ID:    "ext12",
-		Title: fmt.Sprintf("Savings vs declared slack ε (random metric, n=%d, k=%d, injected margin %.2g, Tri)", n, k, margin),
+		ID:      "ext12",
+		Title:   fmt.Sprintf("Savings vs declared slack ε (random metric, n=%d, k=%d, injected margin %.2g, Tri)", n, k, margin),
 		Columns: []string{"ε / margin", "Oracle calls", "Calls vs exhaustive", "Slack-resolved", "Output preserved"},
 	}
 

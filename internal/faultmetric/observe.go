@@ -27,11 +27,11 @@ const (
 
 // instruments is the injector's set of obs handles.
 type instruments struct {
-	calls      *obs.Counter
-	transients *obs.Counter
-	rateLimits *obs.Counter
-	outages    *obs.Counter
-	corrupts   *obs.Counter
+	calls         *obs.Counter
+	transients    *obs.Counter
+	rateLimits    *obs.Counter
+	outages       *obs.Counter
+	corrupts      *obs.Counter
 	latencies     *obs.Counter
 	ctxCancels    *obs.Counter
 	perturbations *obs.Counter
@@ -45,11 +45,11 @@ type instruments struct {
 // pure function of (seed, pair, attempt).
 func (f *Injector) Observe(r *obs.Registry) {
 	ins := &instruments{
-		calls:      r.Counter(MetricCalls),
-		transients: r.Counter(MetricTransients),
-		rateLimits: r.Counter(MetricRateLimits),
-		outages:    r.Counter(MetricOutages),
-		corrupts:   r.Counter(MetricCorrupts),
+		calls:         r.Counter(MetricCalls),
+		transients:    r.Counter(MetricTransients),
+		rateLimits:    r.Counter(MetricRateLimits),
+		outages:       r.Counter(MetricOutages),
+		corrupts:      r.Counter(MetricCorrupts),
 		latencies:     r.Counter(MetricLatencies),
 		ctxCancels:    r.Counter(MetricCtxCancels),
 		perturbations: r.Counter(MetricPerturbations),

@@ -40,9 +40,6 @@ func NewProblem(numVars int) *Problem {
 	return &Problem{nvars: numVars}
 }
 
-// NumVars returns the number of variables.
-func (p *Problem) NumVars() int { return p.nvars }
-
 // NumRows returns the number of constraints added so far.
 func (p *Problem) NumRows() int { return len(p.rows) }
 

@@ -19,11 +19,9 @@ import (
 // primary stops answering. It needs no proxrouter hop — the router exists
 // for clients that cannot embed the ring.
 //
-// Failover taxonomy (identical to cluster.Router's): a transport error, a
-// 503/draining, or a bare 502/504 moves to the next owner; a
-// 503/overloaded (per-session backpressure) and a 502/oracle_unavailable
-// (the shared oracle is down — every node would re-pay the outage) are
-// relayed to the caller. Soundness of failing over mid-workload rests on
+// Failover taxonomy: a transport error moves to the next owner, and an
+// API answer does exactly when cluster.FailsOver says so, as in
+// cluster.Router. Soundness of failing over mid-workload rests on
 // the replication design: a promoted replica's bound store is a strict
 // prefix of the primary's, so the worst a failover costs is re-paying
 // oracle calls for the lost suffix — never a different answer.
@@ -243,13 +241,7 @@ func failoverable(err error) bool {
 	if !errors.As(err, &apiErr) {
 		return true // transport failure: connect refused, reset, timeout
 	}
-	switch apiErr.Status {
-	case http.StatusServiceUnavailable:
-		return apiErr.Code == api.CodeDraining
-	case http.StatusBadGateway, http.StatusGatewayTimeout:
-		return apiErr.Code != api.CodeOracleUnavailable
-	}
-	return false
+	return cluster.FailsOver(apiErr.Status, apiErr.Code)
 }
 
 // isNotFound reports a 404/not_found API answer through the retry

@@ -18,9 +18,11 @@
 //
 // The service layer (internal/service) gets a second, stricter rule: the
 // daemon's weak-oracle contract is that raw resolved distances cross the
-// wire only through the audited Dist* endpoints (handleDist,
-// handleDistIfLess, handleDistBatch — every other endpoint answers with
-// comparison bits, bounds, or whole-problem results). So inside a
+// wire only through the audited Dist* functions (handleDistOp, the one
+// executor every primitive endpoint runs its op through, and
+// handleDistBatch — the one-bit and bounds endpoints ship only their own
+// fields of the op's result, and every other endpoint answers with
+// whole-problem results). So inside a
 // package whose import path ends in internal/service, any call to — or
 // method value of — a distance-valued core-session method (Dist,
 // DistErr, Known, DistIfLess, DistIfLessErr) outside a function whose

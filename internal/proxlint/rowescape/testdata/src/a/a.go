@@ -14,7 +14,7 @@ type holder struct {
 func staleUse(g *pgraph.Graph) float64 {
 	nbrs, wts := g.Row(0)
 	g.AddEdge(1, 2, 0.5)
-	_ = nbrs       // want `used after a call that can relocate`
+	_ = nbrs      // want `used after a call that can relocate`
 	return wts[0] // want `used after a call that can relocate`
 }
 

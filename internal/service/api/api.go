@@ -47,6 +47,12 @@ const (
 	CodeInternal = "internal"
 )
 
+// MaxBodyBytes caps a request body (64 MiB — far above any legitimate
+// API payload; a batch of 10k ops is ~1 MiB). The service answers a
+// larger body with 400 bad_request; the router buffers at most this much
+// of a request or of an upstream answer.
+const MaxBodyBytes = 64 << 20
+
 // ErrorBody is the JSON error envelope every non-2xx response carries.
 type ErrorBody struct {
 	// Code is one of the Code* constants.

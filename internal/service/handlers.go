@@ -200,138 +200,168 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
 // checkPair validates one (i, j) index pair against the universe.
 func (s *Server) checkPair(i, j int) error {
 	if i < 0 || i >= s.n || j < 0 || j >= s.n {
-		return fmt.Errorf("pair (%d,%d) out of range [0,%d)", i, j, s.n)
+		return badRequest(fmt.Sprintf("pair (%d,%d) out of range [0,%d)", i, j, s.n))
 	}
 	if i == j {
-		return fmt.Errorf("pair (%d,%d): self-distances are not mediated", i, j)
+		return badRequest(fmt.Sprintf("pair (%d,%d): self-distances are not mediated", i, j))
 	}
 	return nil
 }
 
-// oracleFailure maps a session resolution error onto the wire: a 502 with
-// oracle_unavailable when the resilient policy gave up, 500 otherwise.
-// The server never degrades an answer to an estimate — that decision
-// belongs to the client, which knows whether its caller can tolerate it.
-func oracleFailure(w http.ResponseWriter, err error) {
-	if errors.Is(err, core.ErrOracleUnavailable) {
-		writeError(w, http.StatusBadGateway, api.CodeOracleUnavailable, err.Error())
-		return
+// badRequest is an error the request itself made: an invalid pair or an
+// unknown op.
+type badRequest string
+
+func (e badRequest) Error() string { return string(e) }
+
+// errStatus maps an op or session error onto the wire: 400 bad_request
+// for a badRequest, 502 oracle_unavailable when the resilient policy gave
+// up, 500 internal otherwise. The server never degrades an answer to an
+// estimate — that decision belongs to the client, which knows whether its
+// caller can tolerate it. A type assertion recognises badRequest (the
+// executor returns it unwrapped); errors.As would move its target to the
+// heap.
+func errStatus(err error) (int, string) {
+	if _, ok := err.(badRequest); ok {
+		return http.StatusBadRequest, api.CodeBadRequest
 	}
-	writeError(w, http.StatusInternalServerError, api.CodeInternal, err.Error())
+	if errors.Is(err, core.ErrOracleUnavailable) {
+		return http.StatusBadGateway, api.CodeOracleUnavailable
+	}
+	return http.StatusInternalServerError, api.CodeInternal
 }
 
-// handleDist resolves one exact distance. Audited Dist* endpoint: the
-// response carries a raw oracle value by design.
-func (s *Server) handleDist(w http.ResponseWriter, r *http.Request, entry *core.SessionEntry) {
-	var req api.PairRequest
+// writeFailure writes err as the JSON error envelope with the status and
+// code errStatus gives it.
+func writeFailure(w http.ResponseWriter, err error) {
+	status, code := errStatus(err)
+	writeError(w, status, code, err.Error())
+}
+
+// handleDistOp runs one primitive op against the session: the only
+// implementation behind the five scalar endpoints and every /batch op,
+// so a scalar call and the same op inside a batch cannot answer
+// differently. Audited Dist* executor: dist and distifless results carry
+// raw oracle values; each scalar endpoint ships only its own contract's
+// fields of the result (one bit for less/lessthan, an interval for
+// bounds). On error res is left as it was.
+func (s *Server) handleDistOp(sess *core.SharedSession, op *api.BatchOp, res *api.BatchResult) error {
+	if err := s.checkPair(op.I, op.J); err != nil {
+		return err
+	}
+	switch op.Op {
+	case api.OpDist:
+		d, err := sess.DistErr(op.I, op.J)
+		if err != nil {
+			return err
+		}
+		res.D = api.WireFloat(d)
+	case api.OpLess:
+		if err := s.checkPair(op.K, op.L); err != nil {
+			return err
+		}
+		less, err := sess.LessErr(op.I, op.J, op.K, op.L)
+		if err != nil {
+			return err
+		}
+		res.Less = less
+	case api.OpLessThan:
+		less, err := sess.LessThanErr(op.I, op.J, float64(op.C))
+		if err != nil {
+			return err
+		}
+		res.Less = less
+	case api.OpDistIfLess:
+		d, less, err := sess.DistIfLessErr(op.I, op.J, float64(op.C))
+		if err != nil {
+			return err
+		}
+		res.Less = less
+		if less {
+			// d is exact whenever less is true: the relaxed-bounds decision
+			// path returns less=false, so a shipped D is always a cache hit or
+			// an oracle resolution. The taint is core's decision gap metric
+			// sharing the function-level fact.
+			res.D = api.WireFloat(d) //proxlint:allow slackescape -- D ships only on the exact (cache/oracle) path; the bounds-decided path never sets less
+		}
+	case api.OpBounds:
+		// Never an oracle call; lb == ub exactly when the pair is resolved.
+		lb, ub := sess.Bounds(op.I, op.J)
+		res.LB, res.UB = api.WireFloat(lb), api.WireFloat(ub)
+		// Eps is read after Bounds so it is ≥ the slack actually applied (an
+		// auto policy can only grow it); the client's escalation detection
+		// needs that ordering, not exactness.
+		res.Eps = api.WireFloat(sess.SlackEps())
+	default:
+		return badRequest(fmt.Sprintf("unknown op %q", op.Op))
+	}
+	return nil
+}
+
+// serveOp is a scalar primitive endpoint: it decodes the endpoint's
+// request type, runs it as an op through handleDistOp, and writes the
+// endpoint's response type from the result.
+func serveOp[Req, Resp any](s *Server, w http.ResponseWriter, r *http.Request, entry *core.SessionEntry,
+	toOp func(Req) api.BatchOp, toResp func(api.BatchResult) Resp) {
+	var req Req
 	if err := decode(r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
 		return
 	}
-	if err := s.checkPair(req.I, req.J); err != nil {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
+	op := toOp(req)
+	var res api.BatchResult
+	if err := s.handleDistOp(entry.Session, &op, &res); err != nil {
+		writeFailure(w, err)
 		return
 	}
-	d, err := entry.Session.DistErr(req.I, req.J)
-	if err != nil {
-		oracleFailure(w, err)
-		return
-	}
-	writeJSON(w, api.DistResponse{D: api.WireFloat(d)})
+	writeJSON(w, toResp(res))
+}
+
+// handleDist resolves one exact distance.
+func (s *Server) handleDist(w http.ResponseWriter, r *http.Request, entry *core.SessionEntry) {
+	serveOp(s, w, r, entry,
+		func(q api.PairRequest) api.BatchOp { return api.BatchOp{Op: api.OpDist, I: q.I, J: q.J} },
+		func(res api.BatchResult) api.DistResponse { return api.DistResponse{D: res.D} })
 }
 
 // handleLess answers dist(i,j) < dist(k,l) — one bit, no distances.
 func (s *Server) handleLess(w http.ResponseWriter, r *http.Request, entry *core.SessionEntry) {
-	var req api.LessRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
-		return
-	}
-	if err := s.checkPair(req.I, req.J); err != nil {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
-		return
-	}
-	if err := s.checkPair(req.K, req.L); err != nil {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
-		return
-	}
-	less, err := entry.Session.LessErr(req.I, req.J, req.K, req.L)
-	if err != nil {
-		oracleFailure(w, err)
-		return
-	}
-	writeJSON(w, api.LessResponse{Less: less})
+	serveOp(s, w, r, entry,
+		func(q api.LessRequest) api.BatchOp {
+			return api.BatchOp{Op: api.OpLess, I: q.I, J: q.J, K: q.K, L: q.L}
+		},
+		func(res api.BatchResult) api.LessResponse { return api.LessResponse{Less: res.Less} })
 }
 
 // handleLessThan answers dist(i,j) < c — one bit, no distances.
 func (s *Server) handleLessThan(w http.ResponseWriter, r *http.Request, entry *core.SessionEntry) {
-	var req api.LessThanRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
-		return
-	}
-	if err := s.checkPair(req.I, req.J); err != nil {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
-		return
-	}
-	less, err := entry.Session.LessThanErr(req.I, req.J, float64(req.C))
-	if err != nil {
-		oracleFailure(w, err)
-		return
-	}
-	writeJSON(w, api.LessResponse{Less: less})
+	serveOp(s, w, r, entry,
+		func(q api.LessThanRequest) api.BatchOp {
+			return api.BatchOp{Op: api.OpLessThan, I: q.I, J: q.J, C: q.C}
+		},
+		func(res api.BatchResult) api.LessResponse { return api.LessResponse{Less: res.Less} })
 }
 
-// handleDistIfLess conditionally resolves a distance. Audited Dist*
-// endpoint: D is a raw oracle value when Less.
+// handleDistIfLess conditionally resolves a distance; D is a raw oracle
+// value when Less.
 func (s *Server) handleDistIfLess(w http.ResponseWriter, r *http.Request, entry *core.SessionEntry) {
-	var req api.DistIfLessRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
-		return
-	}
-	if err := s.checkPair(req.I, req.J); err != nil {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
-		return
-	}
-	d, less, err := entry.Session.DistIfLessErr(req.I, req.J, float64(req.C))
-	if err != nil {
-		oracleFailure(w, err)
-		return
-	}
-	resp := api.DistIfLessResponse{Less: less}
-	if less {
-		// d is exact whenever less is true: the relaxed-bounds decision
-		// path returns less=false, so a shipped D is always a cache hit or
-		// an oracle resolution. The taint is core's decision gap metric
-		// sharing the function-level fact.
-		resp.D = api.WireFloat(d) //proxlint:allow slackescape -- D ships only on the exact (cache/oracle) path; the bounds-decided path never sets less
-	}
-	writeJSON(w, resp)
+	serveOp(s, w, r, entry,
+		func(q api.DistIfLessRequest) api.BatchOp {
+			return api.BatchOp{Op: api.OpDistIfLess, I: q.I, J: q.J, C: q.C}
+		},
+		func(res api.BatchResult) api.DistIfLessResponse {
+			return api.DistIfLessResponse{Less: res.Less, D: res.D}
+		})
 }
 
-// handleBounds reads the current bounds of a pair — never an oracle call.
-// lb == ub exactly when the pair is resolved; that is the weak oracle's
-// public face, deliberately outside the Dist* audit (DESIGN.md §10).
+// handleBounds reads the current bounds of a pair — the weak oracle's
+// public face (DESIGN.md §10).
 func (s *Server) handleBounds(w http.ResponseWriter, r *http.Request, entry *core.SessionEntry) {
-	var req api.PairRequest
-	if err := decode(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
-		return
-	}
-	if err := s.checkPair(req.I, req.J); err != nil {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
-		return
-	}
-	lb, ub := entry.Session.Bounds(req.I, req.J)
-	// Eps is read after Bounds so it is ≥ the slack actually applied (an
-	// auto policy can only grow it); the client's escalation detection
-	// needs that ordering, not exactness.
-	writeJSON(w, api.BoundsResponse{
-		LB:  api.WireFloat(lb),
-		UB:  api.WireFloat(ub),
-		Eps: api.WireFloat(entry.Session.SlackEps()),
-	})
+	serveOp(s, w, r, entry,
+		func(q api.PairRequest) api.BatchOp { return api.BatchOp{Op: api.OpBounds, I: q.I, J: q.J} },
+		func(res api.BatchResult) api.BoundsResponse {
+			return api.BoundsResponse{LB: res.LB, UB: res.UB, Eps: res.Eps}
+		})
 }
 
 // handleBootstrap resolves landmark rows up front.
@@ -350,16 +380,15 @@ func (s *Server) handleBootstrap(w http.ResponseWriter, r *http.Request, entry *
 	}
 	calls, err := entry.Session.BootstrapErr(req.Landmarks)
 	if err != nil {
-		oracleFailure(w, err)
+		writeFailure(w, err)
 		return
 	}
 	writeJSON(w, api.BootstrapResponse{Calls: calls})
 }
 
-// handleDistBatch executes many primitive ops in one round-trip. Audited
-// Dist* endpoint: dist and distifless results carry raw oracle values;
-// less/lessthan/bounds results follow their scalar contracts (one bit /
-// bounds only). Ops fail independently via per-result error codes.
+// handleDistBatch executes many primitive ops in one round-trip, each
+// through handleDistOp, failing them independently via per-result error
+// codes.
 func (s *Server) handleDistBatch(w http.ResponseWriter, r *http.Request, entry *core.SessionEntry) {
 	var req api.BatchRequest
 	if err := decode(r, &req); err != nil {
@@ -367,10 +396,8 @@ func (s *Server) handleDistBatch(w http.ResponseWriter, r *http.Request, entry *
 		return
 	}
 	results := make([]api.BatchResult, len(req.Ops))
-	sess := entry.Session
 	for idx := 0; idx < len(req.Ops); idx++ {
-		op := req.Ops[idx]
-		if op.Op == api.OpBounds {
+		if req.Ops[idx].Op == api.OpBounds {
 			// A bounds op never mutates session state, so a maximal
 			// consecutive run of them answers identically whether served
 			// one by one or in a single BoundsBatch sweep — and the sweep
@@ -381,53 +408,12 @@ func (s *Server) handleDistBatch(w http.ResponseWriter, r *http.Request, entry *
 			for end < len(req.Ops) && req.Ops[end].Op == api.OpBounds {
 				end++
 			}
-			s.serveBoundsRun(sess, req.Ops[idx:end], results[idx:end])
+			s.serveBoundsRun(entry.Session, req.Ops[idx:end], results[idx:end])
 			idx = end - 1
 			continue
 		}
-		res := &results[idx]
-		if err := s.checkPair(op.I, op.J); err != nil {
-			res.Err = api.CodeBadRequest
-			continue
-		}
-		switch op.Op {
-		case api.OpDist:
-			d, err := sess.DistErr(op.I, op.J)
-			if err != nil {
-				res.Err = api.CodeOracleUnavailable
-				continue
-			}
-			res.D = api.WireFloat(d)
-		case api.OpLess:
-			if err := s.checkPair(op.K, op.L); err != nil {
-				res.Err = api.CodeBadRequest
-				continue
-			}
-			less, err := sess.LessErr(op.I, op.J, op.K, op.L)
-			if err != nil {
-				res.Err = api.CodeOracleUnavailable
-				continue
-			}
-			res.Less = less
-		case api.OpLessThan:
-			less, err := sess.LessThanErr(op.I, op.J, float64(op.C))
-			if err != nil {
-				res.Err = api.CodeOracleUnavailable
-				continue
-			}
-			res.Less = less
-		case api.OpDistIfLess:
-			d, less, err := sess.DistIfLessErr(op.I, op.J, float64(op.C))
-			if err != nil {
-				res.Err = api.CodeOracleUnavailable
-				continue
-			}
-			res.Less = less
-			if less {
-				res.D = api.WireFloat(d) //proxlint:allow slackescape -- D ships only on the exact (cache/oracle) path; the bounds-decided path never sets less
-			}
-		default:
-			res.Err = api.CodeBadRequest
+		if err := s.handleDistOp(entry.Session, &req.Ops[idx], &results[idx]); err != nil {
+			_, results[idx].Err = errStatus(err)
 		}
 	}
 	writeJSON(w, api.BatchResponse{Results: results})
@@ -456,7 +442,7 @@ func (s *Server) serveBoundsRun(sess *core.SharedSession, ops []api.BatchOp, res
 	lb := make([]float64, len(is))
 	ub := make([]float64, len(is))
 	sess.BoundsBatch(is, js, lb, ub)
-	eps := api.WireFloat(sess.SlackEps()) // after the batch; see handleBounds
+	eps := api.WireFloat(sess.SlackEps()) // after the batch; see handleDistOp
 	for q, x := range slots {
 		results[x].LB, results[x].UB = api.WireFloat(lb[q]), api.WireFloat(ub[q])
 		results[x].Eps = eps
@@ -479,7 +465,7 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request, entry *core.S
 	}
 	g := prox.KNNGraph(entry.Session, req.K)
 	if err := entry.Session.OracleErr(); err != nil {
-		oracleFailure(w, err)
+		writeFailure(w, err)
 		return
 	}
 	rows := make([][]api.WireNeighbor, len(g))
@@ -496,7 +482,7 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request, entry *core.S
 func (s *Server) handleMST(w http.ResponseWriter, r *http.Request, entry *core.SessionEntry) {
 	m := prox.PrimMST(entry.Session)
 	if err := entry.Session.OracleErr(); err != nil {
-		oracleFailure(w, err)
+		writeFailure(w, err)
 		return
 	}
 	edges := make([]api.WireEdge, len(m.Edges))
@@ -519,7 +505,7 @@ func (s *Server) handleMedoid(w http.ResponseWriter, r *http.Request, entry *cor
 	}
 	c := prox.PAM(entry.Session, req.L, req.Seed)
 	if err := entry.Session.OracleErr(); err != nil {
-		oracleFailure(w, err)
+		writeFailure(w, err)
 		return
 	}
 	writeJSON(w, api.MedoidResponse{Medoids: c.Medoids, Assign: c.Assign, Cost: api.WireFloat(c.Cost)})

@@ -60,7 +60,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request, entry *cor
 			writeError(w, http.StatusConflict, api.CodeConflict, conflict.Error())
 			return
 		}
-		oracleFailure(w, err)
+		writeFailure(w, err)
 		return
 	}
 
@@ -73,7 +73,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request, entry *cor
 	}
 	res, err := g.Search(entry.Session, req.Q, req.K, ef)
 	if err != nil {
-		oracleFailure(w, err)
+		writeFailure(w, err)
 		return
 	}
 	s.met.searchQueries.Inc()

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -190,9 +189,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // finish normally (the HTTP server's Shutdown waits for those).
 func (s *Server) BeginDrain() { s.draining.Store(true) }
 
-// Draining reports whether BeginDrain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // Close stops the TTL sweeper and evicts every session, flushing and
 // closing their cache stores. Call after the HTTP listener has drained.
 func (s *Server) Close() error {
@@ -206,15 +202,6 @@ func (s *Server) Close() error {
 	s.repl.closeAll()
 	s.logf("service: closed %d sessions", n)
 	return nil
-}
-
-// Drain is the full graceful-shutdown sequence for servers not embedded
-// in a larger binary: BeginDrain, wait out ctx (the caller's HTTP
-// listener drain), then Close.
-func (s *Server) Drain(ctx context.Context) error {
-	s.BeginDrain()
-	<-ctx.Done()
-	return s.Close()
 }
 
 // routes mounts every endpoint. Go 1.22 pattern syntax gives us method
@@ -247,7 +234,8 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET /v1/repl/{name}", s.instrument("replstatus", s.handleReplStatus))
 }
 
-// instrument wraps a handler with the drain gate, the per-endpoint
+// instrument wraps a handler with the drain gate, the request body cap
+// (a larger body fails to decode: 400 bad_request), the per-endpoint
 // latency histogram, and the request counter.
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -256,6 +244,7 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 			writeError(w, http.StatusServiceUnavailable, api.CodeDraining, "server is draining")
 			return
 		}
+		r.Body = http.MaxBytesReader(w, r.Body, api.MaxBodyBytes)
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		h(sw, r)
@@ -321,7 +310,7 @@ func (sw *statusWriter) WriteHeader(code int) {
 func writeError(w http.ResponseWriter, status int, code, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(map[string]any{"code": code, "message": msg})
+	_ = json.NewEncoder(w).Encode(api.ErrorBody{Code: code, Message: msg})
 }
 
 // writeJSON emits a 200 JSON response.

@@ -200,20 +200,27 @@ func TestPrimitivesMatchInProcess(t *testing.T) {
 	}
 }
 
+// matchOps is TestBatchMatchesScalars's op list, one op of every kind
+// plus an unknown op and an out-of-range pair; FuzzBatchOps seeds its
+// corpus with it.
+func matchOps(maxDist float64) []api.BatchOp {
+	return []api.BatchOp{
+		{Op: api.OpBounds, I: 1, J: 2},
+		{Op: api.OpDist, I: 1, J: 2},
+		{Op: api.OpLess, I: 1, J: 2, K: 3, L: 4},
+		{Op: api.OpLessThan, I: 5, J: 6, C: 0.5},
+		{Op: api.OpDistIfLess, I: 7, J: 8, C: api.WireFloat(maxDist * 2)},
+		{Op: "nonsense", I: 1, J: 2},
+		{Op: api.OpDist, I: -1, J: 2},
+	}
+}
+
 func TestBatchMatchesScalars(t *testing.T) {
 	_, ts, _ := newTestServer(t, Config{})
 	createSession(t, ts.URL, "batch", "tri", true)
 	ref := referenceSession(t, core.SchemeTri)
 
-	ops := []api.BatchOp{
-		{Op: api.OpBounds, I: 1, J: 2},
-		{Op: api.OpDist, I: 1, J: 2},
-		{Op: api.OpLess, I: 1, J: 2, K: 3, L: 4},
-		{Op: api.OpLessThan, I: 5, J: 6, C: 0.5},
-		{Op: api.OpDistIfLess, I: 7, J: 8, C: api.WireFloat(ref.MaxDistance() * 2)},
-		{Op: "nonsense", I: 1, J: 2},
-		{Op: api.OpDist, I: -1, J: 2},
-	}
+	ops := matchOps(ref.MaxDistance())
 	var resp api.BatchResponse
 	post(t, ts.URL+"/v1/sessions/batch/batch", api.BatchRequest{Ops: ops}, &resp, http.StatusOK)
 	if len(resp.Results) != len(ops) {
@@ -534,10 +541,10 @@ func TestBatchBoundsRunMatchesScalar(t *testing.T) {
 	for q := 0; q < 40; q++ {
 		ops = append(ops, api.BatchOp{Op: api.OpBounds, I: rng.Intn(testN), J: rng.Intn(testN)})
 	}
-	ops[7] = api.BatchOp{Op: api.OpBounds, I: 7, J: 7}       // self pair: rejected
-	ops[13] = api.BatchOp{Op: api.OpBounds, I: -1, J: 3}     // out of range: rejected
-	ops[20] = api.BatchOp{Op: api.OpDist, I: 20, J: 21}      // splits the run
-	ops = append(ops, ops[0])                                // duplicate of the first query
+	ops[7] = api.BatchOp{Op: api.OpBounds, I: 7, J: 7}   // self pair: rejected
+	ops[13] = api.BatchOp{Op: api.OpBounds, I: -1, J: 3} // out of range: rejected
+	ops[20] = api.BatchOp{Op: api.OpDist, I: 20, J: 21}  // splits the run
+	ops = append(ops, ops[0])                            // duplicate of the first query
 
 	var resp api.BatchResponse
 	post(t, ts.URL+"/v1/sessions/boundsrun/batch", api.BatchRequest{Ops: ops}, &resp, http.StatusOK)
