@@ -168,7 +168,7 @@ func benchNearMetricAudit(b *testing.B, audit bool) {
 // BenchmarkTriBoundsCSR measures the Tri Scheme query as shipped: a
 // sorted-merge intersection over the graph's flat CSR adjacency rows.
 func BenchmarkTriBoundsCSR(b *testing.B) {
-	g, pairs := triWorkload()
+	g, pairs, _ := triWorkload()
 	tri := bounds.NewTri(g, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -185,7 +185,7 @@ func BenchmarkTriBoundsCSR(b *testing.B) {
 // stamp and cost check before its probe: this is the batch entry point's
 // worst shape, not its intended one (BenchmarkTriBoundsRow is that).
 func BenchmarkTriBoundsBatch(b *testing.B) {
-	g, pairs := triWorkload()
+	g, pairs, _ := triWorkload()
 	tri := bounds.NewTri(g, 1)
 	is := make([]int, len(pairs))
 	js := make([]int, len(pairs))
@@ -210,7 +210,7 @@ func BenchmarkTriBoundsBatch(b *testing.B) {
 // pairs answer exactly, and pairs/op is the divisor for a per-pair
 // figure.
 func BenchmarkTriBoundsRow(b *testing.B) {
-	g, _ := triWorkload()
+	g, _, _ := triWorkload()
 	tri := bounds.NewTri(g, 1)
 	n := g.N()
 	is := make([]int, n-1)
@@ -263,18 +263,18 @@ var knnRowSink []prox.Neighbor
 // BenchmarkTriBoundsRBTreeRef is the reference the flat layout replaced:
 // the identical triangle search as a sorted-merge of two per-node
 // red–black trees via per-query iterators — the Tri.Bounds design the
-// CSR store superseded, including its per-query iterator churn (the tree
-// survives in internal/rbtree as the differential-test oracle). The ≥5×
-// throughput floor that CI's bench-smoke job enforces is
-// BenchmarkTriBoundsCSR vs this.
+// CSR store superseded, including its per-query iterator churn and its
+// known-map lookup. The trees are built from the workload's edges in
+// insertion order. The ≥5× throughput floor that CI's bench-smoke job
+// enforces is BenchmarkTriBoundsCSR vs this.
 func BenchmarkTriBoundsRBTreeRef(b *testing.B) {
-	g, pairs := triWorkload()
+	g, pairs, edges := triWorkload()
 	adj := make([]*rbtree.Tree, g.N())
 	for i := range adj {
 		adj[i] = rbtree.New()
 	}
-	known := make(map[int64]float64, len(g.Edges()))
-	for _, e := range g.Edges() {
+	known := make(map[int64]float64, len(edges))
+	for _, e := range edges {
 		adj[e.U].Put(e.V, e.W)
 		adj[e.V].Put(e.U, e.W)
 		known[pgraph.Key(e.U, e.V)] = e.W
@@ -318,9 +318,10 @@ func BenchmarkTriBoundsRBTreeRef(b *testing.B) {
 
 // BenchmarkTriAdjacencyScan is the remaining ablation: the same triangle
 // search as a per-element binary probe of the smaller flat row into the
-// larger via Neighbor, instead of the shipped two-cursor sorted merge.
+// other pair member's edges via Weight, instead of the shipped stamp
+// intersection.
 func BenchmarkTriAdjacencyScan(b *testing.B) {
-	g, pairs := triWorkload()
+	g, pairs, _ := triWorkload()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -334,7 +335,7 @@ func BenchmarkTriAdjacencyScan(b *testing.B) {
 		}
 		for t, k := range nu {
 			wi := wu[t]
-			if wj, ok := g.Neighbor(v, int(k)); ok {
+			if wj, ok := g.Weight(v, int(k)); ok {
 				if d := wi - wj; d > lb {
 					lb = d
 				} else if d := wj - wi; d > lb {
@@ -348,14 +349,20 @@ func BenchmarkTriAdjacencyScan(b *testing.B) {
 	}
 }
 
-func triWorkload() (*pgraph.Graph, [][2]int) {
+// triWorkload is the Tri benchmarks' graph (8000 resolved pairs over 512
+// SF objects), 1024 unresolved query pairs, and the graph's edges in
+// insertion order.
+func triWorkload() (*pgraph.Graph, [][2]int, []pgraph.Edge) {
 	m := datasets.SFPOI(512, 3)
 	g := pgraph.New(512)
 	rng := rand.New(rand.NewSource(4))
+	var edges []pgraph.Edge
 	for g.M() < 8000 {
 		i, j := rng.Intn(512), rng.Intn(512)
 		if i != j && !g.Known(i, j) {
-			g.AddEdge(i, j, m.Distance(i, j))
+			w := m.Distance(i, j)
+			g.AddEdge(i, j, w)
+			edges = append(edges, pgraph.Edge{U: min(i, j), V: max(i, j), W: w})
 		}
 	}
 	pairs := make([][2]int, 0, 1024)
@@ -365,14 +372,14 @@ func triWorkload() (*pgraph.Graph, [][2]int) {
 			pairs = append(pairs, [2]int{i, j})
 		}
 	}
-	return g, pairs
+	return g, pairs, edges
 }
 
 // BenchmarkSPLUBFullRun vs BenchmarkSPLUBEarlyExit: the upper-bound
 // Dijkstra ablation (full run is required for LB anyway; early exit serves
 // pure-UB queries).
 func BenchmarkSPLUBFullRun(b *testing.B) {
-	g, pairs := triWorkload()
+	g, pairs, _ := triWorkload()
 	s := bounds.NewSPLUB(g, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -382,7 +389,7 @@ func BenchmarkSPLUBFullRun(b *testing.B) {
 }
 
 func BenchmarkSPLUBEarlyExit(b *testing.B) {
-	g, pairs := triWorkload()
+	g, pairs, _ := triWorkload()
 	s := bounds.NewSPLUB(g, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -10,19 +10,25 @@ import (
 	"metricprox/internal/pgraph"
 )
 
-// figure1 rebuilds the paper's running example (the 7-object partial graph
-// of Figure 1) with this repository's weights. Returns the graph-backed
-// bounders plus the ground-truth edge list.
+// figure1Edges is the paper's running example (the 7-object partial graph
+// of Figure 1) with this repository's weights.
+var figure1Edges = []pgraph.Edge{
+	{U: 1, V: 3, W: 0.8},
+	{U: 3, V: 4, W: 0.1},
+	{U: 2, V: 3, W: 0.3},
+	{U: 2, V: 4, W: 0.4},
+	{U: 1, V: 5, W: 0.2},
+	{U: 2, V: 5, W: 0.9},
+	{U: 0, V: 6, W: 0.5},
+	{U: 0, V: 1, W: 0.7},
+}
+
+// figure1 rebuilds the partial graph of figure1Edges.
 func figure1() *pgraph.Graph {
 	g := pgraph.New(7)
-	g.AddEdge(1, 3, 0.8)
-	g.AddEdge(3, 4, 0.1)
-	g.AddEdge(2, 3, 0.3)
-	g.AddEdge(2, 4, 0.4)
-	g.AddEdge(1, 5, 0.2)
-	g.AddEdge(2, 5, 0.9)
-	g.AddEdge(0, 6, 0.5)
-	g.AddEdge(0, 1, 0.7)
+	for _, e := range figure1Edges {
+		g.AddEdge(e.U, e.V, e.W)
+	}
 	return g
 }
 
@@ -63,20 +69,25 @@ func TestTriPaperExample(t *testing.T) {
 	}
 }
 
+// TestKnownEdgeIsExactEverywhere asks every known edge in both argument
+// orders. Figure 1's rows differ in length, so Tri answers from the
+// stamp of the shorter row whichever argument owns it, under the ρ = 1
+// and the relaxed arithmetic.
 func TestKnownEdgeIsExactEverywhere(t *testing.T) {
 	g := figure1()
-	for _, b := range []Bounder{NewSPLUB(g, 1), NewTri(g, 1)} {
-		lb, ub := b.Bounds(1, 3)
-		if lb != 0.8 || ub != 0.8 {
-			t.Fatalf("%s: known edge bounds [%v,%v], want [0.8,0.8]", b.Name(), lb, ub)
-		}
-	}
 	adm := NewADM(7, 1)
-	for _, e := range g.Edges() {
+	for _, e := range figure1Edges {
 		adm.Update(e.U, e.V, e.W)
 	}
-	if lb, ub := adm.Bounds(1, 3); lb != 0.8 || ub != 0.8 {
-		t.Fatalf("adm: known edge bounds [%v,%v]", lb, ub)
+	for _, b := range []Bounder{NewSPLUB(g, 1), NewTri(g, 1), NewTriRelaxed(g, 1, 2), adm} {
+		for _, e := range figure1Edges {
+			for _, p := range [][2]int{{e.U, e.V}, {e.V, e.U}} {
+				lb, ub := b.Bounds(p[0], p[1])
+				if math.Float64bits(lb) != math.Float64bits(e.W) || math.Float64bits(ub) != math.Float64bits(e.W) {
+					t.Fatalf("%s: known edge (%d,%d) bounds [%v,%v], want [%v,%v]", b.Name(), p[0], p[1], lb, ub, e.W, e.W)
+				}
+			}
+		}
 	}
 }
 

@@ -23,7 +23,7 @@ func TestSelfPairBoundsAllSchemes(t *testing.T) {
 	laesa := NewLAESA(7, landmarks, 1)
 	tlaesa := NewTLAESA(7, landmarks, 1)
 	dft := NewDFT(7, 1)
-	for _, e := range g.Edges() {
+	for _, e := range figure1Edges {
 		adm.Update(e.U, e.V, e.W)
 		laesa.Update(e.U, e.V, e.W)
 		tlaesa.Update(e.U, e.V, e.W)
@@ -74,10 +74,12 @@ func TestTriBoundsBatchMatchesScalar(t *testing.T) {
 	m := datasets.SFPOI(n, 1)
 	g := pgraph.New(n)
 	rng := rand.New(rand.NewSource(7))
+	var resolved [][2]int
 	for g.M() < 400 {
 		i, j := rng.Intn(n-1), rng.Intn(n-1) // node n-1 stays isolated
 		if i != j && !g.Known(i, j) {
 			g.AddEdge(i, j, m.Distance(i, j))
+			resolved = append(resolved, [2]int{i, j})
 		}
 	}
 	tri := NewTriRelaxed(g, 1, 1.5) // exercise the ρ-relaxed arithmetic too
@@ -91,8 +93,8 @@ func TestTriBoundsBatchMatchesScalar(t *testing.T) {
 		x := rng.Intn(n)
 		is, js = append(is, x), append(js, x)
 	}
-	for _, e := range g.Edges()[:20] { // resolved pairs
-		is, js = append(is, e.U), append(js, e.V)
+	for _, p := range resolved[:20] { // resolved pairs
+		is, js = append(is, p[0]), append(js, p[1])
 	}
 	is, js = append(is, is[0]), append(js, js[0]) // duplicate query
 	is, js = append(is, n-1), append(js, 0)       // isolated anchor row
@@ -329,17 +331,22 @@ func FuzzTriBatchVsScalar(f *testing.F) {
 		rho := [3]float64{1, 1.5, 2}[mode%3]
 		isolated := n - 1 // no edge ever touches it
 		g := pgraph.New(n)
+		var resolved [][2]int // insertion order, smaller id first
+		add := func(i, j int) {
+			g.AddEdge(i, j, fuzzWeight(in.next()))
+			resolved = append(resolved, [2]int{min(i, j), max(i, j)})
+		}
 		for l := 0; l < 1+int(mode/3%3); l++ {
 			for v := 0; v < isolated; v++ {
 				if v != l && !g.Known(l, v) {
-					g.AddEdge(l, v, fuzzWeight(in.next()))
+					add(l, v)
 				}
 			}
 		}
 		for e := in.intn(2 * n); e > 0; e-- {
 			i, j := in.intn(isolated), in.intn(isolated)
 			if i != j && !g.Known(i, j) {
-				g.AddEdge(i, j, fuzzWeight(in.next()))
+				add(i, j)
 			}
 		}
 		tri := NewTriRelaxed(g, 1, rho)
@@ -366,8 +373,8 @@ func FuzzTriBatchVsScalar(f *testing.F) {
 				}
 			},
 			func() {
-				e := g.Edges()[in.intn(g.M())] // the landmark rows make M > 0
-				is, js = append(is, e.V), append(js, e.U)
+				p := resolved[in.intn(len(resolved))] // the landmark rows make it non-empty
+				is, js = append(is, p[1]), append(js, p[0])
 			},
 			func() { row(isolated) },
 			func() {

@@ -77,15 +77,23 @@ func (s *SPLUB) Bounds(i, j int) (float64, float64) {
 		}
 	}
 
+	// Every known edge (k,l), k < l, is visited once, as a cell of the
+	// tail of k's sorted row past k. The strict max over the candidates
+	// does not depend on their order, so the walk's order changes no bit.
 	lb := 0.0
-	for _, e := range s.g.Edges() {
-		// Wrap the i→…→k, l→…→j shortest paths onto the known edge (k,l):
-		// whatever length of w(k,l) they cannot cover must separate i and j.
-		if v := e.W - s.di[e.U] - s.dj[e.V]; v > lb {
-			lb = v
-		}
-		if v := e.W - s.di[e.V] - s.dj[e.U]; v > lb {
-			lb = v
+	for k := range s.di {
+		nb, ws := s.g.Row(k)
+		for x := len(nb) - 1; x >= 0 && int(nb[x]) > k; x-- {
+			l, w := nb[x], ws[x]
+			// Wrap the i→…→k, l→…→j shortest paths onto the known edge
+			// (k,l): whatever length of w(k,l) they cannot cover must
+			// separate i and j.
+			if v := w - s.di[k] - s.dj[l]; v > lb {
+				lb = v
+			}
+			if v := w - s.di[l] - s.dj[k]; v > lb {
+				lb = v
+			}
 		}
 	}
 	return clamp(lb, ub, s.maxDist)

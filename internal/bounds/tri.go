@@ -99,17 +99,21 @@ func (t *Tri) Bounds(i, j int) (float64, float64) {
 	if i == j {
 		return 0, 0
 	}
-	if w, ok := t.g.Weight(i, j); ok {
-		return w, w
-	}
 	ni, wi := t.g.Row(i)
 	nj, wj := t.g.Row(j)
 	if len(nj) < len(ni) {
 		// Stamp the smaller row, probe the larger: both bound formulas
 		// are symmetric in the pair, so the swap changes no answer.
+		i, j = j, i
 		ni, wi, nj, wj = nj, wj, ni, wi
 	}
 	t.mark(ni)
+	if t.stamp[j] == t.qid {
+		// j is in i's stamped row: the pair is resolved, and the stamp
+		// names the cell holding its weight, as in BoundsBatch.
+		w := wi[t.pos[j]]
+		return w, w
+	}
 	lb, ub := t.probe(wi, nj, wj)
 	return clamp(lb, ub, t.maxDist)
 }

@@ -104,23 +104,26 @@ func TestFlatStoreCompaction(t *testing.T) {
 	}
 }
 
-// TestNeighborLookup checks the binary-search lookup against the packed
-// known map.
-func TestNeighborLookup(t *testing.T) {
+// TestWeightLookup checks the row-search lookup in both argument orders
+// and both row-size orders, and that absent, self and out-of-range pairs
+// answer false without panicking.
+func TestWeightLookup(t *testing.T) {
 	g := New(16)
 	g.AddEdge(3, 7, 0.25)
 	g.AddEdge(3, 1, 0.5)
-	if w, ok := g.Neighbor(3, 7); !ok || w != 0.25 {
-		t.Fatalf("Neighbor(3,7) = %v,%v", w, ok)
+	g.AddEdge(3, 9, 0.75) // row 3 is now longer than rows 1, 7 and 9
+	for _, p := range [][3]float64{{3, 7, 0.25}, {7, 3, 0.25}, {1, 3, 0.5}, {3, 1, 0.5}, {9, 3, 0.75}} {
+		if w, ok := g.Weight(int(p[0]), int(p[1])); !ok || w != p[2] {
+			t.Fatalf("Weight(%v,%v) = %v,%v; want %v,true", p[0], p[1], w, ok, p[2])
+		}
 	}
-	if w, ok := g.Neighbor(7, 3); !ok || w != 0.25 {
-		t.Fatalf("Neighbor(7,3) = %v,%v", w, ok)
-	}
-	if _, ok := g.Neighbor(3, 2); ok {
-		t.Fatal("Neighbor reported an absent edge")
-	}
-	if _, ok := g.Neighbor(5, 6); ok {
-		t.Fatal("Neighbor reported an edge on an isolated node")
+	for _, p := range [][2]int{{3, 2}, {7, 1}, {5, 6}, {3, 3}, {-1, 3}, {3, -1}, {16, 3}, {3, 16}, {1 << 40, 0}} {
+		if w, ok := g.Weight(p[0], p[1]); ok || w != 0 {
+			t.Fatalf("Weight(%d,%d) = %v,%v; want 0,false", p[0], p[1], w, ok)
+		}
+		if g.Known(p[0], p[1]) {
+			t.Fatalf("Known(%d,%d) on an unresolved pair", p[0], p[1])
+		}
 	}
 }
 
@@ -145,22 +148,20 @@ func TestDijkstraConvenienceReuse(t *testing.T) {
 	}
 }
 
-// TestRowViewsMatchSortedScan cross-checks Row against a sort of the edge
-// list after heavy churn (many relocations and at least one compaction).
+// TestRowViewsMatchSortedScan cross-checks Row against a sort of the
+// inserted edges after heavy churn (many relocations and at least one compaction).
 func TestRowViewsMatchSortedScan(t *testing.T) {
 	const n = 300
 	g := New(n)
 	rng := rand.New(rand.NewSource(23))
+	want := make(map[int][]int)
 	for g.M() < 9000 {
 		i, j := rng.Intn(n), rng.Intn(n)
 		if i != j && !g.Known(i, j) {
 			g.AddEdge(i, j, rng.Float64())
+			want[i] = append(want[i], j)
+			want[j] = append(want[j], i)
 		}
-	}
-	want := make(map[int][]int)
-	for _, e := range g.Edges() {
-		want[e.U] = append(want[e.U], e.V)
-		want[e.V] = append(want[e.V], e.U)
 	}
 	for u := 0; u < n; u++ {
 		sort.Ints(want[u])

@@ -6,11 +6,11 @@
 // Each node's adjacency is a sorted run inside a CSR-style flat store
 // (see csr.go): sorted neighbour/weight slabs with epoch-based growth and
 // amortized compaction, serving the Tri Scheme's merge intersection and
-// SPLUB's Dijkstra relaxation allocation-free. Edge weights are
-// additionally indexed by a packed (i,j) key for O(1) exact lookup, and
-// the append-only edge list serves SPLUB's "scan all known edges" step.
-// (The original red–black-tree-per-node layout survives in
-// internal/rbtree as the differential-test reference.)
+// SPLUB's Dijkstra relaxation allocation-free. The rows are the only
+// edge store: an exact lookup binary-searches the shorter of the two
+// rows, and SPLUB's "scan all known edges" step walks each row's tail of
+// larger neighbour ids, so every resolved distance is held once, in its
+// two row cells.
 //
 // The graph is strictly append-only: a resolved distance is a fact, so
 // edges are added and never removed or reweighted, which is what makes

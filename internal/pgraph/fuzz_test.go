@@ -2,86 +2,86 @@ package pgraph
 
 import (
 	"math"
+	"sort"
 	"testing"
-
-	"metricprox/internal/rbtree"
 )
 
-// refGraph is the differential reference for the flat CSR store: one
-// red–black tree per node (the layout the store replaced) plus a plain
-// map of packed keys. It is implemented independently of flatStore so a
-// bug must occur twice, identically, to escape the comparison.
-type refGraph struct {
-	n     int
-	adj   []*rbtree.Tree
-	known map[int64]float64
-}
+// model is the brute-force reference for the flat CSR store: one
+// neighbour → weight map per node, written independently of flatStore so
+// a bug must occur twice, identically, to escape the comparison.
+type model []map[int]float64
 
-func newRefGraph(n int) *refGraph {
-	r := &refGraph{n: n, adj: make([]*rbtree.Tree, n), known: make(map[int64]float64)}
-	for i := range r.adj {
-		r.adj[i] = rbtree.New()
+func newModel(n int) model {
+	m := make(model, n)
+	for u := range m {
+		m[u] = make(map[int]float64)
 	}
-	return r
+	return m
 }
 
-func (r *refGraph) addEdge(i, j int, w float64) {
-	r.known[Key(i, j)] = w
-	r.adj[i].Put(j, w)
-	r.adj[j].Put(i, w)
+func (m model) add(i, j int, w float64) {
+	m[i][j] = w
+	m[j][i] = w
 }
 
-// triIntersect is the reference triangle intersection: a sorted merge of
-// two rbtree iterators, exactly the pre-CSR Tri walk.
-func (r *refGraph) triIntersect(i, j int) (lb, ub float64) {
+// row returns u's neighbours in ascending id order with their weights.
+func (m model) row(u int) ([]int32, []float64) {
+	nbrs := make([]int32, 0, len(m[u]))
+	for v := range m[u] {
+		nbrs = append(nbrs, int32(v))
+	}
+	sort.Slice(nbrs, func(x, y int) bool { return nbrs[x] < nbrs[y] })
+	weights := make([]float64, len(nbrs))
+	for x, v := range nbrs {
+		weights[x] = m[u][int(v)]
+	}
+	return nbrs, weights
+}
+
+// triIntersect folds the Tri bounds over the common neighbours of i and
+// j. The fuzz weights are positive and finite, so the fold's order does
+// not matter.
+func (m model) triIntersect(i, j int) (lb, ub float64) {
 	lb, ub = 0, 1
-	iti, itj := r.adj[i].Iter(), r.adj[j].Iter()
-	defer iti.Release()
-	defer itj.Release()
-	ki, wi, oki := iti.Next()
-	kj, wj, okj := itj.Next()
-	for oki && okj {
-		switch {
-		case ki == kj:
-			if d := math.Abs(wi - wj); d > lb {
-				lb = d
-			}
-			if s := wi + wj; s < ub {
-				ub = s
-			}
-			ki, wi, oki = iti.Next()
-			kj, wj, okj = itj.Next()
-		case ki < kj:
-			ki, wi, oki = iti.Next()
-		default:
-			kj, wj, okj = itj.Next()
+	for l, wi := range m[i] {
+		if wj, ok := m[j][l]; ok {
+			lb = max(lb, math.Abs(wi-wj))
+			ub = min(ub, wi+wj)
 		}
 	}
 	return lb, ub
 }
 
-// FuzzStoreVsRBTree feeds an arbitrary interleaved schedule of edge
-// insertions and queries to the flat CSR store and to the rbtree+map
-// reference, and fails on any divergence in Weight, Degree, row order and
-// content, or the Tri-style intersection. The byte stream is decoded two
-// bytes per operation, so the fuzzer explores relocation and compaction
-// schedules (many inserts on few nodes) as well as query-heavy mixes.
-func FuzzStoreVsRBTree(f *testing.F) {
+// FuzzStoreVsModel feeds an arbitrary interleaved schedule of edge
+// insertions, re-adds and queries to the flat CSR store and to the model,
+// and fails on any divergence in Weight (both argument orders, every
+// pair, out-of-range pairs), Degree, row order and content, or the
+// Tri-style intersection. A re-add of a resolved pair must be a no-op at
+// the same weight and must panic at another. The byte stream is decoded
+// two bytes per operation, so the fuzzer explores relocation and
+// compaction schedules (many inserts on few nodes, a hub row beside short
+// ones) as well as query-heavy mixes.
+func FuzzStoreVsModel(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 250, 0, 251, 1})
 	f.Add([]byte{7, 7, 7, 8, 7, 9, 7, 10, 7, 11, 7, 12, 250, 7})
 	f.Add([]byte{0, 255, 16, 32, 250, 16, 252, 0})
+	f.Add([]byte{5, 1, 5, 2, 5, 3, 5, 4, 5, 6, 1, 2, 2, 5, 1, 5, 252, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const n = 24
 		g := New(n)
-		ref := newRefGraph(n)
+		ref := newModel(n)
 		nextW := 0.0 // distinct deterministic weights, 0 < w ≤ 1
 
 		for k := 0; k+1 < len(data); k += 2 {
 			a, b := data[k], data[k+1]
 			switch {
-			case a < 250: // insert edge (a%n, b%n) if new
+			case a < 250: // insert edge (a%n, b%n), or re-add it if known
 				i, j := int(a)%n, int(b)%n
-				if i == j || g.Known(i, j) {
+				if i == j {
+					continue
+				}
+				if w, ok := ref[i][j]; ok {
+					checkReAdd(t, g, i, j, w)
 					continue
 				}
 				nextW += 1.0 / 1024
@@ -89,17 +89,12 @@ func FuzzStoreVsRBTree(f *testing.F) {
 					nextW = 1.0 / 1024
 				}
 				g.AddEdge(i, j, nextW)
-				ref.addEdge(i, j, nextW)
+				ref.add(i, j, nextW)
 			case a == 250: // full-row audit of node b%n
-				u := int(b) % n
-				checkRow(t, g, ref, u)
+				checkRow(t, g, ref, int(b)%n)
 			case a == 251: // intersection audit of (b%n, b%n+1)
 				i := int(b) % n
-				j := (i + 1) % n
-				if i == j {
-					continue
-				}
-				checkIntersect(t, g, ref, i, j)
+				checkIntersect(t, g, ref, i, (i+1)%n)
 			default: // global audit
 				checkAll(t, g, ref)
 			}
@@ -108,35 +103,41 @@ func FuzzStoreVsRBTree(f *testing.F) {
 	})
 }
 
-func checkRow(t *testing.T, g *Graph, ref *refGraph, u int) {
+// checkReAdd re-adds the resolved pair (i, j): at its weight, from the
+// other side, the store must not change; at another weight AddEdge must
+// panic, also leaving the store unchanged.
+func checkReAdd(t *testing.T, g *Graph, i, j int, w float64) {
 	t.Helper()
-	if got, want := g.Degree(u), ref.adj[u].Len(); got != want {
-		t.Fatalf("Degree(%d) = %d, reference %d", u, got, want)
+	before := g.Stats()
+	g.AddEdge(j, i, w)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("conflicting re-add of (%d,%d) did not panic", i, j)
+			}
+		}()
+		g.AddEdge(i, j, w+1)
+	}()
+	if after := g.Stats(); after != before {
+		t.Fatalf("re-adds of (%d,%d) changed the store: %+v → %+v", i, j, before, after)
 	}
+}
+
+func checkRow(t *testing.T, g *Graph, ref model, u int) {
+	t.Helper()
 	nbrs, weights := g.Row(u)
-	x := 0
-	it := ref.adj[u].Iter()
-	defer it.Release()
-	for k, w, ok := it.Next(); ok; k, w, ok = it.Next() {
-		if x >= len(nbrs) {
-			t.Fatalf("Row(%d) shorter than reference ascend", u)
-		}
-		if int(nbrs[x]) != k || weights[x] != w {
-			t.Fatalf("Row(%d)[%d] = (%d,%v), reference (%d,%v)", u, x, nbrs[x], weights[x], k, w)
-		}
-		x++
+	want, wantW := ref.row(u)
+	if g.Degree(u) != len(want) || len(nbrs) != len(want) {
+		t.Fatalf("node %d: degree %d, row %d, model %d", u, g.Degree(u), len(nbrs), len(want))
 	}
-	if x != len(nbrs) {
-		t.Fatalf("Row(%d) longer than reference ascend (%d > %d)", u, len(nbrs), x)
-	}
-	for x := 1; x < len(nbrs); x++ {
-		if nbrs[x-1] >= nbrs[x] {
-			t.Fatalf("Row(%d) not strictly ascending at %d: %v", u, x, nbrs)
+	for x := range want {
+		if nbrs[x] != want[x] || weights[x] != wantW[x] {
+			t.Fatalf("Row(%d)[%d] = (%d,%v), model (%d,%v)", u, x, nbrs[x], weights[x], want[x], wantW[x])
 		}
 	}
 }
 
-func checkIntersect(t *testing.T, g *Graph, ref *refGraph, i, j int) {
+func checkIntersect(t *testing.T, g *Graph, ref model, i, j int) {
 	t.Helper()
 	// Flat-row sorted merge over the store under test.
 	lb, ub := 0.0, 1.0
@@ -160,25 +161,32 @@ func checkIntersect(t *testing.T, g *Graph, ref *refGraph, i, j int) {
 			y++
 		}
 	}
-	rlb, rub := ref.triIntersect(i, j)
-	if lb != rlb || ub != rub {
-		t.Fatalf("intersection (%d,%d) = [%v,%v], reference [%v,%v]", i, j, lb, ub, rlb, rub)
+	if rlb, rub := ref.triIntersect(i, j); lb != rlb || ub != rub {
+		t.Fatalf("intersection (%d,%d) = [%v,%v], model [%v,%v]", i, j, lb, ub, rlb, rub)
 	}
 }
 
-func checkAll(t *testing.T, g *Graph, ref *refGraph) {
+func checkAll(t *testing.T, g *Graph, ref model) {
 	t.Helper()
-	for k, w := range ref.known {
-		i, j := int(k>>32), int(k&0xffffffff)
-		if got, ok := g.Weight(i, j); !ok || got != w {
-			t.Fatalf("Weight(%d,%d) = (%v,%v), reference %v", i, j, got, ok, w)
-		}
-		if got, ok := g.Neighbor(i, j); !ok || got != w {
-			t.Fatalf("Neighbor(%d,%d) = (%v,%v), reference %v", i, j, got, ok, w)
+	m := 0
+	for i := -1; i <= g.N(); i++ {
+		for j := -1; j <= g.N(); j++ {
+			w, ok := g.Weight(i, j)
+			var want float64
+			var wantOK bool
+			if i >= 0 && i < g.N() {
+				want, wantOK = ref[i][j]
+			}
+			if ok != wantOK || w != want {
+				t.Fatalf("Weight(%d,%d) = (%v,%v), model (%v,%v)", i, j, w, ok, want, wantOK)
+			}
+			if ok {
+				m++
+			}
 		}
 	}
-	if g.M() != len(ref.known) {
-		t.Fatalf("M() = %d, reference %d", g.M(), len(ref.known))
+	if g.M() != m/2 {
+		t.Fatalf("M() = %d, model %d", g.M(), m/2)
 	}
 	for u := 0; u < g.N(); u++ {
 		checkRow(t, g, ref, u)

@@ -14,12 +14,12 @@ type Edge struct {
 	W    float64
 }
 
-// Graph is a partial distance graph over objects 0..n-1.
+// Graph is a partial distance graph over objects 0..n-1. Each resolved
+// distance lives once, in the two cells of its endpoints' rows in the
+// flat store.
 type Graph struct {
-	n     int
-	adj   *flatStore // per-node sorted neighbour/weight runs
-	edges []Edge     // append-only list of known edges
-	known map[int64]float64
+	n   int
+	adj *flatStore // per-node sorted neighbour/weight runs
 
 	// searcher backs the convenience Dijkstra method, built lazily on
 	// first use and reused across calls so the convenience path stops
@@ -31,11 +31,7 @@ type Graph struct {
 
 // New returns an empty partial graph over n objects.
 func New(n int) *Graph {
-	return &Graph{
-		n:     n,
-		adj:   newFlatStore(n),
-		known: make(map[int64]float64),
-	}
+	return &Graph{n: n, adj: newFlatStore(n)}
 }
 
 // Key packs an unordered pair into a single map key.
@@ -50,21 +46,24 @@ func Key(i, j int) int64 {
 func (g *Graph) N() int { return g.n }
 
 // M returns the number of known edges.
-func (g *Graph) M() int { return len(g.edges) }
+func (g *Graph) M() int { return g.adj.live / 2 }
 
-// Edges returns the known edges. The returned slice is owned by the graph
-// and must not be modified.
-func (g *Graph) Edges() []Edge { return g.edges }
-
-// Weight returns the known weight of edge (i, j), if resolved.
+// Weight returns the known weight of edge (i, j), if resolved, by binary
+// search over the shorter of the two rows. A pair outside the universe
+// is not resolved.
 func (g *Graph) Weight(i, j int) (float64, bool) {
-	w, ok := g.known[Key(i, j)]
-	return w, ok
+	if uint(i) >= uint(g.n) || uint(j) >= uint(g.n) {
+		return 0, false
+	}
+	if g.adj.degree(j) < g.adj.degree(i) {
+		i, j = j, i
+	}
+	return g.adj.get(i, j)
 }
 
 // Known reports whether the distance between i and j has been resolved.
 func (g *Graph) Known(i, j int) bool {
-	_, ok := g.known[Key(i, j)]
+	_, ok := g.Weight(i, j)
 	return ok
 }
 
@@ -79,13 +78,6 @@ func (g *Graph) Degree(u int) int { return g.adj.degree(u) }
 // Scheme's sorted-merge intersection.
 func (g *Graph) Row(u int) (nbrs []int32, weights []float64) {
 	return g.adj.row(u)
-}
-
-// Neighbor returns the weight of the known edge (u, v) by binary search
-// over u's row. It exists for ablation benchmarks; Weight is the O(1)
-// production lookup.
-func (g *Graph) Neighbor(u, v int) (float64, bool) {
-	return g.adj.get(u, v)
 }
 
 // Stats snapshots the flat store's occupancy (slab cells, garbage,
@@ -103,20 +95,14 @@ func (g *Graph) AddEdge(i, j int, w float64) {
 	if i < 0 || j < 0 || i >= g.n || j >= g.n {
 		panic(fmt.Sprintf("pgraph: edge (%d,%d) outside universe of %d objects", i, j, g.n))
 	}
-	k := Key(i, j)
-	if old, ok := g.known[k]; ok {
+	if old, ok := g.Weight(i, j); ok {
 		if !fcmp.ExactEq(old, w) {
 			panic(fmt.Sprintf("pgraph: conflicting weights %v and %v for edge (%d,%d)", old, w, i, j))
 		}
 		return
 	}
-	g.known[k] = w
 	g.adj.insert(i, j, w)
 	g.adj.insert(j, i, w)
-	if i > j {
-		i, j = j, i
-	}
-	g.edges = append(g.edges, Edge{U: i, V: j, W: w})
 }
 
 // Dijkstra computes single-source shortest paths over the known edges from

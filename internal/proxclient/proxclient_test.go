@@ -1,10 +1,16 @@
 package proxclient
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -460,5 +466,85 @@ func TestDegradedViewLatchesOracleErr(t *testing.T) {
 	// Mirror facts stay exact even while degraded.
 	if d, ok := sess.Known(0, 1); !ok || !fcmp.ExactEq(d, d01) {
 		t.Fatalf("Known(0,1) = (%v,%v) after daemon death, want (%v,true)", d, ok, d01)
+	}
+}
+
+// resolvedSpace records every pair its oracle resolves.
+type resolvedSpace struct {
+	metric.Space
+	mu       sync.Mutex
+	resolved map[uint64]bool
+}
+
+func (s *resolvedSpace) Distance(i, j int) float64 {
+	s.mu.Lock()
+	s.resolved[pairKey(i, j)] = true
+	s.mu.Unlock()
+	return s.Space.Distance(i, j)
+}
+
+func (s *resolvedSpace) has(key uint64) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.resolved[key]
+}
+
+// TestRemoteKNNRowSendsNoDistAfterResolvedDistIfLess runs knn-edit-shaped
+// rows — prox.KNNRow with k = 10 over a bootstrapped remote tri session
+// on a Levenshtein space, whose ties at the k-th distance send not-less
+// candidates back for their value — and holds that once the daemon has
+// answered a distifless on a pair it holds resolved, the client never
+// asks /dist for that pair: the answer shipped the exact distance into
+// the mirror. The rows must still equal the in-process noop rows.
+func TestRemoteKNNRowSendsNoDistAfterResolvedDistIfLess(t *testing.T) {
+	const n, k = 120, 10
+	_, dna := datasets.DNA(n, 64, testSeed)
+	space := &resolvedSpace{Space: dna, resolved: make(map[uint64]bool)}
+	srv, err := service.New(service.Config{Oracle: metric.NewOracle(space)})
+	if err != nil {
+		t.Fatalf("service.New: %v", err)
+	}
+	told := make(map[uint64]bool) // pairs a distifless answered while resolved
+	var dists, stale int
+	h := srv.Handler()
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		op := r.URL.Path[strings.LastIndexByte(r.URL.Path, '/')+1:]
+		if op != "dist" && op != "distifless" {
+			h.ServeHTTP(w, r)
+			return
+		}
+		body, _ := io.ReadAll(r.Body)
+		r.Body = io.NopCloser(bytes.NewReader(body))
+		var p api.PairRequest
+		if err := json.Unmarshal(body, &p); err != nil {
+			t.Errorf("%s body %s: %v", op, body, err)
+		}
+		key := pairKey(p.I, p.J)
+		if op == "dist" {
+			dists++
+			if told[key] {
+				stale++
+			}
+		}
+		h.ServeHTTP(w, r)
+		if op == "distifless" && space.has(key) {
+			told[key] = true
+		}
+	}))
+	t.Cleanup(func() {
+		ts.Close()
+		srv.Close()
+	})
+	sess := remoteSession(t, New(ts.URL, fastOptions()), "edit")
+	ref := core.NewSession(metric.NewOracle(dna), core.SchemeNoop)
+	for u := 0; u < 30; u++ {
+		got, want := prox.KNNRow(sess, u, k), prox.KNNRow(ref, u, k)
+		sameGraph(t, [][]prox.Neighbor{got}, [][]prox.Neighbor{want}, fmt.Sprintf("row %d", u))
+	}
+	if len(told) == 0 {
+		t.Fatal("no distifless was answered on a resolved pair; the rows exercise nothing")
+	}
+	if stale > 0 {
+		t.Fatalf("%d of %d /dist requests asked for a pair a distifless had answered resolved", stale, dists)
 	}
 }

@@ -439,9 +439,12 @@ func (s *Session) LessThan(i, j int, c float64) bool {
 }
 
 // DistIfLessErr resolves dist(i,j) only when it cannot be proved ≥ c,
-// with error propagation. When the server answers "not less", the mirror's
-// lower bound rises to c, so repeated probes against non-increasing
-// thresholds (Prim's relaxation pattern) stop round-tripping.
+// with error propagation. A distance the server marks exact (always on
+// "less", and on a "not less" for a resolved pair) enters the mirror and
+// is returned, as core returns it; an inexact "not less" raises the
+// mirror's lower bound to c instead, so repeated probes against
+// non-increasing thresholds (Prim's relaxation pattern) stop
+// round-tripping.
 func (s *Session) DistIfLessErr(i, j int, c float64) (float64, bool, error) {
 	// The value is needed, so only an exact or a "not less" verdict settles.
 	if d, less, out := s.decide(i, j, -1, -1, c); out == core.OutcomeExact || (out == core.OutcomeBounds && !less) {
@@ -453,10 +456,10 @@ func (s *Session) DistIfLessErr(i, j int, c float64) (float64, bool, error) {
 	if err != nil {
 		return 0, false, err
 	}
-	if resp.Less {
+	if resp.Less || resp.Exact {
 		d := float64(resp.D)
 		s.noteDist(i, j, d)
-		return d, true, nil
+		return d, resp.Less, nil
 	}
 	s.noteLowerBound(i, j, c)
 	return 0, false, nil

@@ -205,12 +205,16 @@ type DistIfLessRequest struct {
 }
 
 // DistIfLessResponse carries the DistIfLess outcome. D is meaningful only
-// when Less is true, mirroring core.Session.DistIfLess.
+// when Exact is true.
 type DistIfLessResponse struct {
 	// Less reports dist(i,j) < c.
 	Less bool `json:"less"`
-	// D is the exact distance when Less, 0 otherwise.
+	// D is the exact distance when Exact, 0 otherwise.
 	D WireFloat `json:"d,omitempty"`
+	// Exact reports that the session holds the pair resolved, so D is its
+	// exact distance: always when Less, and on a not-less answer whenever
+	// the pair was resolved by this or an earlier call.
+	Exact bool `json:"exact,omitempty"`
 }
 
 // BoundsResponse carries the current lower/upper bounds of a pair; no
@@ -282,8 +286,11 @@ type BatchRequest struct {
 type BatchResult struct {
 	// Less is set for less / lessthan / distifless ops.
 	Less bool `json:"less,omitempty"`
-	// D is set for dist ops, and for distifless ops when Less.
+	// D is set for dist ops, and for distifless ops when Exact.
 	D WireFloat `json:"d,omitempty"`
+	// Exact is set for distifless ops whose pair the session holds
+	// resolved (see DistIfLessResponse.Exact).
+	Exact bool `json:"exact,omitempty"`
 	// LB and UB are set for bounds ops.
 	LB WireFloat `json:"lb,omitempty"`
 	UB WireFloat `json:"ub,omitempty"`

@@ -143,9 +143,9 @@ func scalarRequest(op api.BatchOp) (path string, body any, ok bool) {
 // server, and as one /batch on a twin server with an identical session
 // over an identically seeded faulty oracle. Every op must end alike —
 // 200 with no err, 400 with bad_request, or 502 with oracle_unavailable —
-// with bit-identical less, d, lb, ub and eps, and the two sessions must
-// end with identical Stats. The raw bytes, posted as a /batch body, must
-// answer 200 or 400.
+// with identical less and exact, bit-identical d, lb, ub and eps, and the
+// two sessions must end with identical Stats. The raw bytes, posted as a
+// /batch body, must answer 200 or 400.
 func FuzzBatchOps(f *testing.F) {
 	f.Add(encodeOps(matchOps(1)))
 	f.Add([]byte(`{"ops":[{"op":"dist","i":1,"j":2},{"op":"bounds","i":3,"j":3}]}`))
@@ -177,7 +177,7 @@ func FuzzBatchOps(f *testing.F) {
 					want.Err = eb.Code
 				}
 			}
-			if g := got.Results[x]; g.Err != want.Err || g.Less != want.Less ||
+			if g := got.Results[x]; g.Err != want.Err || g.Less != want.Less || g.Exact != want.Exact ||
 				math.Float64bits(float64(g.D)) != math.Float64bits(float64(want.D)) ||
 				math.Float64bits(float64(g.LB)) != math.Float64bits(float64(want.LB)) ||
 				math.Float64bits(float64(g.UB)) != math.Float64bits(float64(want.UB)) ||

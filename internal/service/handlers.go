@@ -272,17 +272,16 @@ func (s *Server) handleDistOp(sess *core.SharedSession, op *api.BatchOp, res *ap
 		}
 		res.Less = less
 	case api.OpDistIfLess:
-		d, less, err := sess.DistIfLessErr(op.I, op.J, float64(op.C))
+		_, less, err := sess.DistIfLessErr(op.I, op.J, float64(op.C))
 		if err != nil {
 			return err
 		}
 		res.Less = less
-		if less {
-			// d is exact whenever less is true: the relaxed-bounds decision
-			// path returns less=false, so a shipped D is always a cache hit or
-			// an oracle resolution. The taint is core's decision gap metric
-			// sharing the function-level fact.
-			res.D = api.WireFloat(d) //proxlint:allow slackescape -- D ships only on the exact (cache/oracle) path; the bounds-decided path never sets less
+		// D ships from the exact store only: a less answer always resolved
+		// the pair, and a not-less one ships the distance when the pair
+		// is resolved, so the client need not ask /dist for it later.
+		if d, ok := sess.Known(op.I, op.J); ok {
+			res.D, res.Exact = api.WireFloat(d), true
 		}
 	case api.OpBounds:
 		// Never an oracle call; lb == ub exactly when the pair is resolved.
@@ -343,14 +342,14 @@ func (s *Server) handleLessThan(w http.ResponseWriter, r *http.Request, entry *c
 }
 
 // handleDistIfLess conditionally resolves a distance; D is a raw oracle
-// value when Less.
+// value when Exact.
 func (s *Server) handleDistIfLess(w http.ResponseWriter, r *http.Request, entry *core.SessionEntry) {
 	serveOp(s, w, r, entry,
 		func(q api.DistIfLessRequest) api.BatchOp {
 			return api.BatchOp{Op: api.OpDistIfLess, I: q.I, J: q.J, C: q.C}
 		},
 		func(res api.BatchResult) api.DistIfLessResponse {
-			return api.DistIfLessResponse{Less: res.Less, D: res.D}
+			return api.DistIfLessResponse{Less: res.Less, D: res.D, Exact: res.Exact}
 		})
 }
 

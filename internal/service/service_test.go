@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -183,8 +184,8 @@ func TestPrimitivesMatchInProcess(t *testing.T) {
 	var dil api.DistIfLessResponse
 	post(t, base+"/distifless", api.DistIfLessRequest{I: 2, J: 30, C: api.WireFloat(ref.MaxDistance() * 2)}, &dil, http.StatusOK)
 	wd, wl := ref.DistIfLess(2, 30, ref.MaxDistance()*2)
-	if dil.Less != wl || !fcmp.ExactEq(float64(dil.D), wd) {
-		t.Fatalf("distifless = (%v,%v), want (%v,%v)", float64(dil.D), dil.Less, wd, wl)
+	if dil.Less != wl || !dil.Exact || !fcmp.ExactEq(float64(dil.D), wd) {
+		t.Fatalf("distifless = (%v,%v,exact %v), want (%v,%v,exact)", float64(dil.D), dil.Less, dil.Exact, wd, wl)
 	}
 
 	var bounds api.BoundsResponse
@@ -197,6 +198,56 @@ func TestPrimitivesMatchInProcess(t *testing.T) {
 	// The pair was just resolved by distifless: bounds must have collapsed.
 	if !fcmp.ExactEq(float64(bounds.LB), float64(bounds.UB)) {
 		t.Fatalf("bounds of a resolved pair did not collapse: [%v,%v]", float64(bounds.LB), float64(bounds.UB))
+	}
+}
+
+// TestDistIfLessShipsExactDistance pins distifless's not-less answers on
+// the wire: a pair the session holds resolved, by this call or an earlier
+// one, ships its exact distance with exact set, and a pair the bounds
+// decided ships neither.
+func TestDistIfLessShipsExactDistance(t *testing.T) {
+	_, ts, oracle := newTestServer(t, Config{})
+	createSession(t, ts.URL, "exact", "tri", true)
+	base := ts.URL + "/v1/sessions/exact"
+
+	// An unresolved pair with a proper interval and a positive lower bound.
+	var pair api.PairRequest
+	var bounds api.BoundsResponse
+	for v := 1; bounds.LB <= 0 || bounds.LB >= bounds.UB; v++ {
+		if v == testN {
+			t.Fatal("no unresolved pair with 0 < lb < ub")
+		}
+		pair = api.PairRequest{I: testN - 1, J: v}
+		post(t, base+"/bounds", pair, &bounds, http.StatusOK)
+	}
+	distIfLess := func(c float64) api.DistIfLessResponse {
+		t.Helper()
+		var r api.DistIfLessResponse
+		post(t, base+"/distifless", api.DistIfLessRequest{I: pair.I, J: pair.J, C: api.WireFloat(c)}, &r, http.StatusOK)
+		return r
+	}
+
+	// c = lb: the bounds prove d ≥ c without a resolution.
+	calls := oracle.Calls()
+	if r := distIfLess(float64(bounds.LB)); r.Less || r.Exact || r.D != 0 || oracle.Calls() != calls {
+		t.Fatalf("bounds-decided not-less = %+v after %d oracle calls, want no d, no exact, no call", r, oracle.Calls()-calls)
+	}
+	// c just above lb: undecided, so this call resolves the pair.
+	r := distIfLess(math.Nextafter(float64(bounds.LB), 1))
+	if oracle.Calls() != calls+1 {
+		t.Fatalf("distifless above lb made %d oracle calls, want 1", oracle.Calls()-calls)
+	}
+	var dist api.DistResponse
+	post(t, base+"/dist", pair, &dist, http.StatusOK)
+	if r.Less || !r.Exact || math.Float64bits(float64(r.D)) != math.Float64bits(float64(dist.D)) {
+		t.Fatalf("resolving not-less = %+v, want d = %v and exact", r, float64(dist.D))
+	}
+	// c = 0 on the pair now resolved: a cache hit, still not less.
+	if r := distIfLess(0); r.Less || !r.Exact || math.Float64bits(float64(r.D)) != math.Float64bits(float64(dist.D)) {
+		t.Fatalf("resolved not-less = %+v, want d = %v and exact", r, float64(dist.D))
+	}
+	if oracle.Calls() != calls+1 {
+		t.Fatalf("answers from the resolved pair made %d more oracle calls", oracle.Calls()-calls-1)
 	}
 }
 
@@ -241,8 +292,8 @@ func TestBatchMatchesScalars(t *testing.T) {
 		t.Fatalf("batch lessthan %v, want %v", r.Less, ref.LessThan(5, 6, 0.5))
 	}
 	wd, wl := ref.DistIfLess(7, 8, ref.MaxDistance()*2)
-	if r := resp.Results[4]; r.Less != wl || !fcmp.ExactEq(float64(r.D), wd) {
-		t.Fatalf("batch distifless (%v,%v), want (%v,%v)", float64(r.D), r.Less, wd, wl)
+	if r := resp.Results[4]; r.Less != wl || !r.Exact || !fcmp.ExactEq(float64(r.D), wd) {
+		t.Fatalf("batch distifless (%v,%v,exact %v), want (%v,%v,exact)", float64(r.D), r.Less, r.Exact, wd, wl)
 	}
 	if r := resp.Results[5]; r.Err != api.CodeBadRequest {
 		t.Fatalf("unknown op err = %q, want %q", r.Err, api.CodeBadRequest)
