@@ -1,16 +1,17 @@
 // Command benchgate turns `go test -bench` output into a pass/fail
 // throughput gate plus a machine-readable report. CI's bench-smoke job
-// pipes the bound-store benchmarks through it to enforce the flat CSR
-// layout's speedup floor over the rbtree reference — both benchmarks run
-// in the same job on the same machine, so the enforced quantity is a
-// ratio, not a machine-dependent absolute time.
+// pipes the bound-store benchmarks through it to enforce the Tri stamp
+// intersection's speedup floor over the per-element binary-probe
+// adjacency scan — both benchmarks run in the same job on the same
+// machine, so the enforced quantity is a ratio, not a machine-dependent
+// absolute time.
 //
 // Usage:
 //
-//	go test -run '^$' -bench 'TriBounds' -count 3 . | benchgate \
+//	go test -run '^$' -bench 'TriBoundsCSR$|TriAdjacencyScan$' -count 3 . | benchgate \
 //	    -subject BenchmarkTriBoundsCSR \
-//	    -base BenchmarkTriBoundsRBTreeRef \
-//	    -min 5 -out BENCH_boundstore.json
+//	    -base BenchmarkTriAdjacencyScan \
+//	    -min 3.5 -out BENCH_boundstore.json
 //
 // The gate compares one named unit, ns/op unless -unit says otherwise;
 // the unit must be a cost, lower being better. Call-count benchmarks
@@ -61,9 +62,9 @@ type report struct {
 
 func main() {
 	subject := flag.String("subject", "BenchmarkTriBoundsCSR", "benchmark whose throughput is gated")
-	base := flag.String("base", "BenchmarkTriBoundsRBTreeRef", "baseline benchmark the subject is compared against")
+	base := flag.String("base", "BenchmarkTriAdjacencyScan", "baseline benchmark the subject is compared against")
 	unit := flag.String("unit", "ns/op", "benchmark unit to compare, a cost per op (lower is better)")
-	min := flag.Float64("min", 5, "minimum required speedup (base value ÷ subject value, in -unit)")
+	min := flag.Float64("min", 3.5, "minimum required speedup (base value ÷ subject value, in -unit)")
 	out := flag.String("out", "", "write the JSON report to this file ('' = stdout only)")
 	flag.Parse()
 

@@ -13,8 +13,8 @@ BenchmarkTriBoundsCSR-8          3825606     151.2 ns/op     0 B/op   0 allocs/o
 BenchmarkTriBoundsCSR-8          3901220     148.8 ns/op     0 B/op   0 allocs/op
 BenchmarkTriBoundsCSR-8          3791004     150.1 ns/op     0 B/op   0 allocs/op
 BenchmarkTriBoundsBatch-8          10000   118130 ns/op     0.0 allocs/pair   1024 pairs/op
-BenchmarkTriBoundsRBTreeRef-8     702458    1703 ns/op    96 B/op   4 allocs/op
-BenchmarkTriBoundsRBTreeRef-8     698121    1711 ns/op    96 B/op   4 allocs/op
+BenchmarkTriAdjacencyScan-8       702458    1103 ns/op     0 B/op   0 allocs/op
+BenchmarkTriAdjacencyScan-8       698121    1111 ns/op     0 B/op   0 allocs/op
 PASS
 ok  	metricprox	12.345s
 `
@@ -38,7 +38,7 @@ func TestParseBench(t *testing.T) {
 	}{
 		{"BenchmarkTriBoundsCSR", 148.8, 3},
 		{"BenchmarkTriBoundsBatch", 118130, 1},
-		{"BenchmarkTriBoundsRBTreeRef", 1703, 2},
+		{"BenchmarkTriAdjacencyScan", 1103, 2},
 	}
 	if len(best) != len(cases) {
 		t.Fatalf("parsed %d benchmarks, want %d: %v", len(best), len(cases), best)
@@ -71,24 +71,24 @@ func TestParseBenchKeepsDashedNames(t *testing.T) {
 
 func TestGatePassAndFail(t *testing.T) {
 	rep, err := gate(strings.NewReader(sampleOutput),
-		"BenchmarkTriBoundsCSR", "BenchmarkTriBoundsRBTreeRef", "ns/op", 5)
+		"BenchmarkTriBoundsCSR", "BenchmarkTriAdjacencyScan", "ns/op", 3.5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, subj := 1703.0, 148.8
+	base, subj := 1103.0, 148.8
 	want := base / subj
 	if rep.Speedup != want {
 		t.Errorf("speedup = %v, want %v", rep.Speedup, want)
 	}
 	if !rep.Pass {
-		t.Errorf("gate failed at floor 5 with speedup %.2f", rep.Speedup)
+		t.Errorf("gate failed at floor 3.5 with speedup %.2f", rep.Speedup)
 	}
 	if len(rep.Benchmarks) != 3 {
 		t.Errorf("report carries %d benchmarks, want 3", len(rep.Benchmarks))
 	}
 
 	rep, err = gate(strings.NewReader(sampleOutput),
-		"BenchmarkTriBoundsCSR", "BenchmarkTriBoundsRBTreeRef", "ns/op", 100)
+		"BenchmarkTriBoundsCSR", "BenchmarkTriAdjacencyScan", "ns/op", 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestGatePassAndFail(t *testing.T) {
 }
 
 func TestGateMissingBenchmark(t *testing.T) {
-	if _, err := gate(strings.NewReader(sampleOutput), "BenchmarkNope", "BenchmarkTriBoundsRBTreeRef", "ns/op", 5); err == nil {
+	if _, err := gate(strings.NewReader(sampleOutput), "BenchmarkNope", "BenchmarkTriAdjacencyScan", "ns/op", 3.5); err == nil {
 		t.Error("missing subject benchmark not reported")
 	}
 	if _, err := gate(strings.NewReader("PASS\nok x 1s\n"), "A", "B", "ns/op", 5); err == nil {
@@ -126,7 +126,7 @@ func TestGateCallsUnit(t *testing.T) {
 // unit instead of comparing nothing.
 func TestGateMissingUnit(t *testing.T) {
 	_, err := gate(strings.NewReader(sampleOutput),
-		"BenchmarkTriBoundsCSR", "BenchmarkTriBoundsRBTreeRef", "calls/op", 1.5)
+		"BenchmarkTriBoundsCSR", "BenchmarkTriAdjacencyScan", "calls/op", 1.5)
 	if err == nil || !strings.Contains(err.Error(), "reports no calls/op") {
 		t.Errorf("gate on a unit no line carries: err = %v, want a missing-unit error", err)
 	}

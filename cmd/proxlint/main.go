@@ -47,7 +47,7 @@ import (
 // version keys the go command's vet result cache: bump it whenever the
 // analyzer suite, the fact encoding, or the diagnostic set changes, so
 // stale cached results (and stale vetx fact files) are never reused.
-const version = "v1.2.1"
+const version = "v1.2.2"
 
 // fixUsage is the single source of truth for the -fix flag's description:
 // it is registered once in run and echoed verbatim by the -flags probe,

@@ -6,9 +6,9 @@
 // function of (member list, ring seed, session name) — so any number of
 // routers can run side by side and a router restart loses nothing.
 //
-// Clients that can embed the ring themselves (internal/proxclient's
-// ClusterClient) skip the router hop entirely; proxrouter exists for
-// everything else: curl, dashboards, and clients in other languages.
+// It is the cluster's only front end: every client — proxclient, curl,
+// dashboards, clients in other languages — reaches the sessions through
+// it.
 //
 // Usage:
 //

@@ -17,8 +17,8 @@ func splubEdgeList(g *pgraph.Graph, edges []pgraph.Edge, maxDist float64, i, j i
 		return w, w
 	}
 	di, dj := make([]float64, g.N()), make([]float64, g.N())
-	g.Dijkstra(i, di)
-	g.Dijkstra(j, dj)
+	pgraph.NewSearcher(g).Run(i, di)
+	pgraph.NewSearcher(g).Run(j, dj)
 	ub := maxDist
 	if di[j] < ub {
 		ub = di[j]

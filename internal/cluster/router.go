@@ -280,14 +280,14 @@ func (rt *Router) classify(resp *http.Response) (relay bool, body []byte) {
 
 // FailsOver reports whether an answer with this HTTP status and API error
 // code is a node-death symptom, so the request moves on to the session's
-// next owner: the one failover taxonomy of the router and of proxclient's
-// smart client (docs/CLUSTER.md). A 503 draining (the node is going away)
-// and a bare 502/504 (an intermediary failed it) fail over. A 503
-// overloaded is per-session backpressure and a 502 oracle_unavailable a
-// shared oracle outage — failing over on them would cold-start session
-// copies under load or re-pay the outage on a replica — so they are
-// relayed to the client, like every other answer. A transport error has
-// no status and always fails over; callers decide that before asking.
+// next owner: the router's failover taxonomy (docs/CLUSTER.md). A 503
+// draining (the node is going away) and a bare 502/504 (an intermediary
+// failed it) fail over. A 503 overloaded is per-session backpressure and
+// a 502 oracle_unavailable a shared oracle outage — failing over on them
+// would cold-start session copies under load or re-pay the outage on a
+// replica — so they are relayed to the client, like every other answer.
+// A transport error has no status and always fails over; callers decide
+// that before asking.
 func FailsOver(status int, code string) bool {
 	switch status {
 	case http.StatusServiceUnavailable:

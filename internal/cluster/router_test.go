@@ -207,6 +207,30 @@ func TestRouterRelaysOracleUnavailableWithoutFailover(t *testing.T) {
 	}
 }
 
+// TestFailsOver pins the failover taxonomy row by row: only node-death
+// symptoms move a request to the next owner. The transport-error case
+// has no status; TestRouterFailsOverOnDeadPrimary covers it.
+func TestFailsOver(t *testing.T) {
+	cases := []struct {
+		status int
+		code   string
+		want   bool
+	}{
+		{503, api.CodeDraining, true},
+		{503, api.CodeOverloaded, false},
+		{502, api.CodeOracleUnavailable, false},
+		{502, api.CodeInternal, true},
+		{504, api.CodeInternal, true},
+		{404, api.CodeNotFound, false},
+		{400, api.CodeBadRequest, false},
+	}
+	for _, c := range cases {
+		if got := FailsOver(c.status, c.code); got != c.want {
+			t.Errorf("FailsOver(%d, %q) = %v, want %v", c.status, c.code, got, c.want)
+		}
+	}
+}
+
 func TestRouterAllOwnersDead(t *testing.T) {
 	a, b := newFakeNode(t, "a"), newFakeNode(t, "b")
 	srv, _ := routerUnderTest(t, a, b)

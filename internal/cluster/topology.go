@@ -26,8 +26,8 @@ type Node struct {
 // config change plus restart, with rebalance pushing state to the new
 // owners).
 type Config struct {
-	// Self is the local node's name; empty for participants that are not
-	// members (the router, the smart client).
+	// Self is the local node's name; empty for a participant that is not
+	// a member (the router).
 	Self string
 	// Nodes is the full member list.
 	Nodes []Node

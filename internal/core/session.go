@@ -89,7 +89,7 @@ type Stats struct {
 
 // Session mediates every distance access of a proximity algorithm. It
 // memoises resolved distances in a partial graph, consults a pluggable
-// Bounder (and optionally a Comparator such as DFT) to short-circuit
+// Bounder (and, under SchemeDFT, its Comparator) to short-circuit
 // comparisons, and records statistics.
 //
 // A Session is not safe for concurrent use; run one per goroutine over the
@@ -172,12 +172,6 @@ type Option func(*Session)
 // paper's normalised setting).
 func WithMaxDistance(d float64) Option {
 	return func(s *Session) { s.maxDist = d }
-}
-
-// WithComparator installs a direct comparator (DFT) that is consulted when
-// interval bounds are inconclusive.
-func WithComparator(c bounds.Comparator) Option {
-	return func(s *Session) { s.cmp = c }
 }
 
 // WithContext bounds every oracle round-trip of the session with ctx: a
@@ -367,7 +361,7 @@ func NewFallibleSessionWithLandmarks(fo metric.FallibleOracle, scheme Scheme, la
 	if s.rho > 1 && scheme != SchemeNoop && scheme != SchemeTri {
 		panic(fmt.Sprintf("core: scheme %v does not support relaxed metrics", scheme))
 	}
-	validateSlackScheme(s.slack, scheme, s.cmp != nil)
+	validateSlackScheme(s.slack, scheme)
 	if s.slack.Auto && s.auditor == nil {
 		// Auto slack needs a margin source; give the session its own
 		// auditor when the caller did not share one.
@@ -395,9 +389,7 @@ func NewFallibleSessionWithLandmarks(fo metric.FallibleOracle, scheme Scheme, la
 	case SchemeDFT:
 		dft := bounds.NewDFT(n, s.maxDist)
 		s.b = dft
-		if s.cmp == nil {
-			s.cmp = dft
-		}
+		s.cmp = dft
 	case SchemeHybrid:
 		// Both sides read the shared session graph; escalate when the
 		// triangle interval is wider than 10% of the distance cap.

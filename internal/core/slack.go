@@ -291,7 +291,7 @@ func ParseSlackSpec(spec string) (SlackPolicy, error) {
 
 // validateSlackScheme enforces the per-scheme soundness restrictions of
 // an additive slack policy at construction time; see SlackPolicy.
-func validateSlackScheme(p SlackPolicy, scheme Scheme, hasComparator bool) {
+func validateSlackScheme(p SlackPolicy, scheme Scheme) {
 	if !(p.Additive > 0 || p.Auto) {
 		return
 	}
@@ -299,8 +299,5 @@ func validateSlackScheme(p SlackPolicy, scheme Scheme, hasComparator bool) {
 	case SchemeNoop, SchemeTri, SchemeLAESA, SchemeTLAESA:
 	default:
 		panic(fmt.Sprintf("core: scheme %v does not support additive slack: its bounds chain more than one triangle per derivation, so a per-triangle margin ε does not bound the interval error", scheme))
-	}
-	if hasComparator {
-		panic("core: direct comparators do not support additive slack (their proofs assume a true metric)")
 	}
 }

@@ -127,24 +127,25 @@ func TestWeightLookup(t *testing.T) {
 	}
 }
 
-// TestDijkstraConvenienceReuse verifies the lazily cached searcher path
-// gives the same answers as a dedicated Searcher and allocates only on
-// first use.
-func TestDijkstraConvenienceReuse(t *testing.T) {
+// TestSearcherWarmRunNoAlloc verifies a Searcher that has already run from
+// another source gives the same answers as a fresh one and allocates
+// nothing per run once warm.
+func TestSearcherWarmRunNoAlloc(t *testing.T) {
 	g := paperGraph()
 	a := make([]float64, 7)
 	b := make([]float64, 7)
-	g.Dijkstra(1, a) // builds the cached searcher
-	s := NewSearcher(g)
-	s.Run(1, b)
+	warm := NewSearcher(g)
+	warm.Run(0, a)
+	warm.Run(1, a)
+	NewSearcher(g).Run(1, b)
 	for i := range a {
 		if a[i] != b[i] {
-			t.Fatalf("cached searcher diverged at %d: %v vs %v", i, a[i], b[i])
+			t.Fatalf("warm searcher diverged at %d: %v vs %v", i, a[i], b[i])
 		}
 	}
-	allocs := testing.AllocsPerRun(50, func() { g.Dijkstra(1, a) })
+	allocs := testing.AllocsPerRun(50, func() { warm.Run(1, a) })
 	if allocs > 0 {
-		t.Fatalf("warm convenience Dijkstra allocates %v per run, want 0", allocs)
+		t.Fatalf("warm Searcher.Run allocates %v per run, want 0", allocs)
 	}
 }
 

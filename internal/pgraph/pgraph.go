@@ -20,13 +20,6 @@ type Edge struct {
 type Graph struct {
 	n   int
 	adj *flatStore // per-node sorted neighbour/weight runs
-
-	// searcher backs the convenience Dijkstra method, built lazily on
-	// first use and reused across calls so the convenience path stops
-	// paying an O(n) priority-queue allocation per call. Callers running
-	// searches from multiple goroutines (none in-repo: the Session lock
-	// serialises graph access) must hold their own Searcher instead.
-	searcher *Searcher
 }
 
 // New returns an empty partial graph over n objects.
@@ -103,18 +96,6 @@ func (g *Graph) AddEdge(i, j int, w float64) {
 	}
 	g.adj.insert(i, j, w)
 	g.adj.insert(j, i, w)
-}
-
-// Dijkstra computes single-source shortest paths over the known edges from
-// src and stores them into dist, which must have length n. Unreachable
-// nodes get +Inf. The convenience path reuses one lazily built per-graph
-// Searcher, so repeated calls allocate nothing; callers needing
-// concurrent searches (or early exit) hold their own Searcher.
-func (g *Graph) Dijkstra(src int, dist []float64) {
-	if g.searcher == nil {
-		g.searcher = NewSearcher(g)
-	}
-	g.searcher.Run(src, dist)
 }
 
 // Searcher runs repeated Dijkstra searches over the same graph, reusing its

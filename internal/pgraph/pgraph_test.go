@@ -17,7 +17,7 @@ func TestEmptyGraph(t *testing.T) {
 		t.Fatal("edge known in empty graph")
 	}
 	dist := make([]float64, 4)
-	g.Dijkstra(0, dist)
+	NewSearcher(g).Run(0, dist)
 	if dist[0] != 0 || !math.IsInf(dist[1], 1) {
 		t.Fatalf("dist = %v; want [0 +Inf +Inf +Inf]", dist)
 	}
@@ -87,7 +87,7 @@ func paperGraph() *Graph {
 func TestDijkstraPaperExample(t *testing.T) {
 	g := paperGraph()
 	dist := make([]float64, 7)
-	g.Dijkstra(1, dist)
+	NewSearcher(g).Run(1, dist)
 	// 1->3 direct 0.8; via 2: 1->5 (0.2) + 5->2 (0.9) + 2->3 (0.3) = 1.4.
 	if dist[3] != 0.8 {
 		t.Fatalf("dist[3] = %v, want 0.8", dist[3])
@@ -148,7 +148,7 @@ func TestDijkstraMatchesBellmanFord(t *testing.T) {
 		}
 		src := rng.Intn(n)
 		got := make([]float64, n)
-		g.Dijkstra(src, got)
+		NewSearcher(g).Run(src, got)
 		want := bellmanFord(n, edges, src)
 		for v := range got {
 			if math.Abs(got[v]-want[v]) > 1e-9 && !(math.IsInf(got[v], 1) && math.IsInf(want[v], 1)) {
@@ -233,7 +233,7 @@ func TestQuickTriangleClosure(t *testing.T) {
 		sp := make([][]float64, n)
 		for i := range sp {
 			sp[i] = make([]float64, n)
-			g.Dijkstra(i, sp[i])
+			NewSearcher(g).Run(i, sp[i])
 		}
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {

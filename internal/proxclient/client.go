@@ -54,9 +54,9 @@ func (e *APIError) retryable() bool {
 	return e.Code == api.CodeOverloaded || e.Code == api.CodeDraining
 }
 
-// Caller is the transport a Session rides on: a single-node Client or a
-// cluster-aware ClusterClient. Sessions are written against this
-// interface so the same mirror/builder code runs unmodified over either.
+// Caller is the transport a Session rides on. Client is its one
+// implementation; tests substitute a fake through it to script the
+// daemon's answers.
 type Caller interface {
 	// Requests returns the number of HTTP requests sent so far — the
 	// round-trip count the batching experiment measures.

@@ -1,6 +1,8 @@
-// Package lintutil holds the type-level pattern matching shared by the
-// proxlint analyzers: identifying "metric-space-shaped" distance methods,
-// resolving call targets, and recognising the core session API.
+// Package lintutil holds what the proxlint analyzers share: type-level
+// pattern matching (identifying "metric-space-shaped" distance methods,
+// resolving call targets, recognising the core session API), the
+// per-package function collector, and the source-to-sink taint analysis
+// that degradedtaint and slackescape configure.
 package lintutil
 
 import (
@@ -158,11 +160,6 @@ func IsSessionDistValued(f *types.Func) bool {
 		return false
 	}
 	return sessionDistValued[f.Name()]
-}
-
-// InMetricPackage reports whether the path names the oracle layer.
-func InMetricPackage(path string) bool {
-	return path == "metricprox/internal/metric" || strings.HasSuffix(path, "internal/metric")
 }
 
 // InPgraphPackage reports whether the path names the proximity-graph

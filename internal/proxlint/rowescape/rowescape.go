@@ -50,7 +50,7 @@ const (
 )
 
 func run(pass *analysis.Pass) error {
-	fns := collectFuncs(pass)
+	fns := lintutil.Funcs(pass)
 
 	// Phase 1: which functions can grow a slab? Fixed point over the
 	// package's call structure, seeded by (pgraph.Graph).AddEdge and by
@@ -60,11 +60,11 @@ func run(pass *analysis.Pass) error {
 	for changed := true; changed; {
 		changed = false
 		for _, fn := range fns {
-			if grows[fn.obj] {
+			if grows[fn.Obj] {
 				continue
 			}
 			found := false
-			ast.Inspect(fn.decl.Body, func(n ast.Node) bool {
+			ast.Inspect(fn.Decl.Body, func(n ast.Node) bool {
 				if found {
 					return false
 				}
@@ -74,8 +74,8 @@ func run(pass *analysis.Pass) error {
 				return true
 			})
 			if found {
-				grows[fn.obj] = true
-				pass.ExportFact(fn.obj, "grows", "")
+				grows[fn.Obj] = true
+				pass.ExportFact(fn.Obj, "grows", "")
 				changed = true
 			}
 		}
@@ -89,12 +89,12 @@ func run(pass *analysis.Pass) error {
 	for changed := true; changed; {
 		changed = false
 		for _, fn := range fns {
-			if borrows[fn.obj] {
+			if borrows[fn.Obj] {
 				continue
 			}
 			if returnsBorrow(pass, fn, grows, borrows) {
-				borrows[fn.obj] = true
-				pass.ExportFact(fn.obj, "borrows", "")
+				borrows[fn.Obj] = true
+				pass.ExportFact(fn.Obj, "borrows", "")
 				changed = true
 			}
 		}
@@ -109,34 +109,6 @@ func run(pass *analysis.Pass) error {
 		reportFunc(pass, fn, grows, borrows)
 	}
 	return nil
-}
-
-// fnInfo pairs a function body with its object; function literals are
-// analyzed as the body of their enclosing declaration.
-type fnInfo struct {
-	decl *ast.FuncDecl
-	obj  *types.Func
-}
-
-func collectFuncs(pass *analysis.Pass) []fnInfo {
-	var fns []fnInfo
-	for _, f := range pass.Files {
-		if pass.InTestFile(f.Pos()) {
-			continue
-		}
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			obj, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
-			if obj == nil {
-				continue
-			}
-			fns = append(fns, fnInfo{decl: fd, obj: obj})
-		}
-	}
-	return fns
 }
 
 // isGrowingCall reports whether the call can relocate or compact a CSR
@@ -203,7 +175,7 @@ func newTaint(pass *analysis.Pass, grows, borrows map[*types.Func]bool) *analysi
 
 // returnsBorrow reports whether fn can return a row-labeled value of
 // slice type.
-func returnsBorrow(pass *analysis.Pass, fn fnInfo, grows, borrows map[*types.Func]bool) bool {
+func returnsBorrow(pass *analysis.Pass, fn lintutil.Func, grows, borrows map[*types.Func]bool) bool {
 	found := false
 	ta := newTaint(pass, grows, borrows)
 	ta.Visit = func(n ast.Node, st *analysis.TaintState) {
@@ -222,12 +194,12 @@ func returnsBorrow(pass *analysis.Pass, fn fnInfo, grows, borrows map[*types.Fun
 			}
 		}
 	}
-	ta.Run(fn.decl.Body)
+	ta.Run(fn.Decl.Body)
 	return found
 }
 
 // reportFunc runs the reporting pass over one function.
-func reportFunc(pass *analysis.Pass, fn fnInfo, grows, borrows map[*types.Func]bool) {
+func reportFunc(pass *analysis.Pass, fn lintutil.Func, grows, borrows map[*types.Func]bool) {
 	ta := newTaint(pass, grows, borrows)
 	ta.Visit = func(n ast.Node, st *analysis.TaintState) {
 		switch n := n.(type) {
@@ -248,7 +220,7 @@ func reportFunc(pass *analysis.Pass, fn fnInfo, grows, borrows map[*types.Func]b
 		}
 		checkStaleUses(pass, st, n)
 	}
-	ta.Run(fn.decl.Body)
+	ta.Run(fn.Decl.Body)
 }
 
 // checkStores reports borrowed slices stored where they outlive the

@@ -195,9 +195,6 @@ func New(base metric.FallibleOracle, p Policy) *Oracle {
 // Len returns the backend universe size.
 func (o *Oracle) Len() int { return o.base.Len() }
 
-// Policy returns the normalised policy in effect.
-func (o *Oracle) Policy() Policy { return o.p }
-
 // Counters snapshots the policy accounting.
 func (o *Oracle) Counters() Counters {
 	o.mu.Lock()

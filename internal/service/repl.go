@@ -3,6 +3,7 @@ package service
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
 	"sync"
@@ -129,7 +130,9 @@ func (s *Server) replMeta(scheme core.Scheme, lmCount int, seed int64, bootstrap
 // session. Idempotent and resumable: the response always carries the
 // replica's post-append cursor, and the sender adopts it — including
 // rewinding after this replica lost a suffix to a crash. An empty batch
-// is a cursor probe. Refused with 409 repl_conflict while a live local
+// is a cursor probe. A batch with a malformed record (a pair outside the
+// universe or a self pair, a NaN or negative distance) is refused whole
+// with 400 bad_request. Refused with 409 repl_conflict while a live local
 // session owns the log.
 func (s *Server) handleReplAppend(w http.ResponseWriter, r *http.Request) {
 	if !s.clusterEnabled() {
@@ -154,6 +157,22 @@ func (s *Server) handleReplAppend(w http.ResponseWriter, r *http.Request) {
 	if req.From < 0 {
 		writeError(w, http.StatusBadRequest, api.CodeBadRequest, fmt.Sprintf("negative cursor %d", req.From))
 		return
+	}
+	// Every record is checked before the store is opened: AppendFrom
+	// stops at the first record the store rejects, after the ones before
+	// it have landed and moved the cursor.
+	recs := make([]cachestore.Record, len(req.Records))
+	for i, rr := range req.Records {
+		d := float64(rr.D)
+		if err := s.checkPair(rr.I, rr.J); err != nil {
+			writeError(w, http.StatusBadRequest, api.CodeBadRequest, fmt.Sprintf("record %d: %v", i, err))
+			return
+		}
+		if math.IsNaN(d) || d < 0 {
+			writeError(w, http.StatusBadRequest, api.CodeBadRequest, fmt.Sprintf("record %d: invalid distance %v", i, d))
+			return
+		}
+		recs[i] = cachestore.Record{I: rr.I, J: rr.J, Dist: d}
 	}
 
 	s.repl.mu.Lock()
@@ -187,10 +206,6 @@ func (s *Server) handleReplAppend(w http.ResponseWriter, r *http.Request) {
 		s.met.replSessions.Set(float64(len(s.repl.states)))
 	}
 
-	recs := make([]cachestore.Record, len(req.Records))
-	for i, rr := range req.Records {
-		recs[i] = cachestore.Record{I: rr.I, J: rr.J, Dist: float64(rr.D)}
-	}
 	before, err := st.store.LastSeq()
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, api.CodeInternal, err.Error())

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -203,6 +204,31 @@ func TestReplAppendProtocol(t *testing.T) {
 		Records: []api.ReplRecord{{I: 3, J: 4, D: 0.125}}}, &ack, 200)
 	if ack.Seq != 4 {
 		t.Fatalf("post-eviction append seq = %d, want 4 (resumed from file)", ack.Seq)
+	}
+}
+
+// TestReplAppendRejectsMalformedRecords sends batches whose later record
+// is malformed. The receiver must answer 400 before it touches the store:
+// no record of the batch lands, and the cursor does not move.
+func TestReplAppendRejectsMalformedRecords(t *testing.T) {
+	srv := replicaServer(t)
+	good := api.ReplRecord{I: 0, J: 1, D: 0.5}
+	for _, bad := range []api.ReplRecord{
+		{I: 2, J: 2, D: 0.1},     // self pair
+		{I: 2, J: testN, D: 0.1}, // index out of range
+		{I: -1, J: 2, D: 0.1},    // negative index
+		{I: 2, J: 3, D: -1},      // negative distance
+		{I: 2, J: 3, D: api.WireFloat(math.Inf(-1))},
+	} {
+		if code, _ := replAppend(t, srv, "m", 0, []api.ReplRecord{good, bad}); code != http.StatusBadRequest {
+			t.Fatalf("batch with %+v: status %d, want 400", bad, code)
+		}
+		if code, ack := replAppend(t, srv, "m", 0, nil); code != http.StatusOK || ack.Seq != 0 {
+			t.Fatalf("after rejecting %+v: probe = %d, seq %d; want 200, seq 0", bad, code, ack.Seq)
+		}
+		if got := storeRecords(t, srv.cachePath("m")); len(got) != 0 {
+			t.Fatalf("after rejecting %+v: replica holds %+v, want nothing", bad, got)
+		}
 	}
 }
 
