@@ -153,6 +153,17 @@ func (s *Store) N() int { return s.n }
 // (i < j); appending the same pair twice is allowed and replay keeps the
 // first occurrence.
 func (s *Store) Append(i, j int, dist float64) error {
+	var rec [recordSize]byte
+	if err := s.encode(rec[:], i, j, dist); err != nil {
+		return err
+	}
+	_, err := s.f.Write(rec[:])
+	return err
+}
+
+// encode validates one resolution against the universe and writes its
+// record, pair normalised to i < j, into rec (recordSize bytes).
+func (s *Store) encode(rec []byte, i, j int, dist float64) error {
 	if i == j || i < 0 || j < 0 || i >= s.n || j >= s.n {
 		return fmt.Errorf("cachestore: invalid pair (%d,%d) for universe %d", i, j, s.n)
 	}
@@ -162,13 +173,29 @@ func (s *Store) Append(i, j int, dist float64) error {
 	if i > j {
 		i, j = j, i
 	}
-	var rec [recordSize]byte
 	binary.LittleEndian.PutUint32(rec[0:], uint32(i))
 	binary.LittleEndian.PutUint32(rec[4:], uint32(j))
 	binary.LittleEndian.PutUint64(rec[8:], math.Float64bits(dist))
 	binary.LittleEndian.PutUint32(rec[16:], checksum(rec[:16]))
-	_, err := s.f.Write(rec[:])
-	return err
+	return nil
+}
+
+// decode reads one record; ok is false when it fails its checksum (a torn
+// or bit-rotted write) or holds an invalid pair or distance that slipped
+// past the checksum.
+func (s *Store) decode(rec []byte) (r Record, ok bool) {
+	if binary.LittleEndian.Uint32(rec[16:]) != checksum(rec[:16]) {
+		return Record{}, false
+	}
+	r = Record{
+		I:    int(binary.LittleEndian.Uint32(rec[0:])),
+		J:    int(binary.LittleEndian.Uint32(rec[4:])),
+		Dist: math.Float64frombits(binary.LittleEndian.Uint64(rec[8:])),
+	}
+	if r.I >= s.n || r.J >= s.n || r.I == r.J || r.Dist < 0 || math.IsNaN(r.Dist) {
+		return Record{}, false
+	}
+	return r, true
 }
 
 // Sync flushes appended records to stable storage.
@@ -204,19 +231,9 @@ func (s *Store) Replay(fn func(Record) bool) error {
 		if err != nil {
 			return err
 		}
-		if binary.LittleEndian.Uint32(rec[16:]) != checksum(rec[:16]) {
+		r, ok := s.decode(rec[:])
+		if !ok {
 			return nil // damaged record: stop replay at the damage point
-		}
-		r := Record{
-			I:    int(binary.LittleEndian.Uint32(rec[0:])),
-			J:    int(binary.LittleEndian.Uint32(rec[4:])),
-			Dist: math.Float64frombits(binary.LittleEndian.Uint64(rec[8:])),
-		}
-		if r.I >= s.n || r.J >= s.n || r.I == r.J {
-			return nil // damaged indices
-		}
-		if r.Dist < 0 || math.IsNaN(r.Dist) {
-			return nil // damaged payload that slipped past the checksum
 		}
 		if !fn(r) {
 			return nil
@@ -244,37 +261,35 @@ func (s *Store) LastSeq() (int64, error) {
 }
 
 // ReadFrom returns up to max records starting at sequence number seq,
-// reading with pread so it is safe to call while another goroutine
+// reading with one pread so it is safe to call while another goroutine
 // appends — the primary's replicator tails a live session's store this
-// way. A record that fails its checksum (a concurrent half-written tail,
-// or damage) ends the batch early; the caller simply retries from the
-// same cursor once the writer has finished the record. seq past the end
-// returns an empty slice, not an error.
+// way. The read covers only the complete records the file holds, so max
+// never sizes a buffer by itself. A record that fails its checksum or is
+// invalid (a concurrent half-written tail, or damage) ends the batch
+// early; the caller simply retries from the same cursor once the writer
+// has finished the record. seq past the end returns an empty slice, not
+// an error.
 func (s *Store) ReadFrom(seq int64, max int) ([]Record, error) {
 	if seq < 0 || max <= 0 {
 		return nil, fmt.Errorf("cachestore: invalid ReadFrom(seq=%d, max=%d)", seq, max)
 	}
-	var out []Record
-	buf := make([]byte, recordSize)
-	for len(out) < max {
-		off := headerSize + (seq+int64(len(out)))*recordSize
-		_, err := s.f.ReadAt(buf, off)
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return out, nil // end of complete records (or torn tail)
-		}
-		if err != nil {
-			return out, err
-		}
-		if binary.LittleEndian.Uint32(buf[16:]) != checksum(buf[:16]) {
-			return out, nil // half-written or damaged: stop, retry later
-		}
-		r := Record{
-			I:    int(binary.LittleEndian.Uint32(buf[0:])),
-			J:    int(binary.LittleEndian.Uint32(buf[4:])),
-			Dist: math.Float64frombits(binary.LittleEndian.Uint64(buf[8:])),
-		}
-		if r.I >= s.n || r.J >= s.n || r.I == r.J || r.Dist < 0 || math.IsNaN(r.Dist) {
-			return out, nil // damaged payload that slipped past the checksum
+	head, err := s.LastSeq()
+	if err != nil {
+		return nil, err
+	}
+	if seq >= head {
+		return nil, nil
+	}
+	buf := make([]byte, min(int64(max), head-seq)*recordSize)
+	n, err := s.f.ReadAt(buf, headerSize+seq*recordSize)
+	if err != nil && err != io.EOF { // EOF: the file shrank under us; use what was read
+		return nil, err
+	}
+	out := make([]Record, 0, n/recordSize)
+	for off := 0; off+recordSize <= n; off += recordSize {
+		r, ok := s.decode(buf[off : off+recordSize])
+		if !ok {
+			break // half-written or damaged: stop, retry later
 		}
 		out = append(out, r)
 	}
@@ -287,7 +302,9 @@ func (s *Store) ReadFrom(seq int64, max int) ([]Record, error) {
 // cursor) are skipped rather than re-applied, so overlapping retries from
 // a primary that never saw an ack are harmless. A batch starting beyond
 // the cursor is refused with ErrSeqGap — the replica's file must stay a
-// gap-free prefix of the primary's log for promotion to be sound.
+// gap-free prefix of the primary's log for promotion to be sound. The new
+// records up to the first invalid one land in one write; the invalid
+// record's error is returned with the cursor after them.
 func (s *Store) AppendFrom(seq int64, recs []Record) (int64, error) {
 	cur, err := s.LastSeq()
 	if err != nil {
@@ -300,13 +317,24 @@ func (s *Store) AppendFrom(seq int64, recs []Record) (int64, error) {
 	if skip >= int64(len(recs)) {
 		return cur, nil // entire batch already present
 	}
-	for _, r := range recs[skip:] {
-		if err := s.Append(r.I, r.J, r.Dist); err != nil {
+	recs = recs[skip:]
+	buf := make([]byte, len(recs)*recordSize)
+	var invalid error
+	n := 0
+	for _, r := range recs {
+		if invalid = s.encode(buf[n:n+recordSize], r.I, r.J, r.Dist); invalid != nil {
+			break
+		}
+		n += recordSize
+	}
+	if n > 0 {
+		w, err := s.f.Write(buf[:n])
+		cur += int64(w / recordSize)
+		if err != nil {
 			return cur, err
 		}
-		cur++
 	}
-	return cur, nil
+	return cur, invalid
 }
 
 // checksum is a small avalanche mix over the record body; it exists to

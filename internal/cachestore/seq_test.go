@@ -171,6 +171,88 @@ func TestAppendFromIdempotentAndGapChecked(t *testing.T) {
 	}
 }
 
+// A batch with an invalid record in the middle lands exactly its valid
+// prefix: the file holds the records before the invalid one, the cursor
+// is the end of that prefix, and the invalid record's error comes back.
+func TestAppendFromStopsAtInvalidRecord(t *testing.T) {
+	path := seqPath(t)
+	s, err := Create(path, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.AppendFrom(0, []Record{{0, 1, 0.5}}); err != nil {
+		t.Fatal(err)
+	}
+	batch := []Record{{0, 1, 0.5}, {1, 2, 0.25}, {3, 2, 0.75}, {4, 4, 0.1}, {5, 6, 0.125}}
+	seq, err := s.AppendFrom(0, batch)
+	if err == nil || errors.Is(err, ErrSeqGap) || seq != 3 {
+		t.Fatalf("AppendFrom = %d, %v; want cursor 3 and the invalid-pair error", seq, err)
+	}
+	got, err := s.ReadFrom(0, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Record{{0, 1, 0.5}, {1, 2, 0.25}, {2, 3, 0.75}}
+	if len(got) != len(want) {
+		t.Fatalf("store holds %+v, want %+v", got, want)
+	}
+	for k := range want {
+		if got[k] != want[k] {
+			t.Fatalf("store holds %+v, want %+v", got, want)
+		}
+	}
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Size() != headerSize+3*recordSize {
+		t.Fatalf("file is %d bytes, want exactly the header and 3 records", st.Size())
+	}
+}
+
+// BenchmarkReplLog times the replication log's two batch calls at the
+// sender's default batch of 512 records: the primary's ReadFrom tailing
+// its store, and the replica's AppendFrom applying the batch.
+func BenchmarkReplLog(b *testing.B) {
+	const batch = 512
+	recs := make([]Record, batch)
+	for k := range recs {
+		recs[k] = Record{I: k % 100, J: 100 + k, Dist: float64(k+1) / 1024}
+	}
+	b.Run("ReadFrom", func(b *testing.B) {
+		s, err := Create(filepath.Join(b.TempDir(), "log.cache"), 1<<12)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer s.Close()
+		if _, err := s.AppendFrom(0, recs); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if got, err := s.ReadFrom(0, batch); err != nil || len(got) != batch {
+				b.Fatalf("ReadFrom = %d records, %v", len(got), err)
+			}
+		}
+	})
+	b.Run("AppendFrom", func(b *testing.B) {
+		s, err := Create(filepath.Join(b.TempDir(), "log.cache"), 1<<12)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer s.Close()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := s.AppendFrom(int64(i)*batch, recs); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
 func TestReplicaMidStreamTruncationResumes(t *testing.T) {
 	// The replica-side crash drill: a replica applying a replicated stream
 	// dies with a torn tail (crash mid-AppendFrom). On reopen the torn

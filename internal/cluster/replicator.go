@@ -288,7 +288,9 @@ func (r *Replicator) pushPeer(ctx context.Context, st *replStream, pc *peerCurso
 			return head - pc.seq
 		}
 		if len(recs) == 0 {
-			return 0 // torn tail in flight; next cycle
+			// The record at the cursor is half-written or damaged: the peer
+			// is still behind, so Flush must not count it caught up.
+			return head - pc.seq
 		}
 		from := pc.seq
 		if !r.ship(ctx, st, pc, recs, head) || pc.seq == from {

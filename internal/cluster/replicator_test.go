@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -374,6 +375,48 @@ func TestReplicatorAdoptsAckPastSampledHead(t *testing.T) {
 	}
 	if got := peer.requests(); len(got) != 1 || got[0] != 10 {
 		t.Fatalf("requests carried %v records, want one batch of 10", got)
+	}
+}
+
+// A damaged record at a peer's cursor below the log head is lag, not
+// catch-up: a 16-record log whose record 8 fails its checksum, shipped in
+// batches of 4, leaves the peer at 8 of 16, so Flush must run out its
+// deadline and the lag gauge must read the records still behind.
+func TestFlushReportsDamagedRecordAsLag(t *testing.T) {
+	const n = 128
+	peer := newFakePeer(t, n)
+	path := filepath.Join(t.TempDir(), "src.cache")
+	src, err := cachestore.Create(path, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	fillStore(t, src, 16)
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const headerSize, recordSize = 16, 20 // cachestore's file layout
+	if _, err := f.WriteAt([]byte{0xff, 0xff, 0xff, 0xff}, headerSize+8*recordSize+16); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r := NewReplicator(ReplicatorConfig{Topology: replTopo(t, peer.srv.URL), Interval: time.Hour, Batch: 4})
+	defer r.Close()
+	r.Track("sess", src, testMeta(n))
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	defer cancel()
+	if err := r.Flush(ctx); err == nil {
+		t.Fatalf("Flush reported caught up with the peer at %d of 16 records", peer.seq())
+	}
+	if got := peer.seq(); got != 8 {
+		t.Fatalf("peer holds %d records, want the 8 before the damage", got)
+	}
+	if lag := r.lag.Value(); lag <= 0 {
+		t.Fatalf("lag gauge reads %v with the peer 8 records behind", lag)
 	}
 }
 

@@ -8,6 +8,7 @@
 package api
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -62,28 +63,30 @@ type ErrorBody struct {
 }
 
 // WireFloat is a float64 that survives JSON round-trips for every value
-// the session layer produces: finite floats use encoding/json's exact
-// round-trip, and ±Inf — which encoding/json refuses — travel as the
-// strings "+Inf"/"-Inf". (NaN never crosses the wire: metric.
+// the session layer produces: finite floats travel in encoding/json's
+// float64 format, which round-trips exactly, and ±Inf — which
+// encoding/json refuses — travel as the strings "+Inf"/"-Inf". (NaN never crosses the wire: metric.
 // ValidateDistance rejects it at the oracle boundary.)
 type WireFloat float64
 
 // MarshalJSON encodes ±Inf as quoted strings and finite values as plain
-// JSON numbers.
+// JSON numbers, formatted as encoding/json formats a float64.
 func (w WireFloat) MarshalJSON() ([]byte, error) {
-	f := float64(w)
-	switch {
-	case math.IsInf(f, 1):
-		return []byte(`"+Inf"`), nil
-	case math.IsInf(f, -1):
-		return []byte(`"-Inf"`), nil
-	default:
-		return json.Marshal(f)
+	var buf [32]byte // the longest float64 encoding is 25 bytes
+	b, ok := appendFloat(buf[:0], float64(w))
+	if !ok {
+		return json.Marshal(float64(w)) // NaN: encoding/json's own error
 	}
+	return bytes.Clone(b), nil
 }
 
 // UnmarshalJSON accepts plain numbers plus the "+Inf"/"-Inf" strings.
 func (w *WireFloat) UnmarshalJSON(b []byte) error {
+	p := parser{b: b}
+	if f := p.number(); !p.bad && p.i == len(b) {
+		*w = f
+		return nil
+	}
 	if len(b) > 0 && b[0] == '"' {
 		var s string
 		if err := json.Unmarshal(b, &s); err != nil {

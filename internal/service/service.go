@@ -319,10 +319,22 @@ func writeJSON(w http.ResponseWriter, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// decode parses a JSON request body into v.
+// decode parses the first JSON value of a request body into v; an
+// unknown field is an error. The bulk requests read that value as raw
+// bytes for api.DecodeStrict, which parses their canonical form without
+// reflection. It cannot be their UnmarshalJSON: that method would not see
+// DisallowUnknownFields.
 func decode(r *http.Request, v any) error {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
+	switch v.(type) {
+	case *api.BatchRequest, *api.ReplAppendRequest:
+		var raw json.RawMessage
+		if err := dec.Decode(&raw); err != nil {
+			return err
+		}
+		return api.DecodeStrict(raw, v)
+	}
 	return dec.Decode(v)
 }
 
