@@ -316,29 +316,6 @@ func triWorkload() (*pgraph.Graph, [][2]int) {
 	return g, pairs
 }
 
-// BenchmarkSPLUBFullRun vs BenchmarkSPLUBEarlyExit: the upper-bound
-// Dijkstra ablation (full run is required for LB anyway; early exit serves
-// pure-UB queries).
-func BenchmarkSPLUBFullRun(b *testing.B) {
-	g, pairs := triWorkload()
-	s := bounds.NewSPLUB(g, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := pairs[i%len(pairs)]
-		s.Bounds(p[0], p[1])
-	}
-}
-
-func BenchmarkSPLUBEarlyExit(b *testing.B) {
-	g, pairs := triWorkload()
-	s := bounds.NewSPLUB(g, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := pairs[i%len(pairs)]
-		s.TightestUB(p[0], p[1])
-	}
-}
-
 // BenchmarkKruskalLazy vs BenchmarkKruskalPreResolve: the lazy
 // lower-bound-queue Kruskal against the classic resolve-and-sort-everything
 // variant, measured in oracle calls per op via ReportMetric.

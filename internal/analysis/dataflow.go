@@ -218,14 +218,6 @@ func (st *TaintState) element(container string) string {
 	return container
 }
 
-func (st *TaintState) clone() map[types.Object]string {
-	out := make(map[types.Object]string, len(st.labels))
-	for k, v := range st.labels {
-		out[k] = v
-	}
-	return out
-}
-
 // set strongly updates obj's label; the empty label deletes the entry so
 // states stay small and comparable.
 func (st *TaintState) set(obj types.Object, label string) {

@@ -387,16 +387,3 @@ func TestDFTUpdateIdempotent(t *testing.T) {
 		t.Fatalf("equality should add 2 rows, added %d", after-rows)
 	}
 }
-
-func TestSPLUBTightestUBMatchesBounds(t *testing.T) {
-	g := figure1()
-	s := NewSPLUB(g, 1)
-	for i := 0; i < 7; i++ {
-		for j := i + 1; j < 7; j++ {
-			_, ub := s.Bounds(i, j)
-			if got := s.TightestUB(i, j); math.Abs(got-ub) > 1e-12 {
-				t.Fatalf("TightestUB(%d,%d) = %v, Bounds ub = %v", i, j, got, ub)
-			}
-		}
-	}
-}

@@ -15,9 +15,6 @@ type Hybrid struct {
 	// Gap is the cheap-interval width above which the tight bounder is
 	// consulted. 0 escalates every query; MaxDist never escalates.
 	Gap float64
-
-	queries     int64
-	escalations int64
 }
 
 // NewHybrid returns a Hybrid bounder. Both inputs must be fed the same
@@ -32,11 +29,6 @@ func (h *Hybrid) Name() string {
 	return "hybrid(" + h.Cheap.Name() + "+" + h.Tight.Name() + ")"
 }
 
-// Escalations returns how many queries consulted the tight bounder.
-func (h *Hybrid) Escalations() (queries, escalations int64) {
-	return h.queries, h.escalations
-}
-
 // Update forwards to both bounders.
 func (h *Hybrid) Update(i, j int, d float64) {
 	h.Cheap.Update(i, j, d)
@@ -49,12 +41,10 @@ func (h *Hybrid) Bounds(i, j int) (float64, float64) {
 		// Self-distances are identically 0; never an escalation.
 		return 0, 0
 	}
-	h.queries++
 	lb, ub := h.Cheap.Bounds(i, j)
 	if ub-lb <= h.Gap {
 		return lb, ub
 	}
-	h.escalations++
 	lb2, ub2 := h.Tight.Bounds(i, j)
 	if lb2 > lb {
 		lb = lb2

@@ -39,14 +39,27 @@ func TestHybridSoundAndTighterThanCheap(t *testing.T) {
 	}
 }
 
+// countingBounder counts the queries that reach the bounder it wraps.
+type countingBounder struct {
+	Bounder
+	queries int
+}
+
+func (c *countingBounder) Bounds(i, j int) (float64, float64) {
+	c.queries++
+	return c.Bounder.Bounds(i, j)
+}
+
 func TestHybridEscalationPolicy(t *testing.T) {
 	m := datasets.RandomMetric(20, 1700)
 	g := pgraph.New(20)
 	// Gap = maxDist: never escalate.
-	never := NewHybrid(NewTri(g, 1), NewSPLUB(g, 1), 1)
+	neverTight := &countingBounder{Bounder: NewSPLUB(g, 1)}
+	never := NewHybrid(NewTri(g, 1), neverTight, 1)
 	// Gap = 0: always escalate (on unknown pairs the Tri interval has
 	// positive width unless a triangle pins it exactly).
-	always := NewHybrid(NewTri(g, 1), NewSPLUB(g, 1), 0)
+	alwaysTight := &countingBounder{Bounder: NewSPLUB(g, 1)}
+	always := NewHybrid(NewTri(g, 1), alwaysTight, 0)
 	rng := rand.New(rand.NewSource(3))
 	for e := 0; e < 30; e++ {
 		i, j := rng.Intn(20), rng.Intn(20)
@@ -66,12 +79,11 @@ func TestHybridEscalationPolicy(t *testing.T) {
 			probes++
 		}
 	}
-	if _, esc := never.Escalations(); esc != 0 {
-		t.Fatalf("gap=maxDist escalated %d times", esc)
+	if neverTight.queries != 0 {
+		t.Fatalf("gap=maxDist escalated %d times", neverTight.queries)
 	}
-	q, esc := always.Escalations()
-	if esc != q {
-		t.Fatalf("gap=0 escalated %d of %d queries, want all", esc, q)
+	if alwaysTight.queries != probes {
+		t.Fatalf("gap=0 escalated %d of %d queries, want all", alwaysTight.queries, probes)
 	}
 	if name := never.Name(); name != "hybrid(tri+splub)" {
 		t.Fatalf("Name = %q", name)

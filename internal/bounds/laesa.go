@@ -20,21 +20,19 @@ import (
 // rows also fill in lazily if the proximity algorithm happens to resolve
 // them.
 type LAESA struct {
-	n         int
-	maxDist   float64
-	landmarks []int
-	landIdx   []int       // object -> row index, -1 if not a landmark
-	rows      [][]float64 // rows[r][x] = d(landmark r, x); NaN if unknown
+	n       int
+	maxDist float64
+	landIdx []int       // object -> row index, -1 if not a landmark
+	rows    [][]float64 // rows[r][x] = d(landmark r, x); NaN if unknown
 }
 
 // NewLAESA returns a LAESA baseline with the given landmark objects. Rows
 // are filled by Update calls (normally the Session bootstrap).
 func NewLAESA(n int, landmarks []int, maxDist float64) *LAESA {
 	l := &LAESA{
-		n:         n,
-		maxDist:   maxDist,
-		landmarks: append([]int(nil), landmarks...),
-		landIdx:   make([]int, n),
+		n:       n,
+		maxDist: maxDist,
+		landIdx: make([]int, n),
 	}
 	for i := range l.landIdx {
 		l.landIdx[i] = -1
@@ -54,9 +52,6 @@ func NewLAESA(n int, landmarks []int, maxDist float64) *LAESA {
 
 // Name returns "laesa".
 func (l *LAESA) Name() string { return "laesa" }
-
-// Landmarks returns the landmark objects.
-func (l *LAESA) Landmarks() []int { return l.landmarks }
 
 // Update stores d into the landmark rows when i or j is a landmark and is
 // otherwise ignored (the static-baseline behaviour).

@@ -1,10 +1,6 @@
 package bounds
 
-import (
-	"math"
-
-	"metricprox/internal/pgraph"
-)
+import "metricprox/internal/pgraph"
 
 // SPLUB is the Shortest-Path based Lower and Upper Bound scheme of
 // Section 4.1 (Algorithm 1). For an unknown edge (i, j) it runs Dijkstra
@@ -97,18 +93,4 @@ func (s *SPLUB) Bounds(i, j int) (float64, float64) {
 		}
 	}
 	return clamp(lb, ub, s.maxDist)
-}
-
-// TightestUB returns just the shortest-path upper bound, with an early-exit
-// Dijkstra that stops as soon as j is settled. It exists for the ablation
-// benchmark comparing early-exit against the full run used by Bounds.
-func (s *SPLUB) TightestUB(i, j int) float64 {
-	if i == j {
-		return 0
-	}
-	if w, ok := s.g.Weight(i, j); ok {
-		return w
-	}
-	sp := s.si.RunTo(i, j, s.di)
-	return math.Min(sp, s.maxDist)
 }

@@ -210,33 +210,26 @@ func (s *Store) Close() error {
 	return s.f.Close()
 }
 
+// replayChunk is how many records Replay reads per ReadFrom.
+const replayChunk = 4096
+
 // Replay streams every valid record to fn in append order. A record whose
 // checksum fails stops the replay (everything after it is suspect) without
 // an error — mirroring the torn-write policy. fn returning false stops
-// early.
+// early. It reads through ReadFrom, so the append position never moves.
 func (s *Store) Replay(fn func(Record) bool) error {
-	if _, err := s.f.Seek(headerSize, io.SeekStart); err != nil {
-		return err
-	}
-	defer s.f.Seek(0, io.SeekEnd) // restore append position
-	var rec [recordSize]byte
-	for {
-		_, err := io.ReadFull(s.f, rec[:])
-		if err == io.EOF {
-			return nil
-		}
-		if err == io.ErrUnexpectedEOF {
-			return nil // torn tail
-		}
+	for seq := int64(0); ; seq += replayChunk {
+		recs, err := s.ReadFrom(seq, replayChunk)
 		if err != nil {
 			return err
 		}
-		r, ok := s.decode(rec[:])
-		if !ok {
-			return nil // damaged record: stop replay at the damage point
+		for _, r := range recs {
+			if !fn(r) {
+				return nil
+			}
 		}
-		if !fn(r) {
-			return nil
+		if len(recs) < replayChunk {
+			return nil // the end of the log, or a damaged record
 		}
 	}
 }
@@ -302,13 +295,17 @@ func (s *Store) ReadFrom(seq int64, max int) ([]Record, error) {
 // cursor) are skipped rather than re-applied, so overlapping retries from
 // a primary that never saw an ack are harmless. A batch starting beyond
 // the cursor is refused with ErrSeqGap — the replica's file must stay a
-// gap-free prefix of the primary's log for promotion to be sound. The new
+// gap-free prefix of the primary's log for promotion to be sound. A
+// negative seq is refused with an error, as ReadFrom refuses it. The new
 // records up to the first invalid one land in one write; the invalid
 // record's error is returned with the cursor after them.
 func (s *Store) AppendFrom(seq int64, recs []Record) (int64, error) {
 	cur, err := s.LastSeq()
 	if err != nil {
 		return 0, err
+	}
+	if seq < 0 {
+		return cur, fmt.Errorf("cachestore: invalid AppendFrom(seq=%d)", seq)
 	}
 	if seq > cur {
 		return cur, fmt.Errorf("%w: batch starts at %d, store has %d records", ErrSeqGap, seq, cur)

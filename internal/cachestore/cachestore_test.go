@@ -274,6 +274,62 @@ func TestReplayEarlyStop(t *testing.T) {
 	}
 }
 
+// TestReplayAcrossChunks replays a log longer than one ReadFrom chunk:
+// damage past the first chunk ends the replay exactly there, fn can stop
+// it inside the second chunk, and an Append after Replay lands at the end.
+func TestReplayAcrossChunks(t *testing.T) {
+	path := tempPath(t)
+	const total, damaged = replayChunk + 8, replayChunk + 3
+	s, err := Create(path, total+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < total; k++ {
+		if err := s.Append(0, k+1, float64(k)/total); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.WriteAt([]byte{0xff}, headerSize+damaged*recordSize+9)
+	f.Close()
+	s, err = Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	var got []Record
+	if err := s.Replay(func(r Record) bool { got = append(got, r); return true }); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != damaged {
+		t.Fatalf("replay returned %d records, want the %d before the damage", len(got), damaged)
+	}
+	for k, r := range got {
+		if want := (Record{0, k + 1, float64(k) / total}); r != want {
+			t.Fatalf("record %d = %+v, want %+v", k, r, want)
+		}
+	}
+	seen := 0
+	s.Replay(func(Record) bool { seen++; return seen <= replayChunk })
+	if seen != replayChunk+1 {
+		t.Fatalf("early stop saw %d records, want %d", seen, replayChunk+1)
+	}
+	if err := s.Append(0, 1, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := s.Len(); n != total+1 {
+		t.Fatalf("Len = %d after post-replay append, want %d", n, total+1)
+	}
+	if last, err := s.ReadFrom(total, 1); err != nil || len(last) != 1 || last[0] != (Record{0, 1, 0.5}) {
+		t.Fatalf("record %d = %+v, %v; want the post-replay append", total, last, err)
+	}
+}
+
 func TestQuickRoundTrip(t *testing.T) {
 	// Property: any batch of valid records replays back exactly.
 	f := func(seed int64, count uint8) bool {

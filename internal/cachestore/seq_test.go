@@ -144,6 +144,13 @@ func TestAppendFromIdempotentAndGapChecked(t *testing.T) {
 	}
 	defer s.Close()
 	batch := []Record{{0, 1, 0.1}, {1, 2, 0.2}, {2, 3, 0.3}}
+	// A negative cursor is refused, not read as an overlap.
+	if seq, err := s.AppendFrom(-2, batch); err == nil || seq != 0 {
+		t.Fatalf("AppendFrom(-2) = %d, %v, want cursor 0 and an error", seq, err)
+	}
+	if n, _ := s.Len(); n != 0 {
+		t.Fatalf("Len = %d after a refused AppendFrom, want 0", n)
+	}
 	seq, err := s.AppendFrom(0, batch)
 	if err != nil || seq != 3 {
 		t.Fatalf("AppendFrom(0) = %d, %v, want 3, nil", seq, err)
@@ -211,9 +218,10 @@ func TestAppendFromStopsAtInvalidRecord(t *testing.T) {
 	}
 }
 
-// BenchmarkReplLog times the replication log's two batch calls at the
+// BenchmarkReplLog times the replication log's batch calls at the
 // sender's default batch of 512 records: the primary's ReadFrom tailing
-// its store, and the replica's AppendFrom applying the batch.
+// its store, the replica's AppendFrom applying the batch, and Replay
+// reading the same records back, as a warm start or promotion does.
 func BenchmarkReplLog(b *testing.B) {
 	const batch = 512
 	recs := make([]Record, batch)
@@ -234,6 +242,24 @@ func BenchmarkReplLog(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if got, err := s.ReadFrom(0, batch); err != nil || len(got) != batch {
 				b.Fatalf("ReadFrom = %d records, %v", len(got), err)
+			}
+		}
+	})
+	b.Run("Replay", func(b *testing.B) {
+		s, err := Create(filepath.Join(b.TempDir(), "log.cache"), 1<<12)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer s.Close()
+		if _, err := s.AppendFrom(0, recs); err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			n := 0
+			if err := s.Replay(func(Record) bool { n++; return true }); err != nil || n != batch {
+				b.Fatalf("Replay = %d records, %v", n, err)
 			}
 		}
 	})

@@ -166,9 +166,6 @@ func (t *Topology) IsOwner(session string) bool {
 	return false
 }
 
-// Self returns the local node; the zero Node for non-members.
-func (t *Topology) Self() Node { return t.self }
-
 // SelfName returns the local node's name, or "" for non-members.
 func (t *Topology) SelfName() string { return t.self.Name }
 

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"log"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -282,20 +284,6 @@ func TestSharedSessionConcurrentFailuresStaySound(t *testing.T) {
 	}
 }
 
-func TestWithContextCancelsResolutions(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	fo := metric.NewOracle(gridSpace{n: 8})
-	s := NewFallibleSession(fo, SchemeTri, WithContext(ctx))
-	if _, err := s.DistErr(0, 3); err != nil {
-		t.Fatalf("live context: %v", err)
-	}
-	cancel()
-	_, err := s.DistErr(0, 5)
-	if !errors.Is(err, ErrOracleUnavailable) || !errors.Is(err, context.Canceled) {
-		t.Fatalf("dead context: err = %v, want ErrOracleUnavailable wrapping context.Canceled", err)
-	}
-}
-
 // TestStoreFailureSurfacing exercises the cache-store failure path: a
 // store whose file has been closed under the session keeps the session
 // running, counts every failed append, latches StoreErr, and logs once.
@@ -305,11 +293,11 @@ func TestStoreFailureSurfacing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var logs []string
+	var logs bytes.Buffer
+	defer log.SetOutput(log.Writer())
+	log.SetOutput(&logs)
 	fo := metric.NewOracle(gridSpace{n: 8})
-	s := NewFallibleSession(fo, SchemeTri, WithLogf(func(format string, args ...any) {
-		logs = append(logs, fmt.Sprintf(format, args...))
-	}))
+	s := NewFallibleSession(fo, SchemeTri)
 	if err := s.AttachStore(store); err != nil {
 		t.Fatal(err)
 	}
@@ -332,11 +320,11 @@ func TestStoreFailureSurfacing(t *testing.T) {
 	if s.StoreErr() == nil {
 		t.Fatal("StoreErr not latched")
 	}
-	if len(logs) != 1 {
-		t.Fatalf("store failure logged %d times, want exactly once: %q", len(logs), logs)
+	if lines := strings.Split(strings.TrimSuffix(logs.String(), "\n"), "\n"); len(lines) != 1 {
+		t.Fatalf("store failure logged %d times, want exactly once: %q", len(lines), lines)
 	}
-	if !strings.Contains(logs[0], "cache store append failed") {
-		t.Fatalf("unexpected log line: %q", logs[0])
+	if !strings.Contains(logs.String(), "cache store append failed") {
+		t.Fatalf("unexpected log line: %q", logs.String())
 	}
 	if st.OracleCalls != 3 {
 		t.Fatalf("OracleCalls = %d, want 3 (store failures must not cost calls)", st.OracleCalls)

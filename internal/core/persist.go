@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"log"
 
 	"metricprox/internal/cachestore"
 )
@@ -39,8 +40,8 @@ func (s *Session) AttachStore(store *cachestore.Store) error {
 // store, if any. Append errors are surfaced three ways, because the hot
 // path cannot return them: every failure bumps Stats.StoreErrors, the
 // first failure is latched in StoreErr, and that first failure is logged
-// once (WithLogf redirects the log) so a silently filling disk is noticed
-// without flooding the log at oracle-call rate.
+// once so a silently filling disk is noticed without flooding the log at
+// oracle-call rate.
 func (s *Session) persistResolution(i, j int, d float64) {
 	if s.store == nil {
 		return
@@ -49,7 +50,7 @@ func (s *Session) persistResolution(i, j int, d float64) {
 		s.ins.StoreErrors.Inc()
 		if s.storeErr == nil {
 			s.storeErr = err
-			s.logf("core: cache store append failed; resolutions stay in memory but the on-disk cache is now incomplete: %v", err)
+			log.Printf("core: cache store append failed; resolutions stay in memory but the on-disk cache is now incomplete: %v", err)
 		}
 	}
 }

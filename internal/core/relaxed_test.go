@@ -45,7 +45,7 @@ func TestRelaxedTriComparisonsExact(t *testing.T) {
 	// comparison over the ρ=2 space answers exactly as ground truth.
 	sq := squaredSpace(25, 4)
 	o := metric.NewOracle(sq)
-	s := NewSession(o, SchemeTri, WithRelaxation(2))
+	s := NewSession(o, SchemeTri, WithSlack(SlackPolicy{Ratio: 2}))
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 400; trial++ {
 		i, j, k, l := rng.Intn(25), rng.Intn(25), rng.Intn(25), rng.Intn(25)
@@ -62,7 +62,7 @@ func TestRelaxedTriComparisonsExact(t *testing.T) {
 func TestRelaxedTriSoundBounds(t *testing.T) {
 	sq := squaredSpace(20, 6)
 	o := metric.NewOracle(sq)
-	s := NewSession(o, SchemeTri, WithRelaxation(2))
+	s := NewSession(o, SchemeTri, WithSlack(SlackPolicy{Ratio: 2}))
 	rng := rand.New(rand.NewSource(7))
 	for e := 0; e < 60; e++ {
 		i, j := rng.Intn(20), rng.Intn(20)
@@ -109,7 +109,7 @@ func TestRelaxedTriStillSaves(t *testing.T) {
 		}
 		return o.Calls()
 	}()
-	relaxed := run(WithRelaxation(2))
+	relaxed := run(WithSlack(SlackPolicy{Ratio: 2}))
 	if relaxed >= noop {
 		t.Fatalf("relaxed Tri saved nothing: %d vs noop %d", relaxed, noop)
 	}
@@ -120,10 +120,10 @@ func TestRelaxedRejectsUnsupportedSchemes(t *testing.T) {
 	o := metric.NewOracle(sq)
 	defer func() {
 		if recover() == nil {
-			t.Fatal("SPLUB with relaxation did not panic")
+			t.Fatal("SPLUB with ratio slack did not panic")
 		}
 	}()
-	NewSession(o, SchemeSPLUB, WithRelaxation(2))
+	NewSession(o, SchemeSPLUB, WithSlack(SlackPolicy{Ratio: 2}))
 }
 
 func TestUnrelaxedTriWouldBeUnsound(t *testing.T) {
@@ -132,7 +132,7 @@ func TestUnrelaxedTriWouldBeUnsound(t *testing.T) {
 	// load-bearing, not decorative.
 	sq := squaredSpace(20, 11)
 	o := metric.NewOracle(sq)
-	s := NewSession(o, SchemeTri) // wrong: no WithRelaxation
+	s := NewSession(o, SchemeTri) // wrong: no ratio slack
 	rng := rand.New(rand.NewSource(12))
 	for e := 0; e < 80; e++ {
 		i, j := rng.Intn(20), rng.Intn(20)

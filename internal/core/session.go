@@ -21,7 +21,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"log"
 	"math"
 	"math/rand"
 	"sync/atomic"
@@ -100,7 +99,6 @@ type Session struct {
 	b       bounds.Bounder
 	cmp     bounds.Comparator
 	maxDist float64
-	rho     float64 // relaxation factor; 0 or 1 = true metric
 
 	// ins holds the metric instrument handles every counter of this
 	// session records into (the replacement for the ad-hoc Stats counter
@@ -130,10 +128,6 @@ type Session struct {
 	// and optional tracer this session reports into.
 	observer *obs.Observer
 
-	// baseCtx bounds every oracle round-trip this session makes
-	// (per-attempt deadlines are the resilient layer's job).
-	baseCtx context.Context
-
 	// ready, when non-nil, reports whether the fallible oracle is
 	// currently willing to attempt backend calls (circuit breaker not
 	// open); bounds-only answers given while !ready() are counted as
@@ -153,7 +147,6 @@ type Session struct {
 	// store, when attached, persists resolutions across runs.
 	store    *cachestore.Store
 	storeErr error
-	logf     func(format string, args ...any)
 
 	// slack, when active, declares the oracle a near-metric and widens
 	// every derived bound interval accordingly (see SlackPolicy and
@@ -172,24 +165,6 @@ type Option func(*Session)
 // paper's normalised setting).
 func WithMaxDistance(d float64) Option {
 	return func(s *Session) { s.maxDist = d }
-}
-
-// WithContext bounds every oracle round-trip of the session with ctx: a
-// cancelled or expired ctx makes further resolutions fail with the
-// context's error (wrapped in ErrOracleUnavailable). The default is
-// context.Background(). Per-attempt deadlines belong to the resilient
-// policy layer; this is the whole-session kill switch.
-func WithContext(ctx context.Context) Option {
-	if ctx == nil {
-		panic("core: WithContext requires a non-nil context")
-	}
-	return func(s *Session) { s.baseCtx = ctx }
-}
-
-// WithLogf redirects the session's rare warning logs (currently only the
-// first failed cache-store append). The default is log.Printf.
-func WithLogf(logf func(format string, args ...any)) Option {
-	return func(s *Session) { s.logf = logf }
 }
 
 // WithObserver attaches an observability surface to the session: its
@@ -261,18 +236,6 @@ func (s *Session) traceSince(t0 time.Time) time.Duration {
 		return 0
 	}
 	return time.Since(t0)
-}
-
-// WithRelaxation declares the oracle a ρ-relaxed metric (d(x,z) ≤
-// ρ·(d(x,y)+d(y,z)), e.g. squared Euclidean with ρ = 2 — see
-// metric.Power). Only SchemeNoop and SchemeTri support ρ > 1; the other
-// schemes' soundness arguments assume a true metric and NewSession panics
-// if they are combined with a relaxation.
-func WithRelaxation(rho float64) Option {
-	if rho < 1 {
-		panic("core: relaxation factor must be at least 1")
-	}
-	return func(s *Session) { s.rho = rho }
 }
 
 // Scheme selects a bound scheme for NewSession.
@@ -349,8 +312,6 @@ func NewFallibleSessionWithLandmarks(fo metric.FallibleOracle, scheme Scheme, la
 		fo:      fo,
 		g:       pgraph.New(n),
 		maxDist: 1,
-		baseCtx: context.Background(),
-		logf:    log.Printf,
 	}
 	if r, ok := fo.(interface{ Ready() bool }); ok {
 		s.ready = r.Ready
@@ -358,10 +319,9 @@ func NewFallibleSessionWithLandmarks(fo metric.FallibleOracle, scheme Scheme, la
 	for _, o := range opts {
 		o(s)
 	}
-	if s.rho > 1 && scheme != SchemeNoop && scheme != SchemeTri {
-		panic(fmt.Sprintf("core: scheme %v does not support relaxed metrics", scheme))
+	if err := SlackSupported(s.slack, scheme); err != nil {
+		panic(err.Error())
 	}
-	validateSlackScheme(s.slack, scheme)
 	if s.slack.Auto && s.auditor == nil {
 		// Auto slack needs a margin source; give the session its own
 		// auditor when the caller did not share one.
@@ -374,11 +334,7 @@ func NewFallibleSessionWithLandmarks(fo metric.FallibleOracle, scheme Scheme, la
 		s.b = bounds.NewSPLUB(s.g, s.maxDist)
 		s.sharesGraph = true
 	case SchemeTri:
-		rho := s.rho
-		if rho < 1 {
-			rho = 1
-		}
-		s.b = bounds.NewTriRelaxed(s.g, s.maxDist, rho)
+		s.b = bounds.NewTriRelaxed(s.g, s.maxDist, max(s.slack.Ratio, 1))
 		s.sharesGraph = true
 	case SchemeADM:
 		s.b = bounds.NewADM(n, s.maxDist)
@@ -468,10 +424,9 @@ func (s *Session) Known(i, j int) (float64, bool) { return s.g.Weight(i, j) }
 // if the pair has not been resolved before. The resolution is fed to the
 // bound scheme (the UPDATE PROBLEM).
 //
-// If the resolution fails (fallible oracle exhausted, breaker open, or
-// session context dead), Dist degrades: it latches OracleErr, counts a
-// DegradedAnswer, and returns the midpoint of the current bounds as a
-// best-effort estimate. The estimate is never committed to the graph or
+// If the resolution fails (fallible oracle exhausted or breaker open),
+// Dist degrades: it latches OracleErr, counts a DegradedAnswer, and
+// returns the midpoint of the current bounds as a best-effort estimate. The estimate is never committed to the graph or
 // the bound scheme, so the session's soundness invariants survive; use
 // DistErr when the caller needs to distinguish exact from estimated.
 func (s *Session) Dist(i, j int) float64 {
@@ -511,7 +466,7 @@ func (s *Session) oracleDistanceErr(i, j int) (float64, error) {
 	if s.timed {
 		t0 = time.Now()
 	}
-	d, err := s.fo.DistanceCtx(s.baseCtx, i, j)
+	d, err := s.fo.DistanceCtx(context.Background(), i, j)
 	if s.timed {
 		// Failed round-trips are recorded too: the histogram measures wall
 		// clock paid at the oracle, including retry/backoff in the

@@ -211,21 +211,13 @@ func (c *SharedSession) degrade(op string, i, j, k, l int, v float64) (float64, 
 	return d, less, out
 }
 
-// Bootstrap resolves landmark rows; see Session.Bootstrap. Bootstrap is a
-// setup phase, not a hot path, so it runs under the full lock.
-func (c *SharedSession) Bootstrap(landmarks []int) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	//proxlint:allow lockheldoracle -- setup phase: Bootstrap runs before workers start, so holding the lock across its oracle calls serialises nothing; the comparison tail is the hot path and releases the lock around every round-trip
-	return c.s.Bootstrap(landmarks)
-}
-
-// BootstrapErr is Bootstrap with error propagation; see
-// Session.BootstrapErr.
+// BootstrapErr resolves landmark rows and returns the calls spent and the
+// first failed resolution; see Session.BootstrapErr. Bootstrap is a setup
+// phase, not a hot path, so it runs under the full lock.
 func (c *SharedSession) BootstrapErr(landmarks []int) (int64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	//proxlint:allow lockheldoracle -- setup phase; see Bootstrap
+	//proxlint:allow lockheldoracle -- setup phase: bootstrap runs before workers start, so holding the lock across its oracle calls serialises nothing; the comparison tail is the hot path and releases the lock around every round-trip
 	return c.s.BootstrapErr(landmarks)
 }
 
@@ -237,30 +229,12 @@ func (c *SharedSession) OracleErr() error {
 	return c.s.OracleErr()
 }
 
-// ViolationErr returns the first triangle-inequality violation the
-// session's auditor observed; see Session.ViolationErr. The auditor is
-// internally synchronised — concurrent resolutions audit without the
-// session lock held beyond the usual commit bookkeeping.
-func (c *SharedSession) ViolationErr() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.s.ViolationErr()
-}
-
 // SlackEps returns the additive slack currently applied to derived
 // intervals; see Session.SlackEps.
 func (c *SharedSession) SlackEps() float64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.s.SlackEps()
-}
-
-// StoreErr returns the first failed append to the attached cache store;
-// see Session.StoreErr.
-func (c *SharedSession) StoreErr() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.s.StoreErr()
 }
 
 // Stats snapshots the session statistics.

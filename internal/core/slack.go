@@ -6,7 +6,7 @@
 // learned comparators) silently breaks output preservation. A SlackPolicy
 // declares the tolerated violation — d(x,z) ≤ ρ·(d(x,y)+d(y,z)) + ε —
 // and the session restores soundness by widening every *derived* interval
-// to [lb−ε, ub+ε] (for ρ via the Tri scheme's relaxation machinery).
+// to [lb−ε, ub+ε] (for ρ via the Tri scheme's ρ-relaxed bounds).
 // Oracle-resolved values stay exact and remain the only thing committed to
 // the graph, the bound scheme, or the cache store; the relaxation touches
 // nothing durable, which is the same commit-discipline argument the
@@ -34,15 +34,17 @@ import (
 // triangle per derivation — SchemeNoop, SchemeTri, SchemeLAESA,
 // SchemeTLAESA. Multi-hop schemes (SPLUB, ADM, DFT, Hybrid) accumulate
 // one margin per hop, so a fixed ε does not bound their error and the
-// constructor panics on the combination. Ratio slack reuses the
-// WithRelaxation machinery and is limited to SchemeNoop and SchemeTri for
-// the same reason.
+// constructor panics on the combination. Ratio slack declares a
+// ρ-relaxed metric (d(x,z) ≤ ρ·(d(x,y)+d(y,z)), e.g. squared Euclidean
+// with ρ = 2 — see metric.Power); Tri derives its intervals with ρ, and
+// only SchemeNoop and SchemeTri accept it, for the same reason.
+// SlackSupported is the one statement of these rules.
 type SlackPolicy struct {
 	// Additive is ε: the worst additive triangle-violation margin the
 	// oracle is declared (or observed) to have. Must be ≥ 0 and finite.
 	Additive float64
 	// Ratio is ρ: the multiplicative violation factor. 0 or 1 means
-	// none; values > 1 fold into the session's relaxation factor.
+	// none; under SchemeTri, values > 1 relax every derived interval.
 	Ratio float64
 	// Auto grows the effective ε beyond Additive as the session's
 	// violation auditor observes larger margins on resolved triangles.
@@ -84,16 +86,7 @@ func WithSlack(p SlackPolicy) Option {
 	if p.Ratio != 0 && (p.Ratio < 1 || math.IsInf(p.Ratio, 0) || math.IsNaN(p.Ratio)) {
 		panic("core: SlackPolicy.Ratio must be ≥ 1 and finite (or 0 for none)")
 	}
-	return func(s *Session) {
-		s.slack = p
-		if p.Ratio > 1 && p.Ratio > s.rho {
-			// Ratio slack is exactly a ρ-relaxed metric declaration; the
-			// Tri scheme's relaxation machinery produces the widened
-			// intervals and the constructor's existing gate rejects
-			// schemes that cannot support it.
-			s.rho = p.Ratio
-		}
-	}
+	return func(s *Session) { s.slack = p }
 }
 
 // WithAuditor attaches a triangle-violation auditor: every oracle
@@ -209,9 +202,9 @@ func (s *Session) auditTriangles(i, j int, d float64) {
 }
 
 // SlackSupported reports whether policy p can be soundly combined with
-// scheme, as a returned error instead of the constructor panic — for
-// transport layers (internal/service) that must map a bad combination
-// onto a 4xx response rather than crash the daemon.
+// scheme. The session constructor panics with its error; transport layers
+// (internal/service) call it first to map a bad combination onto a 4xx
+// response rather than crash the daemon.
 func SlackSupported(p SlackPolicy, scheme Scheme) error {
 	if p.Additive < 0 || math.IsNaN(p.Additive) || math.IsInf(p.Additive, 0) {
 		return fmt.Errorf("core: SlackPolicy.Additive must be ≥ 0 and finite, got %v", p.Additive)
@@ -287,17 +280,4 @@ func ParseSlackSpec(spec string) (SlackPolicy, error) {
 		return SlackPolicy{}, fmt.Errorf("core: slack spec %q declares no slack (need eps > 0, ratio > 1, or auto)", spec)
 	}
 	return p, nil
-}
-
-// validateSlackScheme enforces the per-scheme soundness restrictions of
-// an additive slack policy at construction time; see SlackPolicy.
-func validateSlackScheme(p SlackPolicy, scheme Scheme) {
-	if !(p.Additive > 0 || p.Auto) {
-		return
-	}
-	switch scheme {
-	case SchemeNoop, SchemeTri, SchemeLAESA, SchemeTLAESA:
-	default:
-		panic(fmt.Sprintf("core: scheme %v does not support additive slack: its bounds chain more than one triangle per derivation, so a per-triangle margin ε does not bound the interval error", scheme))
-	}
 }

@@ -96,35 +96,45 @@ func TestSlackBoundsBatchMatchesSingle(t *testing.T) {
 	}
 }
 
+// TestSlackSchemeGate pins the one per-scheme slack rule: additive and
+// auto slack need intervals that chain a single triangle, ratio slack a
+// scheme that derives with ρ. SlackSupported states it, and construction
+// panics exactly when it returns an error, with that error.
 func TestSlackSchemeGate(t *testing.T) {
 	m := datasets.RandomMetric(10, 3)
-	allowed := []Scheme{SchemeNoop, SchemeTri, SchemeLAESA, SchemeTLAESA}
-	for _, sc := range allowed {
-		NewSessionWithLandmarks(metric.NewOracle(m), sc, []int{0, 1},
-			WithSlack(SlackPolicy{Additive: 0.1}))
+	singleTriangle := map[Scheme]bool{SchemeNoop: true, SchemeTri: true, SchemeLAESA: true, SchemeTLAESA: true}
+	relaxable := map[Scheme]bool{SchemeNoop: true, SchemeTri: true}
+	policies := []struct {
+		name    string
+		p       SlackPolicy
+		allowed map[Scheme]bool
+	}{
+		{"additive", SlackPolicy{Additive: 0.1}, singleTriangle},
+		{"ratio", SlackPolicy{Ratio: 1.5}, relaxable},
+		{"auto", SlackPolicy{Auto: true}, singleTriangle},
 	}
-	blocked := []Scheme{SchemeSPLUB, SchemeADM, SchemeDFT, SchemeHybrid}
-	for _, sc := range blocked {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("scheme %v accepted additive slack", sc)
-				}
-			}()
-			NewSession(metric.NewOracle(m), sc, WithSlack(SlackPolicy{Additive: 0.1}))
-		}()
-	}
-	// Ratio slack rides the relaxation gate: Tri fine, LAESA rejected.
-	NewSession(metric.NewOracle(m), SchemeTri, WithSlack(SlackPolicy{Ratio: 1.5}))
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("LAESA accepted ratio slack")
+	for sc := SchemeNoop; sc <= SchemeHybrid; sc++ {
+		for _, pc := range policies {
+			err := SlackSupported(pc.p, sc)
+			if (err == nil) != pc.allowed[sc] {
+				t.Errorf("SlackSupported(%s, %v) = %v, want allowed=%v", pc.name, sc, err, pc.allowed[sc])
 			}
-		}()
-		NewSessionWithLandmarks(metric.NewOracle(m), SchemeLAESA, []int{0, 1},
-			WithSlack(SlackPolicy{Ratio: 1.5}))
-	}()
+			func() {
+				defer func() {
+					r := recover()
+					switch {
+					case err == nil && r != nil:
+						t.Errorf("%s slack on %v: construction panicked: %v", pc.name, sc, r)
+					case err != nil && r == nil:
+						t.Errorf("%s slack on %v: construction accepted what SlackSupported refuses: %v", pc.name, sc, err)
+					case err != nil && r != err.Error():
+						t.Errorf("%s slack on %v: panic %v, want SlackSupported's error %q", pc.name, sc, r, err)
+					}
+				}()
+				NewSessionWithLandmarks(metric.NewOracle(m), sc, []int{0, 1}, WithSlack(pc.p))
+			}()
+		}
+	}
 }
 
 func TestWithSlackValidation(t *testing.T) {
@@ -294,9 +304,6 @@ func TestSharedSessionSlackSurface(t *testing.T) {
 	}
 	if sh.SlackEps() != s.SlackEps() {
 		t.Fatalf("SharedSession.SlackEps = %v, Session = %v", sh.SlackEps(), s.SlackEps())
-	}
-	if (sh.ViolationErr() == nil) != (s.ViolationErr() == nil) {
-		t.Fatal("SharedSession.ViolationErr disagrees with Session")
 	}
 }
 

@@ -278,8 +278,9 @@ func minInt(vals ...int) int {
 //   - Q > 1: the result is only a ρ-relaxed metric with ρ = 2^(Q−1)
 //     (d^Q ≤ 2^(Q−1)·(a^Q + b^Q) whenever d ≤ a+b). Squared Euclidean
 //     (Q = 2, ρ = 2) is the classic case; pair it with
-//     bounds.NewTriRelaxed / core.WithRelaxation, the generalised setting
-//     the paper's Characteristic 1 admits.
+//     bounds.NewTriRelaxed or a Tri session declaring
+//     core.SlackPolicy{Ratio: Rho()}, the generalised setting the paper's
+//     Characteristic 1 admits.
 type Power struct {
 	Base Space
 	Q    float64

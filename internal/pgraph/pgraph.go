@@ -123,9 +123,6 @@ func (s *Searcher) Run(src int, dist []float64) {
 	}
 	dist[src] = 0
 	q := s.q
-	for q.Len() > 0 { // drain any residue from an aborted prior run
-		q.Pop()
-	}
 	q.Push(src, 0)
 	for q.Len() > 0 {
 		u, du, _ := q.Pop()
@@ -140,37 +137,4 @@ func (s *Searcher) Run(src int, dist []float64) {
 			}
 		}
 	}
-}
-
-// RunTo computes shortest path distances from src but may stop early once
-// target is settled; entries for unsettled nodes are upper bounds or +Inf.
-// It returns the shortest-path distance to target (possibly +Inf).
-func (s *Searcher) RunTo(src, target int, dist []float64) float64 {
-	g := s.g
-	for i := range dist {
-		dist[i] = math.Inf(1)
-	}
-	dist[src] = 0
-	q := s.q
-	for q.Len() > 0 {
-		q.Pop()
-	}
-	q.Push(src, 0)
-	for q.Len() > 0 {
-		u, du, _ := q.Pop()
-		if du > dist[u] {
-			continue
-		}
-		if u == target {
-			return du
-		}
-		nb, ws := g.adj.row(u)
-		for t, v := range nb {
-			if nd := du + ws[t]; nd < dist[v] {
-				dist[v] = nd
-				q.Push(int(v), nd)
-			}
-		}
-	}
-	return dist[target]
 }

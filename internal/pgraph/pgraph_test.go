@@ -158,24 +158,6 @@ func TestDijkstraMatchesBellmanFord(t *testing.T) {
 	}
 }
 
-func TestRunToEarlyExit(t *testing.T) {
-	g := paperGraph()
-	s := NewSearcher(g)
-	dist := make([]float64, 7)
-	d := s.RunTo(1, 4, dist)
-	if math.Abs(d-0.9) > 1e-12 {
-		t.Fatalf("RunTo(1,4) = %v, want 0.9", d)
-	}
-	// Unreachable target.
-	g2 := New(4)
-	g2.AddEdge(0, 1, 0.3)
-	s2 := NewSearcher(g2)
-	dist2 := make([]float64, 4)
-	if d := s2.RunTo(0, 3, dist2); !math.IsInf(d, 1) {
-		t.Fatalf("RunTo to unreachable = %v, want +Inf", d)
-	}
-}
-
 func TestSearcherReuse(t *testing.T) {
 	g := paperGraph()
 	s := NewSearcher(g)

@@ -38,9 +38,11 @@ func TestStatsMatchOracleCalls(t *testing.T) {
 	t.Run("shared", func(t *testing.T) {
 		o := metric.NewOracle(m)
 		sh := core.Share(core.NewSession(o, core.SchemeTri))
-		sh.Bootstrap(core.PickLandmarks(sh.N(), 6, 7))
+		if _, err := sh.BootstrapErr(core.PickLandmarks(sh.N(), 6, 7)); err != nil {
+			t.Fatal(err)
+		}
 		KNNGraphParallel(sh, 4, 4)
-		PAMParallel(sh, 5, 7, 4)
+		BoruvkaMSTParallel(sh, 4)
 
 		got, want := sh.Stats().OracleCalls, o.Calls()
 		if got != want {

@@ -111,7 +111,9 @@ func TestObsReconciliation(t *testing.T) {
 		o := metric.NewOracle(instr)
 		observer := obs.NewObserver(true, 256, nil)
 		sh := core.Share(core.NewSession(o, core.SchemeTri, core.WithObserver(observer)))
-		sh.Bootstrap(core.PickLandmarks(sh.N(), 6, 7))
+		if _, err := sh.BootstrapErr(core.PickLandmarks(sh.N(), 6, 7)); err != nil {
+			t.Fatal(err)
+		}
 		KNNGraphParallel(sh, 4, 4)
 
 		st := sh.Stats()

@@ -55,8 +55,6 @@ func assignAll(s core.View, medoids []int) assignment {
 }
 
 // assignPoint scans one point's medoids for its nearest and second-nearest.
-// Points are independent, so assignAllParallel fans this exact loop out
-// over workers with identical results.
 func assignPoint(s core.View, medoids []int, p int) (near int, d1, d2 float64) {
 	inf := math.Inf(1)
 	best, bd1, bd2 := -1, inf, inf

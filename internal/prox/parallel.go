@@ -8,7 +8,6 @@
 package prox
 
 import (
-	"math/rand"
 	"runtime"
 	"sort"
 	"sync"
@@ -104,74 +103,6 @@ func BoruvkaMSTParallel(s *core.SharedSession, workers int) MST {
 		}
 	}
 	return out
-}
-
-// PAMParallel runs the PAM swap phase with the assignment phase fanned out
-// over workers goroutines (0 means GOMAXPROCS). Each point's
-// nearest/second-nearest medoid computation is independent, so the phase
-// is embarrassingly parallel; the swap scan itself visits candidates in
-// the same order as PAM. The medoid set, assignment, and cost are
-// identical to PAM's for the same seed.
-func PAMParallel(s *core.SharedSession, l int, seed int64, workers int) Clustering {
-	n := s.N()
-	if l > n {
-		l = n
-	}
-	workers = normWorkers(workers)
-	rng := rand.New(rand.NewSource(seed))
-	medoids := append([]int(nil), rng.Perm(n)[:l]...)
-	isMedoid := make([]bool, n)
-	for _, m := range medoids {
-		isMedoid[m] = true
-	}
-
-	const improveEps = 1e-12
-	for {
-		a := assignAllParallel(s, medoids, workers)
-		bestDelta, bestMi, bestH := -improveEps, -1, -1
-		for mi := range medoids {
-			for h := 0; h < n; h++ {
-				if isMedoid[h] {
-					continue
-				}
-				if delta := swapDelta(s, medoids, mi, h, a); delta < bestDelta {
-					bestDelta, bestMi, bestH = delta, mi, h
-				}
-			}
-		}
-		if bestMi == -1 {
-			return Clustering{Medoids: medoids, Assign: a.near, Cost: a.totalCost()}
-		}
-		isMedoid[medoids[bestMi]] = false
-		isMedoid[bestH] = true
-		medoids[bestMi] = bestH
-	}
-}
-
-// assignAllParallel computes the same nearest/second-nearest structure as
-// assignAll with points fanned out over workers. Workers write disjoint
-// indices, and each point's scan is the sequential one, so the result is
-// identical to assignAll's for any worker count.
-func assignAllParallel(s core.View, medoids []int, workers int) assignment {
-	n := s.N()
-	a := assignment{
-		near: make([]int, n),
-		d1:   make([]float64, n),
-		d2:   make([]float64, n),
-	}
-	workers = normWorkers(workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for p := w; p < n; p += workers {
-				a.near[p], a.d1[p], a.d2[p] = assignPoint(s, medoids, p)
-			}
-		}(w)
-	}
-	wg.Wait()
-	return a
 }
 
 // componentRoots snapshots every vertex's component representative so the

@@ -169,35 +169,6 @@ func TestBoruvkaParallelUnderLatency(t *testing.T) {
 	}
 }
 
-func TestPAMParallelMatchesSequential(t *testing.T) {
-	m := datasets.RandomMetric(40, 58)
-	const l, seed = 4, 99
-	for _, sc := range []core.Scheme{core.SchemeNoop, core.SchemeTri} {
-		seq, _ := sessionFor(m, sc, nil)
-		want := PAM(seq, l, seed)
-		for _, workers := range []int{1, 4, 8} {
-			sh := core.Share(core.NewSession(metric.NewOracle(m), sc))
-			got := PAMParallel(sh, l, seed, workers)
-			if len(got.Medoids) != len(want.Medoids) {
-				t.Fatalf("scheme %v, workers=%d: medoid count diverged", sc, workers)
-			}
-			for i := range want.Medoids {
-				if got.Medoids[i] != want.Medoids[i] {
-					t.Fatalf("scheme %v, workers=%d: medoids %v, want %v", sc, workers, got.Medoids, want.Medoids)
-				}
-			}
-			for p := range want.Assign {
-				if got.Assign[p] != want.Assign[p] {
-					t.Fatalf("scheme %v, workers=%d: assignment diverged at point %d", sc, workers, p)
-				}
-			}
-			if math.Abs(got.Cost-want.Cost) > 1e-12 {
-				t.Fatalf("scheme %v, workers=%d: cost %v, want %v", sc, workers, got.Cost, want.Cost)
-			}
-		}
-	}
-}
-
 // TestKNNGraphParallelSpeedup is the wall-clock acceptance criterion for
 // the unlocked-oracle concurrency layer: with a 10ms injected oracle
 // latency on the SF POI dataset, 8 workers must finish the kNN build at
@@ -246,7 +217,9 @@ func TestSharedSessionStats(t *testing.T) {
 	m := datasets.RandomMetric(20, 54)
 	o := metric.NewOracle(m)
 	s := core.Share(core.NewSession(o, core.SchemeTri))
-	s.Bootstrap(core.PickLandmarks(20, 4, 1))
+	if _, err := s.BootstrapErr(core.PickLandmarks(20, 4, 1)); err != nil {
+		t.Fatal(err)
+	}
 	s.Dist(0, 1)
 	s.Less(0, 2, 3, 4)
 	s.LessThan(5, 6, 0.5)

@@ -231,15 +231,6 @@ func (c *Client) Healthz(ctx context.Context) (api.Healthz, error) {
 	return h, err
 }
 
-// Sessions lists the daemon's live sessions.
-func (c *Client) Sessions(ctx context.Context) ([]string, error) {
-	var list api.SessionList
-	if err := c.do(ctx, http.MethodGet, "/v1/sessions", nil, &list); err != nil {
-		return nil, err
-	}
-	return list.Sessions, nil
-}
-
 // Delete evicts a session server-side.
 func (c *Client) Delete(ctx context.Context, name string) error {
 	return c.do(ctx, http.MethodDelete, "/v1/sessions/"+name, nil, nil)

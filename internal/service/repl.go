@@ -95,6 +95,11 @@ func (m *replManager) closeAll() {
 func (m *replManager) count() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.countLocked()
+}
+
+// countLocked is count for callers that hold m.mu.
+func (m *replManager) countLocked() int {
 	n := 0
 	for _, st := range m.states {
 		if !st.promoted {
@@ -203,7 +208,7 @@ func (s *Server) handleReplAppend(w http.ResponseWriter, r *http.Request) {
 		}
 		st = &replState{store: store, meta: req.Meta}
 		s.repl.states[name] = st
-		s.met.replSessions.Set(float64(len(s.repl.states)))
+		s.met.replSessions.Set(float64(s.repl.countLocked()))
 	}
 
 	before, err := st.store.LastSeq()

@@ -351,3 +351,24 @@ func TestPromotedReplicaIsPrefixUnderFaultSchedules(t *testing.T) {
 		})
 	}
 }
+
+// TestReplSessionsGaugeCountsUnpromoted holds cluster_repl_sessions to
+// its definition, the replica stores not adopted by a live session: a
+// replica promoted by a request stops counting, also when another
+// replica's first append sets the gauge afterwards.
+func TestReplSessionsGaugeCountsUnpromoted(t *testing.T) {
+	srv := replicaServer(t)
+	rec := []api.ReplRecord{{I: 0, J: 1, D: 0.5}}
+	if code, _ := replAppend(t, srv, "x", 0, rec); code != http.StatusOK {
+		t.Fatalf("append x: status %d", code)
+	}
+	if got := serve(srv, "/v1/sessions/x/dist", api.PairRequest{I: 0, J: 1}); got.Code != http.StatusOK {
+		t.Fatalf("promoting dist: status %d: %s", got.Code, got.Body)
+	}
+	if code, _ := replAppend(t, srv, "y", 0, rec); code != http.StatusOK {
+		t.Fatalf("append y: status %d", code)
+	}
+	if got := srv.met.replSessions.Value(); got != 1 {
+		t.Fatalf("%s = %v after promoting x and appending y, want 1 (y only)", MetricReplSessions, got)
+	}
+}
