@@ -18,7 +18,7 @@ import (
 
 	"metricprox/internal/core"
 	"metricprox/internal/metric"
-	"metricprox/internal/query"
+	"metricprox/internal/prox"
 )
 
 // makeShapes synthesises n shapes: noisy samples along circles, boxes and
@@ -69,15 +69,15 @@ func main() {
 	// Shapes live in roughly [−0.25, 1.25]²; scale by 1/diameter bound.
 	space := metric.NewPointSets(shapes, 1/(1.5*math.Sqrt2))
 
-	run := func(scheme core.Scheme) (int64, []query.Result) {
+	run := func(scheme core.Scheme) (int64, []prox.Neighbor) {
 		oracle := metric.NewOracle(space)
 		s := core.NewSession(oracle, scheme)
 		if scheme != core.SchemeNoop {
 			s.Bootstrap(core.PickLandmarks(n, 7, 23))
 		}
-		var last []query.Result
+		var last []prox.Neighbor
 		for q := 0; q < n; q += 8 {
-			last = query.KNN(s, q, 3)
+			last = prox.KNNRow(s, q, 3)
 		}
 		return oracle.Calls(), last
 	}

@@ -210,16 +210,26 @@ func (s *Store) Close() error {
 	return s.f.Close()
 }
 
-// replayChunk is how many records Replay reads per ReadFrom.
+// replayChunk caps how many records Replay reads per ReadFrom.
 const replayChunk = 4096
+
+// readPiece is how many records ReadFrom reads per pread, through a
+// buffer on its own stack.
+const readPiece = 512
 
 // Replay streams every valid record to fn in append order. A record whose
 // checksum fails stops the replay (everything after it is suspect) without
 // an error — mirroring the torn-write policy. fn returning false stops
-// early. It reads through ReadFrom, so the append position never moves.
+// early. It reads through ReadFrom into one buffer, so the append
+// position never moves.
 func (s *Store) Replay(fn func(Record) bool) error {
-	for seq := int64(0); ; seq += replayChunk {
-		recs, err := s.ReadFrom(seq, replayChunk)
+	n, err := s.Len()
+	if err != nil || n == 0 {
+		return err
+	}
+	buf := make([]Record, min(n, replayChunk))
+	for seq := int64(0); ; seq += int64(len(buf)) {
+		recs, err := s.ReadFrom(seq, buf)
 		if err != nil {
 			return err
 		}
@@ -228,7 +238,7 @@ func (s *Store) Replay(fn func(Record) bool) error {
 				return nil
 			}
 		}
-		if len(recs) < replayChunk {
+		if len(recs) < len(buf) {
 			return nil // the end of the log, or a damaged record
 		}
 	}
@@ -253,40 +263,46 @@ func (s *Store) LastSeq() (int64, error) {
 	return int64(n), err
 }
 
-// ReadFrom returns up to max records starting at sequence number seq,
-// reading with one pread so it is safe to call while another goroutine
-// appends — the primary's replicator tails a live session's store this
-// way. The read covers only the complete records the file holds, so max
-// never sizes a buffer by itself. A record that fails its checksum or is
-// invalid (a concurrent half-written tail, or damage) ends the batch
-// early; the caller simply retries from the same cursor once the writer
-// has finished the record. seq past the end returns an empty slice, not
-// an error.
-func (s *Store) ReadFrom(seq int64, max int) ([]Record, error) {
-	if seq < 0 || max <= 0 {
-		return nil, fmt.Errorf("cachestore: invalid ReadFrom(seq=%d, max=%d)", seq, max)
+// ReadFrom reads up to len(dst) records starting at sequence number seq
+// into dst and returns the filled prefix of dst; it allocates nothing
+// else, so a caller that reads in a loop reuses one dst. It reads with
+// pread, so it is safe to call while another goroutine appends — the
+// primary's replicator tails a live session's store this way. The read
+// covers only the complete records the file held when it began. A record
+// that fails its checksum or is invalid (a concurrent half-written tail,
+// or damage) ends the batch early; the caller simply retries from the
+// same cursor once the writer has finished the record. seq past the end
+// returns an empty slice, not an error.
+func (s *Store) ReadFrom(seq int64, dst []Record) ([]Record, error) {
+	if seq < 0 || len(dst) == 0 {
+		return nil, fmt.Errorf("cachestore: invalid ReadFrom(seq=%d, len(dst)=%d)", seq, len(dst))
 	}
 	head, err := s.LastSeq()
 	if err != nil {
 		return nil, err
 	}
-	if seq >= head {
-		return nil, nil
-	}
-	buf := make([]byte, min(int64(max), head-seq)*recordSize)
-	n, err := s.f.ReadAt(buf, headerSize+seq*recordSize)
-	if err != nil && err != io.EOF { // EOF: the file shrank under us; use what was read
-		return nil, err
-	}
-	out := make([]Record, 0, n/recordSize)
-	for off := 0; off+recordSize <= n; off += recordSize {
-		r, ok := s.decode(buf[off : off+recordSize])
-		if !ok {
-			break // half-written or damaged: stop, retry later
+	want := int(min(int64(len(dst)), max(head-seq, 0)))
+	var raw [readPiece * recordSize]byte
+	n := 0
+	for n < want {
+		piece := raw[:min(want-n, readPiece)*recordSize]
+		got, err := s.f.ReadAt(piece, headerSize+(seq+int64(n))*recordSize)
+		if err != nil && err != io.EOF { // EOF: the file shrank under us; use what was read
+			return nil, err
 		}
-		out = append(out, r)
+		for off := 0; off+recordSize <= got; off += recordSize {
+			r, ok := s.decode(piece[off : off+recordSize])
+			if !ok {
+				return dst[:n], nil // half-written or damaged: stop, retry later
+			}
+			dst[n] = r
+			n++
+		}
+		if got < len(piece) {
+			break
+		}
 	}
-	return out, nil
+	return dst[:n], nil
 }
 
 // AppendFrom applies a replicated batch whose first record carries

@@ -325,7 +325,7 @@ func TestReplayAcrossChunks(t *testing.T) {
 	if n, _ := s.Len(); n != total+1 {
 		t.Fatalf("Len = %d after post-replay append, want %d", n, total+1)
 	}
-	if last, err := s.ReadFrom(total, 1); err != nil || len(last) != 1 || last[0] != (Record{0, 1, 0.5}) {
+	if last, err := s.ReadFrom(total, make([]Record, 1)); err != nil || len(last) != 1 || last[0] != (Record{0, 1, 0.5}) {
 		t.Fatalf("record %d = %+v, %v; want the post-replay append", total, last, err)
 	}
 }

@@ -46,7 +46,7 @@ func TestReadFromWindows(t *testing.T) {
 		}
 	}
 	// Middle window.
-	got, err := s.ReadFrom(1, 2)
+	got, err := s.ReadFrom(1, make([]Record, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestReadFromWindows(t *testing.T) {
 		t.Fatalf("ReadFrom(1,2) = %+v, want %+v", got, want[1:3])
 	}
 	// Window past the end is clamped, not an error.
-	got, err = s.ReadFrom(3, 10)
+	got, err = s.ReadFrom(3, make([]Record, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestReadFromWindows(t *testing.T) {
 		t.Fatalf("ReadFrom(3,10) = %+v, want %+v", got, want[3:])
 	}
 	// Cursor exactly at the end: empty, no error.
-	if got, err := s.ReadFrom(4, 8); err != nil || len(got) != 0 {
+	if got, err := s.ReadFrom(4, make([]Record, 8)); err != nil || len(got) != 0 {
 		t.Fatalf("ReadFrom(4,8) = %+v, %v, want empty, nil", got, err)
 	}
 	// ReadFrom must not disturb the append position.
@@ -90,7 +90,7 @@ func TestReadFromStopsAtDamage(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	got, err := s2.ReadFrom(0, 10)
+	got, err := s2.ReadFrom(0, make([]Record, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestReadFromConcurrentWithAppends(t *testing.T) {
 	}()
 	var cursor int64
 	for cursor < total {
-		recs, err := s.ReadFrom(cursor, 64)
+		recs, err := s.ReadFrom(cursor, make([]Record, 64))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +196,7 @@ func TestAppendFromStopsAtInvalidRecord(t *testing.T) {
 	if err == nil || errors.Is(err, ErrSeqGap) || seq != 3 {
 		t.Fatalf("AppendFrom = %d, %v; want cursor 3 and the invalid-pair error", seq, err)
 	}
-	got, err := s.ReadFrom(0, 10)
+	got, err := s.ReadFrom(0, make([]Record, 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,10 +237,11 @@ func BenchmarkReplLog(b *testing.B) {
 		if _, err := s.AppendFrom(0, recs); err != nil {
 			b.Fatal(err)
 		}
+		dst := make([]Record, batch)
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if got, err := s.ReadFrom(0, batch); err != nil || len(got) != batch {
+			if got, err := s.ReadFrom(0, dst); err != nil || len(got) != batch {
 				b.Fatalf("ReadFrom = %d records, %v", len(got), err)
 			}
 		}
@@ -303,7 +304,7 @@ func TestReplicaMidStreamTruncationResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := p.ReadFrom(0, 6)
+	recs, err := p.ReadFrom(0, make([]Record, 6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,7 +339,7 @@ func TestReplicaMidStreamTruncationResumes(t *testing.T) {
 		t.Fatalf("replica LastSeq after torn-tail reopen = %d, want 6", seq)
 	}
 	// Resume: the primary resends from the replica's cursor.
-	rest, err := p.ReadFrom(seq, 100)
+	rest, err := p.ReadFrom(seq, make([]Record, 100))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,8 +66,9 @@ type ReplicatorConfig struct {
 // session's log to one peer.
 type peerCursor struct {
 	node   Node
-	seq    int64 // next record to send
-	halted bool  // peer answered 409 repl_conflict; stream is dead
+	seq    int64               // next record to send
+	halted bool                // peer answered 409 repl_conflict; stream is dead
+	buf    []cachestore.Record // ReadFrom's destination, reused every batch
 }
 
 // replStream is the replication state of one locally-hosted session.
@@ -281,8 +282,11 @@ func (r *Replicator) pump(ctx context.Context) (behind int64, err error) {
 // pushPeer drains one stream toward one peer as far as one cycle allows,
 // returning the residual lag in records.
 func (r *Replicator) pushPeer(ctx context.Context, st *replStream, pc *peerCursor, head int64) int64 {
+	if pc.buf == nil {
+		pc.buf = make([]cachestore.Record, r.batch)
+	}
 	for pc.seq < head {
-		recs, err := st.store.ReadFrom(pc.seq, r.batch)
+		recs, err := st.store.ReadFrom(pc.seq, pc.buf)
 		if err != nil {
 			r.logf("cluster: repl %q -> %s: reading log: %v", st.name, pc.node.Name, err)
 			return head - pc.seq

@@ -205,7 +205,7 @@ func TestReplicatorRewindsAfterPeerTruncation(t *testing.T) {
 		peer.mu.Unlock()
 		t.Fatal(err)
 	}
-	recs, _ := src.ReadFrom(0, 3)
+	recs, _ := src.ReadFrom(0, make([]cachestore.Record, 3))
 	st.AppendFrom(0, recs)
 	peer.store = st
 	peer.mu.Unlock()
@@ -329,7 +329,7 @@ func TestReplicatorAdoptsReplicaAhead(t *testing.T) {
 	}
 	defer src.Close()
 	fillStore(t, src, 16)
-	recs, err := src.ReadFrom(0, 16)
+	recs, err := src.ReadFrom(0, make([]cachestore.Record, 16))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,8 @@ import (
 // Stats is a point-in-time snapshot of a Session's instrumentation.
 // OracleCalls is the paper's primary cost metric; SavedComparisons counts
 // IF statements resolved from bounds alone. The live counters behind a
-// snapshot are obs instruments (see internal/obs and WithObserver); Stats
+// snapshot are the session's own obs counters (see internal/obs and
+// WithObserver), so a snapshot counts this session's events only; Stats
 // remains the stable reporting surface experiments and CLIs consume.
 type Stats struct {
 	// OracleCalls is the number of distances resolved through the oracle
@@ -100,21 +101,15 @@ type Session struct {
 	cmp     bounds.Comparator
 	maxDist float64
 
-	// ins holds the metric instrument handles every counter of this
-	// session records into (the replacement for the ad-hoc Stats counter
-	// fields). Handles are resolved once here; each recording is a
-	// single atomic operation, so SharedSession's unlocked paths may
-	// bump them too.
+	// ins holds the session's own counters behind Stats, linked into
+	// the observer's registry series when one is attached. Each
+	// recording is atomic, so SharedSession's unlocked paths may bump
+	// them too.
 	ins *obs.SessionInstruments
 
 	// tr, when non-nil (observer attached), receives one obs.Event per
 	// comparison. The tracer is internally synchronised.
 	tr *obs.Tracer
-
-	// timed enables oracle-latency timing into ins.OracleLatency; set
-	// only when an observer is attached so unobserved sessions pay no
-	// clock reads on the hot path.
-	timed bool
 
 	// phase distinguishes bootstrap-phase oracle calls from run-phase
 	// ones for the phase-labelled call counters and trace events.
@@ -168,13 +163,13 @@ func WithMaxDistance(d float64) Option {
 }
 
 // WithObserver attaches an observability surface to the session: its
-// counters are registered in o.Registry (labelled with the scheme name,
-// aggregating with any other session using the same registry and
+// counters are linked to o.Registry's series (labelled with the scheme
+// name, so a series sums every session using the same registry and
 // scheme), oracle round-trips are timed into the latency histogram, and
 // — if o.Tracer is non-nil — every comparison emits one obs.Event
 // recording how it was settled and the bound gap that forced any oracle
-// fallback. Without this option the session keeps private instruments:
-// the Stats surface is identical, only exposition and tracing are off.
+// fallback. Stats counts this session's events either way; without this
+// option only exposition, timing and tracing are off.
 //
 // Observation is strictly write-only: no bound decision ever reads an
 // instrument, so an observed run computes exactly what an unobserved run
@@ -200,9 +195,9 @@ func (s *Session) phaseName() string {
 // callsCounter returns the oracle-call counter for the current phase.
 func (s *Session) callsCounter() *obs.Counter {
 	if s.phase.Load() == phaseBootstrap {
-		return s.ins.BootstrapCalls
+		return &s.ins.BootstrapCalls
 	}
-	return s.ins.OracleCalls
+	return &s.ins.OracleCalls
 }
 
 // traceCmp emits one comparison event when a tracer is attached. For
@@ -363,15 +358,9 @@ func NewFallibleSessionWithLandmarks(fo metric.FallibleOracle, scheme Scheme, la
 	if s.observer != nil {
 		reg = s.observer.Registry
 		s.tr = s.observer.Tracer
-		s.timed = true
-	}
-	if reg == nil {
-		// Unobserved sessions still count into private instruments so the
-		// Stats surface is identical; only exposition/tracing/timing differ.
-		reg = obs.NewRegistry()
 	}
 	s.ins = obs.NewSessionInstruments(reg, s.schemeName)
-	if s.slackAdditive() {
+	if s.slackAdditive() && s.ins.SlackEps != nil {
 		s.ins.SlackEps.Set(s.slackEps())
 	}
 	return s
@@ -462,16 +451,17 @@ func (s *Session) DistErr(i, j int) (float64, error) {
 // latency histogram is an atomic instrument, so observing into it here
 // is safe without the lock).
 func (s *Session) oracleDistanceErr(i, j int) (float64, error) {
+	lat := s.ins.OracleLatency // nil unless observed: no clock reads
 	var t0 time.Time
-	if s.timed {
+	if lat != nil {
 		t0 = time.Now()
 	}
 	d, err := s.fo.DistanceCtx(context.Background(), i, j)
-	if s.timed {
+	if lat != nil {
 		// Failed round-trips are recorded too: the histogram measures wall
 		// clock paid at the oracle, including retry/backoff in the
 		// resilient layer below.
-		s.ins.OracleLatency.Observe(int64(time.Since(t0)))
+		lat.Observe(int64(time.Since(t0)))
 	}
 	if err != nil {
 		return 0, fmt.Errorf("%w: dist(%d,%d): %w", ErrOracleUnavailable, i, j, err)
@@ -494,7 +484,7 @@ func (s *Session) record(i, j int, d float64) {
 		// Audit before AddEdge: auditTriangles borrows adjacency rows,
 		// and the commit below may grow the slabs and invalidate them.
 		s.auditTriangles(i, j, d)
-		if s.slack.Auto {
+		if s.slack.Auto && s.ins.SlackEps != nil {
 			// Publish the possibly escalated ε; in-process bounds are
 			// derived fresh per query, so escalation needs no cache
 			// invalidation here (remote mirrors watch this gauge's value

@@ -142,34 +142,6 @@ func waitHealthy(t *testing.T, url string, timeout time.Duration) {
 	t.Fatalf("%s never became healthy within %s", url, timeout)
 }
 
-// waitNodesUp polls the router's /healthz until its prober reports every
-// node "up". A 2xx alone is not enough: a probe round that ran before a
-// node was listening keeps it marked down until the next round, and the
-// router routes around it meanwhile, so a session created then lands on
-// its replica instead of the primary the test kills.
-func waitNodesUp(t *testing.T, url string, names []string, timeout time.Duration) {
-	t.Helper()
-	deadline := time.Now().Add(timeout)
-	var hz api.ClusterHealthz
-	for time.Now().Before(deadline) {
-		hz = api.ClusterHealthz{}
-		if getJSON(t, url, &hz) == http.StatusOK && allUp(hz.Nodes, names) {
-			return
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
-	t.Fatalf("router never reported every node up within %s: %v", timeout, hz.Nodes)
-}
-
-func allUp(nodes map[string]string, names []string) bool {
-	for _, n := range names {
-		if nodes[n] != "up" {
-			return false
-		}
-	}
-	return true
-}
-
 // postRaw POSTs a JSON body and returns status plus raw response bytes —
 // raw, because the cluster's contract is byte-identity with a
 // single-node run.
@@ -254,26 +226,30 @@ func TestClusterKillPrimaryMidWorkload(t *testing.T) {
 			"-cluster", spec, "-node", n, "-replicas", "1",
 			"-cache-dir", t.TempDir())
 	}
-	rt := spawn(t, filepath.Join(logDir, "router.log"), router,
-		"-cluster", spec, "-replicas", "1",
-		"-listen", fmt.Sprintf("127.0.0.1:%d", ports[3]),
-		"-probe-interval", "100ms")
-	dumpAll := func() {
-		for _, d := range daemons {
-			d.dump(t)
-		}
-		rt.dump(t)
-	}
+	var rt *daemon
 	defer func() {
 		if t.Failed() {
-			dumpAll()
+			for _, d := range daemons {
+				d.dump(t)
+			}
+			if rt != nil {
+				rt.dump(t)
+			}
 		}
 	}()
 	for _, n := range names {
 		waitHealthy(t, urls[n]+"/healthz", 30*time.Second)
 	}
+	// The router starts once every node answers, and its probe interval
+	// outlasts the test: the start-up probe, which finds every node up,
+	// is its only one. So the first request after the kill still routes
+	// to the dead primary and must fail over, which the
+	// cluster_failovers_total check below requires.
+	rt = spawn(t, filepath.Join(logDir, "router.log"), router,
+		"-cluster", spec, "-replicas", "1",
+		"-listen", fmt.Sprintf("127.0.0.1:%d", ports[3]),
+		"-probe-interval", "1h")
 	waitHealthy(t, routerURL+"/healthz", 30*time.Second)
-	waitNodesUp(t, routerURL+"/healthz", names, 30*time.Second)
 
 	// The test computes ownership with the same ring the processes built
 	// from the same flags, so it knows whom to kill.

@@ -44,9 +44,10 @@ type Config struct {
 	FaultSeed int64
 	// Observer, when non-nil, is attached to every session the suite
 	// builds (core.WithObserver) and to the fault-injection and policy
-	// layers when FaultRate > 0: metrics aggregate into its registry and,
-	// if its Tracer is set, every comparison is traced. Observation never
-	// changes results — see DESIGN.md §8.
+	// layers when FaultRate > 0: each registry series sums its counter
+	// over all of them, while every table cell still reads its own
+	// session's Stats, and, if its Tracer is set, every comparison is
+	// traced. Observation never changes results — see DESIGN.md §8.
 	Observer *obs.Observer
 }
 

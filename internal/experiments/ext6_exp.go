@@ -10,7 +10,7 @@ import (
 	"metricprox/internal/gnat"
 	"metricprox/internal/metric"
 	"metricprox/internal/mtree"
-	"metricprox/internal/query"
+	"metricprox/internal/prox"
 	"metricprox/internal/stats"
 	"metricprox/internal/vptree"
 )
@@ -55,7 +55,7 @@ func ext6(cfg Config) *stats.Table {
 		o := metric.NewOracle(space)
 		s := core.NewSession(o, core.SchemeNoop)
 		for _, q := range queries {
-			query.KNN(s, q, k)
+			prox.KNNRow(s, q, k)
 		}
 		t.AddRow("linear scan", "0", stats.Int(o.Calls()), stats.Int(o.Calls()))
 	}
@@ -64,7 +64,7 @@ func ext6(cfg Config) *stats.Table {
 		s := core.NewSession(o, core.SchemeTri)
 		boot := s.Bootstrap(core.PickLandmarks(n, logLandmarks(n), cfg.Seed))
 		for _, q := range queries {
-			query.KNN(s, q, k)
+			prox.KNNRow(s, q, k)
 		}
 		t.AddRow("session+tri", stats.Int(boot), stats.Int(o.Calls()-boot), stats.Int(o.Calls()))
 	}

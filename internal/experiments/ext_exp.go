@@ -56,7 +56,7 @@ func ext1(cfg Config) *stats.Table {
 		o := metric.NewOracle(space)
 		s := core.NewSession(o, core.SchemeNoop)
 		for _, q := range queries {
-			query.KNN(s, q, k)
+			prox.KNNRow(s, q, k)
 		}
 		t.AddRow("linear scan", "0", stats.F(float64(o.Calls())/40), stats.Int(o.Calls()))
 	}
@@ -67,7 +67,7 @@ func ext1(cfg Config) *stats.Table {
 		s := core.NewSession(o, core.SchemeTri)
 		boot := s.Bootstrap(core.PickLandmarks(n, logLandmarks(n), cfg.Seed))
 		for _, q := range queries {
-			query.KNN(s, q, k)
+			prox.KNNRow(s, q, k)
 		}
 		t.AddRow("session+tri", stats.Int(boot), stats.F(float64(o.Calls()-boot)/40), stats.Int(o.Calls()))
 	}

@@ -23,7 +23,7 @@
 //
 // The wrapper counts every injection (Counters) so tests can cross-check
 // the retry accounting of the resilient layer against ground truth.
-// Injector.Observe additionally mirrors those counts into an
-// obs.Registry (faultmetric_* series; see docs/METRICS.md and DESIGN.md
-// §8) without influencing the fault schedule.
+// Injector.Observe links those counters to an obs.Registry's series
+// (faultmetric_* series; see docs/METRICS.md and DESIGN.md §8) without
+// influencing the fault schedule.
 package faultmetric

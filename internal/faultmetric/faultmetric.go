@@ -10,6 +10,7 @@ import (
 
 	"metricprox/internal/fcmp"
 	"metricprox/internal/metric"
+	"metricprox/internal/obs"
 )
 
 // Typed injection errors. ErrTransient and ErrRateLimited are retryable;
@@ -115,11 +116,13 @@ type Injector struct {
 	cfg  Config
 
 	mu       sync.Mutex
-	calls    int64
 	attempts map[int64]int64 // per-pair attempt index
 	failed   map[int64]int64 // per-pair injected failure count
-	counts   Counters
-	ins      *instruments // obs mirrors once Observe is called; guarded by mu
+
+	// The counters behind Counters; Observe links each to its registry
+	// series. calls is also the global call index of the outage windows,
+	// so it advances under mu.
+	calls, transients, rateLimits, outages, corrupts, latencies, ctxCancels, perturbations obs.Counter
 }
 
 // New wraps base with the given fault schedule.
@@ -140,9 +143,16 @@ func (f *Injector) Len() int { return f.base.Len() }
 
 // Counters snapshots the injection counts.
 func (f *Injector) Counters() Counters {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.counts
+	return Counters{
+		Calls:         f.calls.Value(),
+		Transients:    f.transients.Value(),
+		RateLimits:    f.rateLimits.Value(),
+		Outages:       f.outages.Value(),
+		Corrupts:      f.corrupts.Value(),
+		Latencies:     f.latencies.Value(),
+		CtxCancels:    f.ctxCancels.Value(),
+		Perturbations: f.perturbations.Value(),
+	}
 }
 
 // DistanceCtx serves one attempt: it draws the fault decision for this
@@ -152,24 +162,16 @@ func (f *Injector) DistanceCtx(ctx context.Context, i, j int) (float64, error) {
 	key := pairKey(i, j)
 
 	f.mu.Lock()
-	f.calls++
-	call := f.calls
+	f.calls.Inc()
+	call := f.calls.Value()
 	attempt := f.attempts[key]
 	f.attempts[key] = attempt + 1
-	f.counts.Calls++
-	ins := f.ins
-	if ins != nil {
-		ins.calls.Inc()
-	}
 
 	// Outage windows: call-indexed bursts of consecutive failures.
 	if f.cfg.OutagePeriod > 0 {
 		phase := (call - 1) % int64(f.cfg.OutagePeriod)
 		if phase < int64(f.cfg.OutageLen) {
-			f.counts.Outages++
-			if ins != nil {
-				ins.outages.Inc()
-			}
+			f.outages.Inc()
 			f.mu.Unlock()
 			return 0, fmt.Errorf("%w (call %d)", ErrOutage, call)
 		}
@@ -182,22 +184,13 @@ func (f *Injector) DistanceCtx(ctx context.Context, i, j int) (float64, error) {
 		switch {
 		case f.roll(key, attempt, rollRateLimit) < f.cfg.RateLimitRate:
 			inject = fmt.Errorf("%w (pair %d,%d attempt %d)", ErrRateLimited, i, j, attempt)
-			f.counts.RateLimits++
-			if ins != nil {
-				ins.rateLimits.Inc()
-			}
+			f.rateLimits.Inc()
 		case f.roll(key, attempt, rollTransient) < f.cfg.TransientRate:
 			inject = fmt.Errorf("%w (pair %d,%d attempt %d)", ErrTransient, i, j, attempt)
-			f.counts.Transients++
-			if ins != nil {
-				ins.transients.Inc()
-			}
+			f.transients.Inc()
 		case f.roll(key, attempt, rollCorrupt) < f.cfg.CorruptRate:
 			corrupt = true
-			f.counts.Corrupts++
-			if ins != nil {
-				ins.corrupts.Inc()
-			}
+			f.corrupts.Inc()
 		}
 		if inject != nil || corrupt {
 			f.failed[key]++
@@ -206,21 +199,13 @@ func (f *Injector) DistanceCtx(ctx context.Context, i, j int) (float64, error) {
 	sleep := time.Duration(0)
 	if f.cfg.Latency > 0 && (f.cfg.LatencyRate <= 0 || f.roll(key, attempt, rollLatency) < f.cfg.LatencyRate) {
 		sleep = f.cfg.Latency
-		f.counts.Latencies++
-		if ins != nil {
-			ins.latencies.Inc()
-		}
+		f.latencies.Inc()
 	}
 	f.mu.Unlock()
 
 	if sleep > 0 {
 		if err := metric.SleepCtx(ctx, sleep); err != nil {
-			f.mu.Lock()
-			f.counts.CtxCancels++
-			if f.ins != nil {
-				f.ins.ctxCancels.Inc()
-			}
-			f.mu.Unlock()
+			f.ctxCancels.Inc()
 			return 0, err
 		}
 	}
@@ -235,22 +220,12 @@ func (f *Injector) DistanceCtx(ctx context.Context, i, j int) (float64, error) {
 		return -1, nil
 	}
 	if err := ctx.Err(); err != nil {
-		f.mu.Lock()
-		f.counts.CtxCancels++
-		if f.ins != nil {
-			f.ins.ctxCancels.Inc()
-		}
-		f.mu.Unlock()
+		f.ctxCancels.Inc()
 		return 0, err
 	}
 	d := f.base.Distance(i, j)
 	if pd := f.perturb(key, d); !fcmp.ExactEq(pd, d) {
-		f.mu.Lock()
-		f.counts.Perturbations++
-		if f.ins != nil {
-			f.ins.perturbations.Inc()
-		}
-		f.mu.Unlock()
+		f.perturbations.Inc()
 		return pd, nil
 	}
 	return d, nil

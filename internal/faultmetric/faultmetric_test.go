@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"metricprox/internal/metric"
+	"metricprox/internal/obs"
 )
 
 func unitSpace(n int) metric.Space {
@@ -302,5 +303,44 @@ func TestNearMetricOffIsIdentity(t *testing.T) {
 	}
 	if got := inj.Counters().Perturbations; got != 0 {
 		t.Fatalf("Perturbations = %d with near-metric off", got)
+	}
+}
+
+// TestObserveSumsInjectors observes two injectors into one registry, one
+// of them only after it has injected: each Counters() counts its own
+// attempts, and every series equals the sum of the two.
+func TestObserveSumsInjectors(t *testing.T) {
+	cfg := Config{Seed: 3, TransientRate: 0.4, RateLimitRate: 0.2, CorruptRate: 0.2, OutagePeriod: 7}
+	drive := func(inj *Injector) {
+		for i := 0; i < 16; i++ {
+			for j := i + 1; j < 16; j++ {
+				inj.DistanceCtx(context.Background(), i, j)
+			}
+		}
+	}
+	reg := obs.NewRegistry()
+	a, b := New(unitSpace(16), cfg), New(unitSpace(16), cfg)
+	a.Observe(reg)
+	drive(a)
+	drive(b)
+	b.Observe(reg)
+	drive(b)
+	ca, cb := a.Counters(), b.Counters()
+	if ca.Calls != 120 || cb.Calls != 240 {
+		t.Fatalf("Calls = %d and %d, want 120 and 240", ca.Calls, cb.Calls)
+	}
+	for _, c := range []struct {
+		name string
+		want int64
+	}{
+		{MetricCalls, ca.Calls + cb.Calls},
+		{MetricTransients, ca.Transients + cb.Transients},
+		{MetricRateLimits, ca.RateLimits + cb.RateLimits},
+		{MetricOutages, ca.Outages + cb.Outages},
+		{MetricCorrupts, ca.Corrupts + cb.Corrupts},
+	} {
+		if got := reg.Counter(c.name).Value(); got != c.want {
+			t.Errorf("%s = %d, want %d", c.name, got, c.want)
+		}
 	}
 }

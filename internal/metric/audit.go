@@ -61,21 +61,19 @@ const (
 	MetricViolationRatio = "metric_violation_ratio"
 )
 
-// auditInstruments is the Auditor's set of obs handles.
-type auditInstruments struct {
-	checks     *obs.Counter
-	violations *obs.Counter
-	margin     *obs.Gauge
-	ratio      *obs.Gauge
+// auditGauges are the registry gauges Observe attaches.
+type auditGauges struct {
+	margin *obs.Gauge
+	ratio  *obs.Gauge
 }
 
 // Auditor accumulates triangle-inequality evidence from triangles some
 // other component already enumerates — the Tri bound scheme walks exactly
 // the (i,k,j) triples with both legs known, so auditing there costs zero
 // extra oracle calls. The Auditor itself never calls an oracle and never
-// blocks: counters are atomics and the worst margin/ratio are CAS-max
-// float cells, so it is safe to drive from under core.SharedSession's
-// bookkeeping lock.
+// blocks: counters are atomic obs counters and the worst margin/ratio are
+// CAS-max float cells, so it is safe to drive from under
+// core.SharedSession's bookkeeping lock.
 //
 // The worst additive margin ε̂ (Margin) is the quantity ε-slack mode
 // consumes: if every violated triangle has margin ≤ ε, relaxing derived
@@ -83,15 +81,15 @@ type auditInstruments struct {
 type Auditor struct {
 	tol float64
 
-	triangles  atomic.Int64
-	violations atomic.Int64
+	triangles  obs.Counter
+	violations obs.Counter
 	marginBits atomic.Uint64 // float64 bits of the worst additive margin
 	ratioBits  atomic.Uint64 // float64 bits of the worst long/(sum legs)
 
 	mu  sync.Mutex
 	err *ViolationError
 
-	ins atomic.Pointer[auditInstruments]
+	gauges atomic.Pointer[auditGauges]
 }
 
 // NewAuditor returns an Auditor that treats margins above tol as
@@ -204,17 +202,15 @@ func (b *TriangleBatch) Flush() {
 	a := b.a
 	a.triangles.Add(b.triangles)
 	a.maxInto(&a.ratioBits, b.ratio)
-	ins := a.ins.Load()
-	if ins != nil {
-		ins.checks.Add(b.triangles)
-		ins.ratio.Set(a.Ratio())
+	g := a.gauges.Load()
+	if g != nil {
+		g.ratio.Set(a.Ratio())
 	}
 	if b.violations > 0 {
 		a.violations.Add(b.violations)
 		a.maxInto(&a.marginBits, b.margin)
-		if ins != nil {
-			ins.violations.Add(b.violations)
-			ins.margin.Set(a.Margin())
+		if g != nil {
+			g.margin.Set(a.Margin())
 		}
 		a.mu.Lock()
 		if a.err == nil {
@@ -240,10 +236,10 @@ func (a *Auditor) maxInto(cell *atomic.Uint64, v float64) {
 }
 
 // Triangles returns the number of triangles audited so far.
-func (a *Auditor) Triangles() int64 { return a.triangles.Load() }
+func (a *Auditor) Triangles() int64 { return a.triangles.Value() }
 
 // Violations returns the number of violated triangles observed so far.
-func (a *Auditor) Violations() int64 { return a.violations.Load() }
+func (a *Auditor) Violations() int64 { return a.violations.Value() }
 
 // Margin returns the running worst additive margin ε̂ (0 while no
 // violation has been observed).
@@ -268,21 +264,17 @@ func (a *Auditor) Err() error {
 	return a.err
 }
 
-// Observe registers the auditor's instruments in r and mirrors every
-// future check into them, seeding counters and gauges with the evidence
-// already accumulated so registry values match the accessors no matter
-// when observation is attached. Call at most once per Auditor.
-// Observation never influences auditing decisions.
+// Observe links the auditor's counters to their series in r, so each
+// series counts the evidence counted so far and every later check, and
+// attaches the margin and ratio gauges seeded with the running worst
+// values: registry values match the accessors no matter when observation
+// is attached. Call at most once per Auditor (a second call counts
+// twice). Observation never influences auditing decisions.
 func (a *Auditor) Observe(r *obs.Registry) {
-	ins := &auditInstruments{
-		checks:     r.Counter(MetricViolationChecks),
-		violations: r.Counter(MetricViolations),
-		margin:     r.Gauge(MetricViolationMargin),
-		ratio:      r.Gauge(MetricViolationRatio),
-	}
-	ins.checks.Add(a.triangles.Load())
-	ins.violations.Add(a.violations.Load())
-	ins.margin.Set(a.Margin())
-	ins.ratio.Set(a.Ratio())
-	a.ins.Store(ins)
+	a.triangles.Link(r.Counter(MetricViolationChecks))
+	a.violations.Link(r.Counter(MetricViolations))
+	g := &auditGauges{margin: r.Gauge(MetricViolationMargin), ratio: r.Gauge(MetricViolationRatio)}
+	g.margin.Set(a.Margin())
+	g.ratio.Set(a.Ratio())
+	a.gauges.Store(g)
 }

@@ -14,10 +14,14 @@
 //     attached — emits one Event per comparison recording how it was
 //     settled (cache, bounds, oracle, degraded) and the bound gap that
 //     forced any oracle fallback.
-//   - internal/resilient mirrors its retry/breaker accounting (attempts,
+//   - internal/resilient records its retry/breaker accounting (attempts,
 //     retries, timeouts, breaker transitions, attempt latency).
-//   - internal/faultmetric mirrors its injection ground truth, so a chaos
+//   - internal/faultmetric records its injection ground truth, so a chaos
 //     run's dashboards show injected cause next to observed effect.
+//
+// Each of these keeps its own per-instance Counters, which its snapshot
+// (core.Stats, Counters()) reads; observing it links them to registry
+// series (Counter.Link), so a series sums every linked instance.
 //
 // # Design rules
 //
@@ -29,12 +33,12 @@
 // scrape) degrade observability, never answers.
 //
 // Overhead is budgeted, not assumed. Counters and histograms are single
-// atomic operations on pre-resolved handles — no map lookups, no label
-// formatting, no allocation on the hot path. Tracing and latency timing
-// are opt-in per session (attach an Observer); without one, a session
-// pays only the atomic counter increments. BenchmarkObservationOverhead
-// (internal/core) pins the fully-observed overhead to within a few
-// percent of wall clock; DESIGN.md §8 records the budget.
+// atomic operations on pre-resolved handles, linked or not — no map
+// lookups, no label formatting, no allocation on the hot path.
+// Tracing and latency timing are opt-in per session (attach an
+// Observer); without one, a session pays only the atomic counter
+// increments. BenchmarkObservation (internal/prox) prices the observed
+// modes; DESIGN.md §8 records the budget.
 //
 // # Composition
 //

@@ -137,7 +137,19 @@ func (r *Registry) each(visit func(id string, in any)) {
 
 // Counter is a monotonically increasing atomic counter. The zero value is
 // ready to use; handles from a Registry share state per (name, labels).
-type Counter struct{ v atomic.Int64 }
+// A component keeps its own Counter per instance and Links it to a
+// registry series, so its snapshot counts only its own events while the
+// series reads the sum of every linked instance.
+type Counter struct {
+	v     atomic.Int64
+	links atomic.Pointer[links] // set on a series once a counter links to it
+}
+
+// links are the counters linked to one series.
+type links struct {
+	mu sync.Mutex
+	cs []*Counter
+}
 
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
@@ -150,8 +162,35 @@ func (c *Counter) Add(n int64) {
 	c.v.Add(n)
 }
 
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
+// Value returns the current count: c's own adds plus the count of every
+// counter linked to c.
+func (c *Counter) Value() int64 {
+	n := c.v.Load()
+	if l := c.links.Load(); l != nil {
+		l.mu.Lock()
+		for _, k := range l.cs {
+			n += k.Value()
+		}
+		l.mu.Unlock()
+	}
+	return n
+}
+
+// Link makes series count everything c counts, the events c counted
+// before the link and every later one: series reads c's count as part of
+// its own. Counting on c stays one atomic add, linked or not, and the
+// link is exact while other goroutines count on c. Link a counter to a
+// series once; the series keeps it for as long as the series lives.
+func (c *Counter) Link(series *Counter) {
+	l := series.links.Load()
+	if l == nil {
+		series.links.CompareAndSwap(nil, &links{})
+		l = series.links.Load()
+	}
+	l.mu.Lock()
+	l.cs = append(l.cs, c)
+	l.mu.Unlock()
+}
 
 // Gauge is an atomic float64 that can move in either direction — breaker
 // state, queue depth, last-seen values. The zero value is ready to use.

@@ -150,6 +150,43 @@ func TestCounterNegativeAddPanics(t *testing.T) {
 	c.Add(-1)
 }
 
+// TestCounterLink checks that a series sums its own adds and the
+// counters linked to it, that each instance keeps its own count, that a
+// late link brings the count so far, and that a link racing with
+// counting loses and doubles nothing.
+func TestCounterLink(t *testing.T) {
+	r := NewRegistry()
+	series := r.Counter("linked_total")
+	var a, b Counter
+	a.Add(5) // counted before the link
+	a.Link(series)
+	b.Link(series)
+	a.Inc()
+	b.Add(3)
+	series.Inc()
+	if a.Value() != 6 || b.Value() != 3 || series.Value() != 10 {
+		t.Fatalf("a=%d b=%d series=%d, want 6, 3 and 10", a.Value(), b.Value(), series.Value())
+	}
+
+	var c Counter
+	const workers, per = 4, 5000
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				c.Inc()
+			}
+		}()
+	}
+	c.Link(series)
+	wg.Wait()
+	if c.Value() != workers*per || series.Value() != 10+workers*per {
+		t.Fatalf("racing link: c=%d series=%d, want %d and %d", c.Value(), series.Value(), workers*per, 10+workers*per)
+	}
+}
+
 // TestConcurrentRecording hammers one counter, one gauge, and one
 // histogram from many goroutines (run under -race in CI) and checks the
 // exact totals.

@@ -43,57 +43,62 @@ const (
 	PhaseBootstrap = "bootstrap"
 )
 
-// SessionInstruments is the set of handles one core.Session records
-// into — the instrument-handle replacement for the ad-hoc counter
-// fields Stats grew before this layer existed. Handles are resolved
-// once at session construction; every recording is a single atomic op.
+// SessionInstruments is one core.Session's instruments. The counters
+// are the session's own, so core.Stats reads only that session's events;
+// when the session is observed each is linked to its registry series,
+// and a series sums every session with the same scheme (and phase) in
+// that registry. Every recording is a single atomic op.
 type SessionInstruments struct {
 	// OracleCalls counts run-phase oracle resolutions
 	// (MetricOracleCalls, phase=run).
-	OracleCalls *Counter
+	OracleCalls Counter
 	// BootstrapCalls counts bootstrap-phase oracle resolutions
 	// (MetricOracleCalls, phase=bootstrap).
-	BootstrapCalls *Counter
-	// BoundProbes mirrors Stats.BoundProbes (MetricBoundProbes).
-	BoundProbes *Counter
-	// SavedComparisons mirrors Stats.SavedComparisons (MetricSaved).
-	SavedComparisons *Counter
-	// ResolvedComparisons mirrors Stats.ResolvedComparisons
+	BootstrapCalls Counter
+	// BoundProbes backs Stats.BoundProbes (MetricBoundProbes).
+	BoundProbes Counter
+	// SavedComparisons backs Stats.SavedComparisons (MetricSaved).
+	SavedComparisons Counter
+	// ResolvedComparisons backs Stats.ResolvedComparisons
 	// (MetricResolved).
-	ResolvedComparisons *Counter
-	// CacheHits mirrors Stats.CacheHits (MetricCacheHits).
-	CacheHits *Counter
-	// DegradedAnswers mirrors Stats.DegradedAnswers (MetricDegraded).
-	DegradedAnswers *Counter
-	// StoreErrors mirrors Stats.StoreErrors (MetricStoreErrors).
-	StoreErrors *Counter
-	// SlackResolved mirrors Stats.SlackResolved (MetricSlackResolved).
-	SlackResolved *Counter
-	// SlackEps holds the session's current additive slack
-	// (MetricSlackEps); 0 while slack mode is off.
+	ResolvedComparisons Counter
+	// CacheHits backs Stats.CacheHits (MetricCacheHits).
+	CacheHits Counter
+	// DegradedAnswers backs Stats.DegradedAnswers (MetricDegraded).
+	DegradedAnswers Counter
+	// StoreErrors backs Stats.StoreErrors (MetricStoreErrors).
+	StoreErrors Counter
+	// SlackResolved backs Stats.SlackResolved (MetricSlackResolved).
+	SlackResolved Counter
+	// SlackEps is the registry gauge holding the session's current
+	// additive slack (MetricSlackEps); nil for an unobserved session.
 	SlackEps *Gauge
-	// OracleLatency is the oracle round-trip latency histogram
-	// (MetricOracleLatency); populated only for observed sessions.
+	// OracleLatency is the registry's oracle round-trip latency
+	// histogram (MetricOracleLatency); nil for an unobserved session,
+	// which never reads the clock for it.
 	OracleLatency *Histogram
 }
 
-// NewSessionInstruments resolves the session instrument handles in r,
-// labelled with the given bound-scheme name. Two sessions with the same
-// scheme sharing one registry share (aggregate into) the same series,
-// the standard metrics-registry semantics.
+// NewSessionInstruments returns a session's instruments. With a nil r
+// the counters are private and the gauge and histogram absent; otherwise
+// each counter is linked to its series in r, labelled with the given
+// bound-scheme name, and the gauge and histogram are r's own.
 func NewSessionInstruments(r *Registry, scheme string) *SessionInstruments {
-	s := L("scheme", scheme)
-	return &SessionInstruments{
-		OracleCalls:         r.Counter(MetricOracleCalls, s, L("phase", PhaseRun)),
-		BootstrapCalls:      r.Counter(MetricOracleCalls, s, L("phase", PhaseBootstrap)),
-		BoundProbes:         r.Counter(MetricBoundProbes, s),
-		SavedComparisons:    r.Counter(MetricSaved, s),
-		ResolvedComparisons: r.Counter(MetricResolved, s),
-		CacheHits:           r.Counter(MetricCacheHits, s),
-		DegradedAnswers:     r.Counter(MetricDegraded, s),
-		StoreErrors:         r.Counter(MetricStoreErrors, s),
-		SlackResolved:       r.Counter(MetricSlackResolved, s),
-		SlackEps:            r.Gauge(MetricSlackEps, s),
-		OracleLatency:       r.Histogram(MetricOracleLatency, s),
+	ins := &SessionInstruments{}
+	if r == nil {
+		return ins
 	}
+	s := L("scheme", scheme)
+	ins.OracleCalls.Link(r.Counter(MetricOracleCalls, s, L("phase", PhaseRun)))
+	ins.BootstrapCalls.Link(r.Counter(MetricOracleCalls, s, L("phase", PhaseBootstrap)))
+	ins.BoundProbes.Link(r.Counter(MetricBoundProbes, s))
+	ins.SavedComparisons.Link(r.Counter(MetricSaved, s))
+	ins.ResolvedComparisons.Link(r.Counter(MetricResolved, s))
+	ins.CacheHits.Link(r.Counter(MetricCacheHits, s))
+	ins.DegradedAnswers.Link(r.Counter(MetricDegraded, s))
+	ins.StoreErrors.Link(r.Counter(MetricStoreErrors, s))
+	ins.SlackResolved.Link(r.Counter(MetricSlackResolved, s))
+	ins.SlackEps = r.Gauge(MetricSlackEps, s)
+	ins.OracleLatency = r.Histogram(MetricOracleLatency, s)
+	return ins
 }

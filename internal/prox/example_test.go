@@ -35,6 +35,17 @@ func ExampleKNNGraph() {
 	// neighbours of point 3: #4 and #2
 }
 
+// ExampleKNNRow answers one nearest-neighbour query.
+func ExampleKNNRow() {
+	s := core.NewSession(lineOracle(), core.SchemeTri)
+	for _, nb := range prox.KNNRow(s, 0, 2) {
+		fmt.Printf("#%d at %.1f\n", nb.ID, nb.Dist)
+	}
+	// Output:
+	// #1 at 0.1
+	// #2 at 0.2
+}
+
 // ExampleSingleLinkage cuts a dendrogram into the two obvious clusters.
 func ExampleSingleLinkage() {
 	s := core.NewSession(lineOracle(), core.SchemeTri)

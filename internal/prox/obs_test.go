@@ -150,6 +150,59 @@ func TestObsReconciliation(t *testing.T) {
 	})
 }
 
+// TestSessionsSharingObserverKeepOwnStats runs two same-scheme sessions
+// on one observer, as proxbench -obs does: each session's Stats must equal
+// the same run unobserved, and each registry series the sum of their
+// Stats.
+func TestSessionsSharingObserverKeepOwnStats(t *testing.T) {
+	m := datasets.SFPOI(70, 7)
+	lms := core.PickLandmarks(70, 6, 7)
+	run := func(work func(core.View), opts ...core.Option) core.Stats {
+		s := core.NewSession(metric.NewOracle(m), core.SchemeTri, opts...)
+		s.Bootstrap(lms)
+		work(s)
+		return s.Stats()
+	}
+	observer := obs.NewObserver(true, 0, nil)
+	var sum core.Stats
+	for _, work := range []func(core.View){
+		func(s core.View) { KNNGraph(s, 4) },
+		func(s core.View) { PrimMST(s) },
+	} {
+		plain := run(work)
+		st := run(work, core.WithObserver(observer))
+		if st != plain {
+			t.Fatalf("observed session Stats %+v, unobserved %+v", st, plain)
+		}
+		sum.OracleCalls += st.OracleCalls
+		sum.BootstrapCalls += st.BootstrapCalls
+		sum.BoundProbes += st.BoundProbes
+		sum.SavedComparisons += st.SavedComparisons
+		sum.ResolvedComparisons += st.ResolvedComparisons
+		sum.CacheHits += st.CacheHits
+	}
+	reg := observer.Registry
+	scheme := obs.L("scheme", "tri")
+	runCalls := reg.Counter(obs.MetricOracleCalls, scheme, obs.L("phase", obs.PhaseRun)).Value()
+	boot := reg.Counter(obs.MetricOracleCalls, scheme, obs.L("phase", obs.PhaseBootstrap)).Value()
+	if runCalls+boot != sum.OracleCalls || boot != sum.BootstrapCalls {
+		t.Fatalf("registry oracle calls run=%d boot=%d, summed Stats %d (boot %d)", runCalls, boot, sum.OracleCalls, sum.BootstrapCalls)
+	}
+	for _, c := range []struct {
+		name string
+		want int64
+	}{
+		{obs.MetricBoundProbes, sum.BoundProbes},
+		{obs.MetricSaved, sum.SavedComparisons},
+		{obs.MetricResolved, sum.ResolvedComparisons},
+		{obs.MetricCacheHits, sum.CacheHits},
+	} {
+		if got := reg.Counter(c.name, scheme).Value(); got != c.want {
+			t.Errorf("registry %s = %d, summed Stats %d", c.name, got, c.want)
+		}
+	}
+}
+
 // TestObserverDoesNotChangeOutput is the output-preservation half: the
 // same seeded workload with and without full observation must produce
 // bit-identical results and identical call counts.

@@ -8,20 +8,6 @@ import (
 	"metricprox/internal/query"
 )
 
-// ExampleKNN answers a nearest-neighbour query over points on a line.
-func ExampleKNN() {
-	pts := [][]float64{{0.0}, {0.1}, {0.2}, {0.6}, {0.7}}
-	oracle := metric.NewOracle(metric.NewVectors(pts, 1, 1))
-	s := core.NewSession(oracle, core.SchemeTri)
-
-	for _, r := range query.KNN(s, 0, 2) {
-		fmt.Printf("#%d at %.1f\n", r.ID, r.Dist)
-	}
-	// Output:
-	// #1 at 0.1
-	// #2 at 0.2
-}
-
 // ExampleRange answers a radius query.
 func ExampleRange() {
 	pts := [][]float64{{0.0}, {0.1}, {0.2}, {0.6}, {0.7}}

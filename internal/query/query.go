@@ -1,7 +1,7 @@
-// Package query answers single-object similarity queries — k-nearest-
-// neighbour and range (radius) queries — through the core.Session
-// framework, plus the classic AESA baseline (Vidal Ruiz 1986) the paper
-// cites as the ancestor of the landmark methods.
+// Package query answers single-object range (radius) queries through the
+// core.Session framework, plus the classic AESA baseline (Vidal Ruiz 1986)
+// the paper cites as the ancestor of the landmark methods. Single-object
+// k-nearest-neighbour queries are prox.KNNRow.
 //
 // These are the workloads the related-work index structures (LAESA,
 // TLAESA, VP-trees, M-trees) were designed for; expressing them through
@@ -27,61 +27,6 @@ func sortResults(rs []Result) {
 	sort.Slice(rs, func(a, b int) bool {
 		return fcmp.TieLess(rs[a].Dist, rs[a].ID, rs[b].Dist, rs[b].ID)
 	})
-}
-
-// KNN returns the k nearest neighbours of object q, resolving distances
-// through the session. Candidates are visited in ascending order of their
-// current lower bound; once k answers are held and the next candidate's
-// lower bound reaches the k-th distance, the rest are pruned wholesale
-// (bounds only tighten, so the snapshot order stays sound).
-func KNN(s *core.Session, q, k int) []Result {
-	n := s.N()
-	if k >= n {
-		k = n - 1
-	}
-	if k <= 0 {
-		return nil
-	}
-	type cand struct {
-		id int
-		lb float64
-	}
-	cands := make([]cand, 0, n-1)
-	for x := 0; x < n; x++ {
-		if x == q {
-			continue
-		}
-		lb, _ := s.Bounds(q, x)
-		cands = append(cands, cand{id: x, lb: lb})
-	}
-	sort.Slice(cands, func(a, b int) bool {
-		return fcmp.TieLess(cands[a].lb, cands[a].id, cands[b].lb, cands[b].id)
-	})
-
-	best := make([]Result, 0, k+1)
-	kth := s.MaxDistance() * 2
-	for _, c := range cands {
-		if len(best) == k && c.lb >= kth {
-			break
-		}
-		threshold := kth
-		if len(best) < k {
-			threshold = s.MaxDistance() * 2
-		}
-		d, less := s.DistIfLess(q, c.id, threshold)
-		if !less {
-			continue
-		}
-		best = append(best, Result{ID: c.id, Dist: d})
-		sortResults(best)
-		if len(best) > k {
-			best = best[:k]
-		}
-		if len(best) == k {
-			kth = best[k-1].Dist
-		}
-	}
-	return best
 }
 
 // Range returns every object within (closed) radius r of q with its exact

@@ -8,6 +8,7 @@ import (
 	"metricprox/internal/core"
 	"metricprox/internal/datasets"
 	"metricprox/internal/metric"
+	"metricprox/internal/prox"
 )
 
 func refKNN(m metric.Space, q, k int) []Result {
@@ -27,6 +28,9 @@ func newSession(m metric.Space, sc core.Scheme, landmarks []int) (*core.Session,
 	return s, o
 }
 
+// The kNN tests below drive single-object queries through prox.KNNRow,
+// the one kNN scan every caller uses.
+
 func TestKNNMatchesBruteForce(t *testing.T) {
 	m := datasets.RandomMetric(80, 1)
 	landmarks := core.PickLandmarks(80, 6, 2)
@@ -35,7 +39,7 @@ func TestKNNMatchesBruteForce(t *testing.T) {
 		s.Bootstrap(landmarks)
 		for q := 0; q < 80; q += 11 {
 			want := refKNN(m, q, 5)
-			got := KNN(s, q, 5)
+			got := prox.KNNRow(s, q, 5)
 			if len(got) != 5 {
 				t.Fatalf("scheme %v q=%d: %d results", sc, q, len(got))
 			}
@@ -55,8 +59,8 @@ func TestKNNSavesCalls(t *testing.T) {
 	tri, oT := newSession(m, core.SchemeTri, landmarks)
 	tri.Bootstrap(landmarks)
 	for q := 0; q < 200; q += 10 {
-		KNN(noop, q, 5)
-		KNN(tri, q, 5)
+		prox.KNNRow(noop, q, 5)
+		prox.KNNRow(tri, q, 5)
 	}
 	if oT.Calls() >= oN.Calls() {
 		t.Fatalf("Tri KNN made %d calls, Noop %d", oT.Calls(), oN.Calls())
@@ -66,11 +70,54 @@ func TestKNNSavesCalls(t *testing.T) {
 func TestKNNDegenerate(t *testing.T) {
 	m := datasets.RandomMetric(5, 5)
 	s, _ := newSession(m, core.SchemeTri, nil)
-	if got := KNN(s, 0, 0); got != nil {
+	if got := prox.KNNRow(s, 0, 0); len(got) != 0 {
 		t.Fatalf("k=0 returned %v", got)
 	}
-	if got := KNN(s, 0, 99); len(got) != 4 {
+	if got := prox.KNNRow(s, 0, 99); len(got) != 4 {
 		t.Fatalf("k>n returned %d results, want 4", len(got))
+	}
+}
+
+// TestKNNTieHeavyQueriesMatchNoop runs single queries where ties are the
+// rule: Levenshtein over 32-base sequences scaled by 1/32, so every
+// distance is an exact multiple of 1/32 and many candidates tie at the
+// k-th distance. Each bound scheme must answer every query exactly as
+// the unmodified scan does, ties at the k-th place included.
+func TestKNNTieHeavyQueriesMatchNoop(t *testing.T) {
+	const n, k = 250, 5
+	_, m := datasets.DNA(n, 32, 42)
+	rng := rand.New(rand.NewSource(42))
+	queries := make([]int, 40)
+	for i := range queries {
+		queries[i] = rng.Intn(n)
+	}
+	landmarks := core.PickLandmarks(n, 8, 42)
+	noop, _ := newSession(m, core.SchemeNoop, nil)
+	want := make([][]prox.Neighbor, len(queries))
+	ties := 0
+	for x, q := range queries {
+		want[x] = prox.KNNRow(noop, q, k)
+		kth := want[x][k-1].Dist
+		for v := 0; v < n; v++ {
+			if d, _ := noop.Known(q, v); v != q && d == kth {
+				ties++
+			}
+		}
+	}
+	if ties <= len(queries) {
+		t.Fatalf("only %d candidates at the k-th distance over %d queries: the data has no ties to test", ties, len(queries))
+	}
+	for _, sc := range []core.Scheme{core.SchemeTri, core.SchemeSPLUB, core.SchemeLAESA} {
+		s, _ := newSession(m, sc, landmarks)
+		s.Bootstrap(landmarks)
+		for x, q := range queries {
+			got := prox.KNNRow(s, q, k)
+			for i := range want[x] {
+				if got[i] != want[x][i] {
+					t.Fatalf("scheme %v query %d: result %d = %+v, noop %+v", sc, q, i, got[i], want[x][i])
+				}
+			}
+		}
 	}
 }
 

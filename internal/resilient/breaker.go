@@ -3,19 +3,20 @@ package resilient
 import (
 	"sync"
 	"time"
+
+	"metricprox/internal/obs"
 )
 
-// Breaker is a standalone three-state circuit breaker with the same
-// semantics as the one built into Oracle: FailureThreshold consecutive
+// Breaker is a three-state circuit breaker: FailureThreshold consecutive
 // failures open it, an open breaker fast-fails every caller until the
 // cooldown elapses, and exactly one half-open probe is admitted per
 // cooldown — its outcome closes the breaker or re-opens it for another
 // cooldown.
 //
-// Oracle embeds this state machine for distance calls; Breaker exports it
-// for transports that are not pair-shaped, most notably the HTTP request
-// loop of internal/proxclient, so the service client fails fast during a
-// daemon outage instead of hammering a dead endpoint with retries.
+// Oracle admits every distance attempt through one; the HTTP request
+// loop of internal/proxclient uses another, so the service client fails
+// fast during a daemon outage instead of hammering a dead endpoint with
+// retries.
 //
 // A Breaker is safe for concurrent use.
 type Breaker struct {
@@ -27,7 +28,11 @@ type Breaker struct {
 	consecutive int
 	reopenAt    time.Time
 	probing     bool
-	opens       int64
+	opens       obs.Counter
+
+	// gauge, once Oracle.Observe attaches a registry, holds the stored
+	// state after every Allow and Record.
+	gauge *obs.Gauge
 }
 
 // NewBreaker returns a breaker following the Policy defaults: threshold 0
@@ -47,6 +52,7 @@ func NewBreaker(threshold int, cooldown time.Duration) *Breaker {
 func (b *Breaker) Allow() bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	defer b.publish()
 	if b.threshold < 0 {
 		return true
 	}
@@ -76,6 +82,7 @@ func (b *Breaker) Allow() bool {
 func (b *Breaker) Record(ok bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
+	defer b.publish()
 	if b.threshold < 0 {
 		return
 	}
@@ -88,20 +95,28 @@ func (b *Breaker) Record(ok bool) {
 		b.state = BreakerOpen
 		b.probing = false
 		b.reopenAt = b.now().Add(b.cooldown)
-		b.opens++
+		b.opens.Inc()
 	default:
 		b.consecutive++
 		if b.consecutive >= b.threshold {
 			b.state = BreakerOpen
 			b.consecutive = 0
 			b.reopenAt = b.now().Add(b.cooldown)
-			b.opens++
+			b.opens.Inc()
 		}
 	}
 }
 
+// publish sets the state gauge, if one is attached. Called with mu held,
+// so the gauge follows the transitions in order.
+func (b *Breaker) publish() {
+	if b.gauge != nil {
+		b.gauge.Set(float64(b.state))
+	}
+}
+
 // State returns the breaker state, reporting half-open once an open
-// breaker's cooldown has elapsed (mirroring Oracle.State).
+// breaker's cooldown has elapsed.
 func (b *Breaker) State() BreakerState {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -112,8 +127,4 @@ func (b *Breaker) State() BreakerState {
 }
 
 // Opens returns the number of closed/half-open → open transitions.
-func (b *Breaker) Opens() int64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.opens
-}
+func (b *Breaker) Opens() int64 { return b.opens.Value() }

@@ -17,11 +17,10 @@
 //
 // # Observability
 //
-// Oracle.Observe attaches an obs.Registry and mirrors every Counters
-// event into metric instruments (resilient_* series: attempt/retry/
-// timeout counters, the breaker-state gauge, the per-attempt latency
-// histogram), exposed alongside the session-layer series on the
-// cmd/metricprox -listen endpoint. Observation is write-only — no retry
+// Oracle.Observe links the counters behind Counters to an obs.Registry's
+// series and attaches the breaker-state gauge and the per-attempt latency
+// histogram (resilient_* series), exposed alongside the session-layer
+// series on the cmd/metricprox -listen endpoint. Observation is write-only — no retry
 // or breaker decision ever reads an instrument — so an observed run
 // behaves identically to an unobserved one. See docs/METRICS.md and
 // DESIGN.md §8.

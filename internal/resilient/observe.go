@@ -3,25 +3,26 @@ package resilient
 import "metricprox/internal/obs"
 
 // Metric names recorded by the policy layer once Observe attaches a
-// registry. Each mirrors one Counters field (plus the breaker-state gauge
-// and per-attempt latency histogram, which have no Counters equivalent);
+// registry. Each counter series sums one Counters field over the oracles
+// observed into the registry (plus the breaker-state gauge and
+// per-attempt latency histogram, which have no Counters equivalent);
 // full semantics live in docs/METRICS.md.
 const (
-	// MetricAttempts mirrors Counters.Attempts.
+	// MetricAttempts sums Counters.Attempts.
 	MetricAttempts = "resilient_attempts_total"
-	// MetricSuccesses mirrors Counters.Successes.
+	// MetricSuccesses sums Counters.Successes.
 	MetricSuccesses = "resilient_successes_total"
-	// MetricRetries mirrors Counters.Retries.
+	// MetricRetries sums Counters.Retries.
 	MetricRetries = "resilient_retries_total"
-	// MetricTimeouts mirrors Counters.Timeouts.
+	// MetricTimeouts sums Counters.Timeouts.
 	MetricTimeouts = "resilient_timeouts_total"
-	// MetricCorrupts mirrors Counters.Corrupts.
+	// MetricCorrupts sums Counters.Corrupts.
 	MetricCorrupts = "resilient_corrupt_responses_total"
-	// MetricBreakerOpens mirrors Counters.BreakerOpens.
+	// MetricBreakerOpens sums Counters.BreakerOpens.
 	MetricBreakerOpens = "resilient_breaker_opens_total"
-	// MetricFastFails mirrors Counters.FastFails.
+	// MetricFastFails sums Counters.FastFails.
 	MetricFastFails = "resilient_fast_fails_total"
-	// MetricExhausted mirrors Counters.Exhausted.
+	// MetricExhausted sums Counters.Exhausted.
 	MetricExhausted = "resilient_exhausted_total"
 	// MetricBreakerState is a gauge holding the breaker's stored state as
 	// its numeric value (0 closed, 1 open, 2 half-open). It reflects the
@@ -34,50 +35,25 @@ const (
 	MetricAttemptLatency = "resilient_attempt_latency_ns"
 )
 
-// instruments is the policy layer's set of obs handles, mirroring the
-// Counters fields one-to-one plus the gauge and histogram.
-type instruments struct {
-	attempts       *obs.Counter
-	successes      *obs.Counter
-	retries        *obs.Counter
-	timeouts       *obs.Counter
-	corrupts       *obs.Counter
-	breakerOpens   *obs.Counter
-	fastFails      *obs.Counter
-	exhausted      *obs.Counter
-	breakerState   *obs.Gauge
-	attemptLatency *obs.Histogram
-}
-
-// Observe registers the policy layer's instruments in r and mirrors every
-// future event into them. The counters are seeded with the events already
-// counted, so registry values equal Counters() snapshots no matter when
+// Observe links the policy layer's counters to their series in r, so each
+// series counts the events counted so far and every later one, and
+// attaches the breaker-state gauge and the per-attempt latency histogram.
+// Registry values then equal Counters() snapshots no matter when
 // observation is attached. Call at most once per Oracle (a second call
-// with the same registry would double the seeded history). Observation is
-// write-only: no policy decision reads an instrument.
+// counts twice). Observation is write-only: no policy decision reads an
+// instrument.
 func (o *Oracle) Observe(r *obs.Registry) {
-	ins := &instruments{
-		attempts:       r.Counter(MetricAttempts),
-		successes:      r.Counter(MetricSuccesses),
-		retries:        r.Counter(MetricRetries),
-		timeouts:       r.Counter(MetricTimeouts),
-		corrupts:       r.Counter(MetricCorrupts),
-		breakerOpens:   r.Counter(MetricBreakerOpens),
-		fastFails:      r.Counter(MetricFastFails),
-		exhausted:      r.Counter(MetricExhausted),
-		breakerState:   r.Gauge(MetricBreakerState),
-		attemptLatency: r.Histogram(MetricAttemptLatency),
-	}
-	o.mu.Lock()
-	ins.attempts.Add(o.counts.Attempts)
-	ins.successes.Add(o.counts.Successes)
-	ins.retries.Add(o.counts.Retries)
-	ins.timeouts.Add(o.counts.Timeouts)
-	ins.corrupts.Add(o.counts.Corrupts)
-	ins.breakerOpens.Add(o.counts.BreakerOpens)
-	ins.fastFails.Add(o.counts.FastFails)
-	ins.exhausted.Add(o.counts.Exhausted)
-	ins.breakerState.Set(float64(o.state))
-	o.ins.Store(ins)
-	o.mu.Unlock()
+	o.attempts.Link(r.Counter(MetricAttempts))
+	o.successes.Link(r.Counter(MetricSuccesses))
+	o.retries.Link(r.Counter(MetricRetries))
+	o.timeouts.Link(r.Counter(MetricTimeouts))
+	o.corrupts.Link(r.Counter(MetricCorrupts))
+	o.br.opens.Link(r.Counter(MetricBreakerOpens))
+	o.fastFails.Link(r.Counter(MetricFastFails))
+	o.exhausted.Link(r.Counter(MetricExhausted))
+	o.br.mu.Lock()
+	o.br.gauge = r.Gauge(MetricBreakerState)
+	o.br.publish()
+	o.br.mu.Unlock()
+	o.latency.Store(r.Histogram(MetricAttemptLatency))
 }

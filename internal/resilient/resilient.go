@@ -4,11 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"metricprox/internal/metric"
+	"metricprox/internal/obs"
 )
 
 // Typed failures surfaced by the policy layer.
@@ -161,33 +161,30 @@ func (s BreakerState) String() string {
 }
 
 // Oracle wraps a fallible backend with the policy. It is safe for
-// concurrent use; the mutex guards only breaker state and counters and is
-// never held across a backend round-trip or a backoff sleep.
+// concurrent use; nothing is locked across a backend round-trip or a
+// backoff sleep.
 type Oracle struct {
 	base  metric.FallibleOracle
 	p     Policy
-	now   func() time.Time
+	br    *Breaker // admits attempts; its clock is the oracle's clock
 	sleep func(ctx context.Context, d time.Duration) error
 
-	mu          sync.Mutex
-	state       BreakerState
-	consecutive int       // consecutive failures while closed
-	reopenAt    time.Time // when an open breaker admits a probe
-	probing     bool      // a half-open probe is in flight
-	counts      Counters
+	// The counters behind Counters, except BreakerOpens, which the
+	// breaker keeps; Observe links each to its registry series.
+	attempts, successes, retries, timeouts, corrupts, fastFails, exhausted obs.Counter
 
-	// ins, once Observe attaches a registry, mirrors every counting event
-	// into obs instruments. Atomic so the unlocked latency-timing path in
-	// DistanceCtx can read it without the mutex.
-	ins atomic.Pointer[instruments]
+	// latency, once Observe attaches a registry, receives one
+	// observation per backend attempt.
+	latency atomic.Pointer[obs.Histogram]
 }
 
 // New wraps base with the (normalised) policy.
 func New(base metric.FallibleOracle, p Policy) *Oracle {
+	p = p.Normalize()
 	return &Oracle{
 		base:  base,
-		p:     p.Normalize(),
-		now:   time.Now,
+		p:     p,
+		br:    NewBreaker(p.FailureThreshold, p.Cooldown),
 		sleep: metric.SleepCtx,
 	}
 }
@@ -197,131 +194,32 @@ func (o *Oracle) Len() int { return o.base.Len() }
 
 // Counters snapshots the policy accounting.
 func (o *Oracle) Counters() Counters {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.counts
+	return Counters{
+		Attempts:     o.attempts.Value(),
+		Successes:    o.successes.Value(),
+		Retries:      o.retries.Value(),
+		Timeouts:     o.timeouts.Value(),
+		Corrupts:     o.corrupts.Value(),
+		BreakerOpens: o.br.Opens(),
+		FastFails:    o.fastFails.Value(),
+		Exhausted:    o.exhausted.Value(),
+	}
 }
 
 // PolicyCounters reports the counters the session layer mirrors into
 // core.Stats (retries, timeouts, breaker opens). The method name is the
 // contract: core looks it up by interface assertion.
 func (o *Oracle) PolicyCounters() (retries, timeouts, breakerOpens int64) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.counts.Retries, o.counts.Timeouts, o.counts.BreakerOpens
+	return o.retries.Value(), o.timeouts.Value(), o.br.Opens()
 }
 
 // State returns the breaker state, accounting for cooldown expiry.
-func (o *Oracle) State() BreakerState {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if o.state == BreakerOpen && !o.now().Before(o.reopenAt) {
-		return BreakerHalfOpen
-	}
-	return o.state
-}
+func (o *Oracle) State() BreakerState { return o.br.State() }
 
 // Ready reports whether the oracle will currently attempt backend calls —
 // false only while the breaker is open and cooling down. The session
 // layer uses it to account degraded (bounds-only) answers.
-func (o *Oracle) Ready() bool {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.state != BreakerOpen || !o.now().Before(o.reopenAt)
-}
-
-// allow asks the breaker for permission to attempt. Called with the
-// mutex held via attemptBegin.
-func (o *Oracle) attemptBegin() bool {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	ins := o.ins.Load()
-	if ins != nil {
-		// Runs before the unlock (LIFO), capturing any state transition.
-		defer func() { ins.breakerState.Set(float64(o.state)) }()
-	}
-	if o.p.FailureThreshold < 0 {
-		o.countAttempt(ins)
-		return true
-	}
-	switch o.state {
-	case BreakerOpen:
-		if o.now().Before(o.reopenAt) {
-			o.counts.FastFails++
-			if ins != nil {
-				ins.fastFails.Inc()
-			}
-			return false
-		}
-		// Cooldown over: admit exactly one half-open probe.
-		o.state = BreakerHalfOpen
-		o.probing = true
-		o.countAttempt(ins)
-		return true
-	case BreakerHalfOpen:
-		if o.probing {
-			o.counts.FastFails++
-			if ins != nil {
-				ins.fastFails.Inc()
-			}
-			return false
-		}
-		o.probing = true
-		o.countAttempt(ins)
-		return true
-	default:
-		o.countAttempt(ins)
-		return true
-	}
-}
-
-// countAttempt records one admitted attempt; ins may be nil (unobserved).
-// Called with the mutex held.
-func (o *Oracle) countAttempt(ins *instruments) {
-	o.counts.Attempts++
-	if ins != nil {
-		ins.attempts.Inc()
-	}
-}
-
-// attemptEnd records an attempt outcome into the breaker.
-func (o *Oracle) attemptEnd(ok bool) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	ins := o.ins.Load()
-	if ins != nil {
-		defer func() { ins.breakerState.Set(float64(o.state)) }()
-	}
-	if o.p.FailureThreshold < 0 {
-		return
-	}
-	switch {
-	case ok:
-		o.state = BreakerClosed
-		o.consecutive = 0
-		o.probing = false
-	case o.state == BreakerHalfOpen:
-		// The probe failed: straight back to open for another cooldown.
-		o.state = BreakerOpen
-		o.probing = false
-		o.reopenAt = o.now().Add(o.p.Cooldown)
-		o.counts.BreakerOpens++
-		if ins != nil {
-			ins.breakerOpens.Inc()
-		}
-	default:
-		o.consecutive++
-		if o.consecutive >= o.p.FailureThreshold {
-			o.state = BreakerOpen
-			o.consecutive = 0
-			o.reopenAt = o.now().Add(o.p.Cooldown)
-			o.counts.BreakerOpens++
-			if ins != nil {
-				ins.breakerOpens.Inc()
-			}
-		}
-	}
-}
+func (o *Oracle) Ready() bool { return o.br.State() != BreakerOpen }
 
 // DistanceCtx resolves one distance under the full policy: breaker
 // admission, per-attempt deadline, corrupt-value rejection, deterministic
@@ -329,78 +227,53 @@ func (o *Oracle) attemptEnd(ok bool) {
 func (o *Oracle) DistanceCtx(ctx context.Context, i, j int) (float64, error) {
 	var lastErr error
 	for attempt := 1; attempt <= o.p.MaxAttempts; attempt++ {
-		ins := o.ins.Load()
 		if err := ctx.Err(); err != nil {
 			return 0, err
 		}
 		if delay := o.p.Backoff(i, j, attempt); delay > 0 {
-			if deadline, ok := ctx.Deadline(); ok && o.now().Add(delay).After(deadline) {
+			if deadline, ok := ctx.Deadline(); ok && o.br.now().Add(delay).After(deadline) {
 				// The backoff cannot complete before the deadline; give up
 				// now instead of sleeping into certain failure.
-				o.mu.Lock()
-				o.counts.Timeouts++
-				o.mu.Unlock()
-				if ins != nil {
-					ins.timeouts.Inc()
-				}
+				o.timeouts.Inc()
 				return 0, fmt.Errorf("%w: backoff exceeds deadline: %w", ErrExhausted, context.DeadlineExceeded)
 			}
 			if err := o.sleep(ctx, delay); err != nil {
 				return 0, err
 			}
 		}
-		if !o.attemptBegin() {
+		if !o.br.Allow() {
+			o.fastFails.Inc()
 			return 0, fmt.Errorf("%w (cooling down)", ErrBreakerOpen)
 		}
+		o.attempts.Inc()
+		lat := o.latency.Load()
 		var t0 time.Time
-		if ins != nil {
-			t0 = o.now()
+		if lat != nil {
+			t0 = o.br.now()
 		}
 		d, err := o.callOnce(ctx, i, j)
-		if ins != nil {
-			ins.attemptLatency.Observe(int64(o.now().Sub(t0)))
+		if lat != nil {
+			lat.Observe(int64(o.br.now().Sub(t0)))
 		}
 		if err == nil {
 			if verr := metric.ValidateDistance(d, i, j); verr != nil {
 				err = verr
-				o.mu.Lock()
-				o.counts.Corrupts++
-				o.mu.Unlock()
-				if ins != nil {
-					ins.corrupts.Inc()
-				}
+				o.corrupts.Inc()
 			}
 		}
+		o.br.Record(err == nil)
 		if err == nil {
-			o.attemptEnd(true)
-			o.mu.Lock()
-			o.counts.Successes++
-			o.mu.Unlock()
-			if ins != nil {
-				ins.successes.Inc()
-			}
+			o.successes.Inc()
 			return d, nil
 		}
-		o.attemptEnd(false)
-		o.mu.Lock()
 		if errors.Is(err, context.DeadlineExceeded) {
-			o.counts.Timeouts++
-			if ins != nil {
-				ins.timeouts.Inc()
-			}
+			o.timeouts.Inc()
 		}
 		if attempt < o.p.MaxAttempts {
-			o.counts.Retries++
-			if ins != nil {
-				ins.retries.Inc()
-			}
+			o.retries.Inc()
 		} else {
-			o.counts.Exhausted++
-			if ins != nil {
-				ins.exhausted.Inc()
-			}
+			o.exhausted.Inc()
 		}
-		o.mu.Unlock()
 		lastErr = err
 		// The parent context dying is terminal regardless of budget.
 		if ctx.Err() != nil {

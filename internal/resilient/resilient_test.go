@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"metricprox/internal/metric"
+	"metricprox/internal/obs"
 )
 
 // scriptedOracle serves a fixed outcome sequence per call (round-robin
@@ -106,7 +107,7 @@ func TestBreakerOpensAndFastFails(t *testing.T) {
 	now := time.Unix(0, 0)
 	o := New(base, Policy{MaxAttempts: 1, FailureThreshold: 3, Cooldown: time.Second, Seed: 1})
 	instantSleep(o)
-	o.now = func() time.Time { return now }
+	o.br.now = func() time.Time { return now }
 
 	for c := 0; c < 3; c++ {
 		if _, err := o.DistanceCtx(context.Background(), 0, 1); !errors.Is(err, ErrExhausted) {
@@ -261,8 +262,30 @@ func TestBackoffTable(t *testing.T) {
 	}
 }
 
+// pairScript serves each pair its own pass through the script, so what
+// a call sees does not depend on how concurrent callers interleave.
+type pairScript struct {
+	mu     sync.Mutex
+	n      int
+	script []scriptStep
+	next   map[[2]int]int
+}
+
+func (s *pairScript) Len() int { return s.n }
+
+func (s *pairScript) DistanceCtx(ctx context.Context, i, j int) (float64, error) {
+	s.mu.Lock()
+	k := s.next[[2]int{i, j}]
+	s.next[[2]int{i, j}] = k + 1
+	s.mu.Unlock()
+	step := s.script[k%len(s.script)]
+	return step.d, step.err
+}
+
 func TestConcurrentUse(t *testing.T) {
-	base := &scriptedOracle{n: 64, script: []scriptStep{
+	// No two failures are adjacent in the script, so every call succeeds
+	// within two attempts.
+	base := &pairScript{n: 64, next: make(map[[2]int]int), script: []scriptStep{
 		{err: errBoom}, {d: 0.5}, {d: 0.25}, {err: errBoom}, {d: 0.75},
 	}}
 	o := New(base, Policy{MaxAttempts: 6, FailureThreshold: -1, Seed: 1})
@@ -295,4 +318,46 @@ func unitSpace(n int) metric.Space {
 		pts[i] = []float64{float64(i) / float64(n)}
 	}
 	return metric.NewVectors(pts, 2, 1)
+}
+
+// TestObserveMatchesCounters attaches a registry to an oracle whose
+// breaker has already opened: every series must still equal Counters(),
+// and the state gauge must follow the breaker.
+func TestObserveMatchesCounters(t *testing.T) {
+	base := &scriptedOracle{n: 8, script: []scriptStep{{err: errBoom}}}
+	o := New(base, Policy{MaxAttempts: 2, FailureThreshold: 3, Cooldown: time.Hour, Seed: 1})
+	instantSleep(o)
+	call := func() { o.DistanceCtx(context.Background(), 0, 1) }
+	call()
+	call() // the third failure opens the breaker mid-call
+	reg := obs.NewRegistry()
+	o.Observe(reg)
+	if got := reg.Gauge(MetricBreakerState).Value(); got != float64(BreakerOpen) {
+		t.Fatalf("state gauge on Observe = %v, want %v", got, float64(BreakerOpen))
+	}
+	call() // fast-fails
+	ct := o.Counters()
+	if ct.BreakerOpens != 1 || ct.FastFails != 2 || ct.Exhausted != 1 {
+		t.Fatalf("counters = %+v, want 1 open, 2 fast fails, 1 exhausted", ct)
+	}
+	for _, c := range []struct {
+		name string
+		want int64
+	}{
+		{MetricAttempts, ct.Attempts},
+		{MetricSuccesses, ct.Successes},
+		{MetricRetries, ct.Retries},
+		{MetricTimeouts, ct.Timeouts},
+		{MetricCorrupts, ct.Corrupts},
+		{MetricBreakerOpens, ct.BreakerOpens},
+		{MetricFastFails, ct.FastFails},
+		{MetricExhausted, ct.Exhausted},
+	} {
+		if got := reg.Counter(c.name).Value(); got != c.want {
+			t.Errorf("%s = %d, Counters says %d", c.name, got, c.want)
+		}
+	}
+	if h := reg.Histogram(MetricAttemptLatency); h.Count() != 0 {
+		t.Errorf("latency histogram saw %d attempts after Observe, want 0 (only fast fails)", h.Count())
+	}
 }

@@ -448,10 +448,68 @@ func (s *Server) serveBoundsRun(sess *core.SharedSession, ops []api.BatchOp, res
 	}
 }
 
-// handleKNN runs the kNN-graph builder server-side. The session's sticky
-// OracleErr gates the response: results assembled while the oracle was
-// unavailable are estimates, and the server never ships estimates as
-// exact.
+// requestView is the view one algorithm request runs its sequential
+// builder over. Each comparison calls the hosted session's
+// error-returning form, and the first failure stops the builder with a
+// requestAbort panic that runRequest recovers. So a request fails on its
+// own resolutions only: not on a failure an earlier request latched into
+// the session's OracleErr, and never with an estimate in its answer.
+// Bounds and BoundsBatch pass through, so kNN rows keep their one-sweep
+// bound read.
+type requestView struct{ *core.SharedSession }
+
+// requestAbort carries a resolution failure out of the builder.
+type requestAbort struct{ err error }
+
+func (v requestView) Dist(i, j int) float64 {
+	//proxlint:allow oracleescape -- feeds the builder behind /knn, /mst and /medoid, whose whole-problem results are all those endpoints ship
+	d, err := v.DistErr(i, j)
+	abortOn(err)
+	return d
+}
+
+func (v requestView) Less(i, j, k, l int) bool {
+	less, err := v.LessErr(i, j, k, l)
+	abortOn(err)
+	return less
+}
+
+func (v requestView) LessThan(i, j int, c float64) bool {
+	less, err := v.LessThanErr(i, j, c)
+	abortOn(err)
+	return less
+}
+
+func (v requestView) DistIfLess(i, j int, c float64) (float64, bool) {
+	//proxlint:allow oracleescape -- feeds the builder behind /knn, /mst and /medoid, whose whole-problem results are all those endpoints ship
+	d, less, err := v.DistIfLessErr(i, j, c)
+	abortOn(err)
+	return d, less
+}
+
+func abortOn(err error) {
+	if err != nil {
+		panic(requestAbort{err})
+	}
+}
+
+// runRequest runs build over a requestView of sess and returns its
+// result, or the resolution failure that stopped it.
+func runRequest[T any](sess *core.SharedSession, build func(core.View) T) (out T, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			a, ok := r.(requestAbort)
+			if !ok {
+				panic(r)
+			}
+			err = a.err
+		}
+	}()
+	return build(requestView{sess}), nil
+}
+
+// handleKNN runs the kNN-graph builder server-side over a requestView:
+// a resolution that fails during the build fails the request.
 func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request, entry *core.SessionEntry) {
 	var req api.KNNRequest
 	if err := decode(r, &req); err != nil {
@@ -462,8 +520,8 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request, entry *core.S
 		writeError(w, http.StatusBadRequest, api.CodeBadRequest, fmt.Sprintf("k=%d, want >= 1", req.K))
 		return
 	}
-	g := prox.KNNGraph(entry.Session, req.K)
-	if err := entry.Session.OracleErr(); err != nil {
+	g, err := runRequest(entry.Session, func(v core.View) [][]prox.Neighbor { return prox.KNNGraph(v, req.K) })
+	if err != nil {
 		writeFailure(w, err)
 		return
 	}
@@ -477,10 +535,10 @@ func (s *Server) handleKNN(w http.ResponseWriter, r *http.Request, entry *core.S
 	writeJSON(w, api.KNNResponse{Rows: rows})
 }
 
-// handleMST runs Prim's MST server-side; same OracleErr gate as handleKNN.
+// handleMST runs Prim's MST server-side; it fails like handleKNN.
 func (s *Server) handleMST(w http.ResponseWriter, r *http.Request, entry *core.SessionEntry) {
-	m := prox.PrimMST(entry.Session)
-	if err := entry.Session.OracleErr(); err != nil {
+	m, err := runRequest(entry.Session, prox.PrimMST)
+	if err != nil {
 		writeFailure(w, err)
 		return
 	}
@@ -491,7 +549,7 @@ func (s *Server) handleMST(w http.ResponseWriter, r *http.Request, entry *core.S
 	writeJSON(w, api.MSTResponse{Edges: edges, Weight: api.WireFloat(m.Weight)})
 }
 
-// handleMedoid runs PAM server-side; same OracleErr gate as handleKNN.
+// handleMedoid runs PAM server-side; it fails like handleKNN.
 func (s *Server) handleMedoid(w http.ResponseWriter, r *http.Request, entry *core.SessionEntry) {
 	var req api.MedoidRequest
 	if err := decode(r, &req); err != nil {
@@ -502,8 +560,8 @@ func (s *Server) handleMedoid(w http.ResponseWriter, r *http.Request, entry *cor
 		writeError(w, http.StatusBadRequest, api.CodeBadRequest, fmt.Sprintf("l=%d, want >= 1", req.L))
 		return
 	}
-	c := prox.PAM(entry.Session, req.L, req.Seed)
-	if err := entry.Session.OracleErr(); err != nil {
+	c, err := runRequest(entry.Session, func(v core.View) prox.Clustering { return prox.PAM(v, req.L, req.Seed) })
+	if err != nil {
 		writeFailure(w, err)
 		return
 	}

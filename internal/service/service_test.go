@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"math"
 	"math/rand"
 	"net/http"
@@ -11,6 +12,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -361,6 +363,65 @@ func (g *gatedOracle) DistanceCtx(ctx context.Context, i, j int) (float64, error
 		return 0, ctx.Err()
 	}
 	return g.space.Distance(i, j), nil
+}
+
+// switchOracle answers from space, or fails every call while down.
+type switchOracle struct {
+	space metric.Space
+	down  atomic.Bool
+}
+
+func (o *switchOracle) Len() int { return o.space.Len() }
+
+func (o *switchOracle) DistanceCtx(ctx context.Context, i, j int) (float64, error) {
+	if o.down.Load() {
+		return 0, errors.New("backend down")
+	}
+	return o.space.Distance(i, j), nil
+}
+
+// TestAlgorithmsFailOnlyOnTheirOwnResolutions: a /knn, /mst or /medoid
+// request made during an outage answers 502, but one /dist that failed
+// during an outage must not fail them once the oracle is back — the
+// session latches that failure in OracleErr, and the algorithms answer
+// exactly as a session that never saw it. Planar data, so answers
+// compare bit for bit with an in-process run.
+func TestAlgorithmsFailOnlyOnTheirOwnResolutions(t *testing.T) {
+	o := &switchOracle{space: datasets.SFPOIPlanar(testN, testSeed)}
+	ref := func() *core.Session { return core.NewSession(metric.NewOracle(o.space), core.SchemeTri) }
+	_, ts, _ := newTestServer(t, Config{Oracle: o})
+	createSession(t, ts.URL, "outage", "tri", false)
+	base := ts.URL + "/v1/sessions/outage"
+
+	o.down.Store(true)
+	post(t, base+"/dist", api.PairRequest{I: 1, J: 2}, nil, http.StatusBadGateway)
+	post(t, base+"/knn", api.KNNRequest{K: 3}, nil, http.StatusBadGateway)
+	post(t, base+"/mst", nil, nil, http.StatusBadGateway)
+	post(t, base+"/medoid", api.MedoidRequest{L: 4, Seed: 7}, nil, http.StatusBadGateway)
+
+	o.down.Store(false)
+	post(t, base+"/dist", api.PairRequest{I: 1, J: 2}, nil, http.StatusOK)
+	var knn api.KNNResponse
+	post(t, base+"/knn", api.KNNRequest{K: 3}, &knn, http.StatusOK)
+	want := prox.KNNGraph(ref(), 3)
+	for u, row := range knn.Rows {
+		for i, nb := range row {
+			if nb.ID != want[u][i].ID || !fcmp.ExactEq(float64(nb.D), want[u][i].Dist) {
+				t.Fatalf("node %d neighbour %d: got (%d, %v), want (%d, %v)",
+					u, i, nb.ID, float64(nb.D), want[u][i].ID, want[u][i].Dist)
+			}
+		}
+	}
+	var mst api.MSTResponse
+	post(t, base+"/mst", nil, &mst, http.StatusOK)
+	if wantMST := prox.PrimMST(ref()); !fcmp.ExactEq(float64(mst.Weight), wantMST.Weight) {
+		t.Fatalf("mst weight %v, want %v", float64(mst.Weight), wantMST.Weight)
+	}
+	var med api.MedoidResponse
+	post(t, base+"/medoid", api.MedoidRequest{L: 4, Seed: 7}, &med, http.StatusOK)
+	if wantPAM := prox.PAM(ref(), 4, 7); !fcmp.ExactEq(float64(med.Cost), wantPAM.Cost) {
+		t.Fatalf("medoid cost %v, want %v", float64(med.Cost), wantPAM.Cost)
+	}
 }
 
 func TestAdmissionShedsWhenQueueFull(t *testing.T) {
