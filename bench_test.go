@@ -232,7 +232,7 @@ func BenchmarkTriBoundsRow(b *testing.B) {
 }
 
 // BenchmarkKNNRowShared is one op of the benchmark's knn-inproc workload
-// (cmd/proxload): prox.KNNRow with k = 10 on a SharedSession over the
+// (cmd/proxload): prox.KNNRow with k = 10 on a core.Session over the
 // planar UrbanGB surrogate, n = 3000, bootstrapped on ⌊log₂ n⌋ = 11
 // landmark rows. Rows walk a seeded permutation; each pass over the
 // universe starts from a fresh session, rebuilt off the clock, so every
@@ -242,18 +242,17 @@ func BenchmarkKNNRowShared(b *testing.B) {
 	space := datasets.UrbanGBPlanar(n, 1)
 	lms := core.PickLandmarks(n, bits.Len(n)-1, 1)
 	order := rand.New(rand.NewSource(1)).Perm(n)
-	var shared *core.SharedSession
+	var s *core.Session
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if i%n == 0 {
 			b.StopTimer()
-			s := core.NewSessionWithLandmarks(metric.NewOracle(space), core.SchemeTri, lms)
+			s = core.NewSessionWithLandmarks(metric.NewOracle(space), core.SchemeTri, lms)
 			s.Bootstrap(lms)
-			shared = core.Share(s)
 			b.StartTimer()
 		}
-		knnRowSink = prox.KNNRow(shared, order[i%n], k)
+		knnRowSink = prox.KNNRow(s, order[i%n], k)
 	}
 }
 

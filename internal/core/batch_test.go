@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -67,25 +68,41 @@ func TestSessionBoundsBatchMatchesScalar(t *testing.T) {
 	}
 }
 
-// TestSharedBoundsBatch smoke-tests the locked wrapper: same answers as
-// per-pair Bounds through the shared view.
+// TestSharedBoundsBatch runs BoundsBatch while other goroutines resolve
+// pairs: every batched interval must bracket the true distance, and once
+// the writers stop the batch must answer what per-pair Bounds does.
 func TestSharedBoundsBatch(t *testing.T) {
 	const n = 16
-	s, _, _ := newTestSession(t, n, 13, SchemeTri, nil)
-	c := Share(s)
-	rng := rand.New(rand.NewSource(5))
-	for k := 0; k < 40; k++ {
-		if i, j := rng.Intn(n), rng.Intn(n); i != j {
-			c.Dist(i, j)
-		}
-	}
+	s, m, _ := newTestSession(t, n, 13, SchemeTri, nil)
 	is := []int{0, 1, 2, 7, 7, 3}
 	js := []int{0, 2, 1, 9, 9, 12}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(5 + w)))
+			lb := make([]float64, len(is))
+			ub := make([]float64, len(is))
+			for k := 0; k < 20; k++ {
+				if i, j := rng.Intn(n), rng.Intn(n); i != j {
+					s.Dist(i, j)
+				}
+				s.BoundsBatch(is, js, lb, ub)
+				for q := range is {
+					if d := m.Distance(is[q], js[q]); lb[q] > d+1e-9 || ub[q] < d-1e-9 {
+						t.Errorf("pair (%d,%d): batch [%v,%v] misses %v", is[q], js[q], lb[q], ub[q], d)
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 	lb := make([]float64, len(is))
 	ub := make([]float64, len(is))
-	c.BoundsBatch(is, js, lb, ub)
+	s.BoundsBatch(is, js, lb, ub)
 	for q := range is {
-		wl, wu := c.Bounds(is[q], js[q])
+		wl, wu := s.Bounds(is[q], js[q])
 		if lb[q] != wl || ub[q] != wu {
 			t.Fatalf("pair (%d,%d): batch [%v,%v], scalar [%v,%v]", is[q], js[q], lb[q], ub[q], wl, wu)
 		}

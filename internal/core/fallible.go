@@ -61,10 +61,14 @@ func (o Outcome) String() string {
 // methods may be best-effort estimates (counted in Stats.DegradedAnswers)
 // rather than exact; a run that finishes with OracleErr() == nil is
 // guaranteed identical to a fault-free run.
-func (s *Session) OracleErr() error { return s.oracleErr }
+func (s *Session) OracleErr() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.oracleErr
+}
 
-// noteOracleErr latches the first resolution failure. Callers on the
-// SharedSession path must hold the session lock.
+// noteOracleErr latches the first resolution failure. The caller holds
+// the lock.
 func (s *Session) noteOracleErr(err error) {
 	if s.oracleErr == nil {
 		s.oracleErr = err
@@ -74,8 +78,8 @@ func (s *Session) noteOracleErr(err error) {
 // estimate returns the midpoint of the current bounds for (i, j) — the
 // best-effort value degrade falls back to when a resolution fails.
 // Estimates are never committed to the graph or the bound scheme, so they
-// cannot poison later exact answers.
+// cannot poison later exact answers. The caller holds the lock.
 func (s *Session) estimate(i, j int) float64 {
-	lb, ub := s.Bounds(i, j)
+	lb, ub := s.bounds(i, j)
 	return (lb + ub) / 2
 }

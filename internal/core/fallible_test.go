@@ -230,7 +230,7 @@ func TestBootstrapErrAbortsSoundly(t *testing.T) {
 
 func TestSharedSessionErrorPropagationAndRetry(t *testing.T) {
 	fo := newScripted(8, 1)
-	c := Share(NewFallibleSession(fo, SchemeTri))
+	c := NewFallibleSession(fo, SchemeTri)
 	if _, err := c.DistErr(2, 5); !errors.Is(err, ErrOracleUnavailable) {
 		t.Fatalf("shared DistErr: err = %v, want ErrOracleUnavailable", err)
 	}
@@ -249,7 +249,7 @@ func TestSharedSessionErrorPropagationAndRetry(t *testing.T) {
 func TestSharedSessionConcurrentFailuresStaySound(t *testing.T) {
 	const n = 24
 	fo := newScripted(n, 40) // first 40 backend calls fail
-	c := Share(NewFallibleSession(fo, SchemeTri))
+	c := NewFallibleSession(fo, SchemeTri)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -272,7 +272,7 @@ func TestSharedSessionConcurrentFailuresStaySound(t *testing.T) {
 	}
 	wg.Wait()
 	// Every committed edge must be exact.
-	g := c.s.Graph()
+	g := c.Graph()
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			if w, ok := g.Weight(i, j); ok {

@@ -23,6 +23,8 @@ func (s *Session) AttachStore(store *cachestore.Store) error {
 	if store.N() != s.N() {
 		return fmt.Errorf("core: store universe %d does not match session universe %d", store.N(), s.N())
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	err := store.Replay(func(r cachestore.Record) bool {
 		if !s.g.Known(r.I, r.J) {
 			s.record(r.I, r.J, r.Dist)
@@ -41,7 +43,7 @@ func (s *Session) AttachStore(store *cachestore.Store) error {
 // path cannot return them: every failure bumps Stats.StoreErrors, the
 // first failure is latched in StoreErr, and that first failure is logged
 // once so a silently filling disk is noticed without flooding the log at
-// oracle-call rate.
+// oracle-call rate. The caller holds the lock.
 func (s *Session) persistResolution(i, j int, d float64) {
 	if s.store == nil {
 		return
@@ -58,4 +60,8 @@ func (s *Session) persistResolution(i, j int, d float64) {
 // StoreErr returns the first error encountered while appending to the
 // attached store (nil if none). A failed append never loses the in-memory
 // resolution; it only means the cache on disk is incomplete.
-func (s *Session) StoreErr() error { return s.storeErr }
+func (s *Session) StoreErr() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.storeErr
+}

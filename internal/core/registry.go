@@ -21,7 +21,7 @@ type SessionEntry struct {
 	// Name is the registry key the entry was created under.
 	Name string
 	// Session is the hosted multi-tenant session.
-	Session *SharedSession
+	Session *Session
 	// Data is the owner's payload, set by the build callback and carried
 	// untouched; nil if the builder did not provide one.
 	Data any
@@ -45,7 +45,7 @@ type regEntry struct {
 	removed  bool          // evicted while active; onEvict deferred to last Release
 }
 
-// SessionRegistry hosts named SharedSessions with single-flight creation,
+// SessionRegistry hosts named Sessions with single-flight creation,
 // a max-sessions cap, and TTL-based idle eviction. It is the in-core half
 // of the metricproxd daemon: the registry owns lifecycle (who exists,
 // when they die) while the service layer owns transport and admission.
@@ -87,7 +87,7 @@ func NewSessionRegistry(maxSessions int, ttl time.Duration, onEvict func(*Sessio
 // error — a failed build is not cached, so the next caller retries).
 // Returns ErrTooManySessions when the cap is reached and name does not
 // already exist.
-func (r *SessionRegistry) GetOrCreate(name string, build func() (*SharedSession, any, error)) (entry *SessionEntry, created bool, err error) {
+func (r *SessionRegistry) GetOrCreate(name string, build func() (*Session, any, error)) (entry *SessionEntry, created bool, err error) {
 	r.mu.Lock()
 	if re, ok := r.entries[name]; ok {
 		r.mu.Unlock()

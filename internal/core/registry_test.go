@@ -14,9 +14,9 @@ func registrySpace() metric.Space {
 	return metric.NewVectors([][]float64{{0, 0}, {1, 0}, {0, 1}, {1, 1}, {0.5, 0.5}}, 2, 0.5)
 }
 
-func buildShared() (*SharedSession, any, error) {
+func buildShared() (*Session, any, error) {
 	s := NewSession(metric.NewOracle(registrySpace()), SchemeTri)
-	return Share(s), "payload", nil
+	return s, "payload", nil
 }
 
 func TestRegistryGetOrCreateSingleFlight(t *testing.T) {
@@ -30,7 +30,7 @@ func TestRegistryGetOrCreateSingleFlight(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			e, created, err := r.GetOrCreate("shared", func() (*SharedSession, any, error) {
+			e, created, err := r.GetOrCreate("shared", func() (*Session, any, error) {
 				builds.Add(1)
 				time.Sleep(10 * time.Millisecond) // widen the race window
 				return buildShared()
@@ -68,7 +68,7 @@ func TestRegistryGetOrCreateSingleFlight(t *testing.T) {
 func TestRegistryFailedBuildNotCached(t *testing.T) {
 	r := NewSessionRegistry(0, 0, nil)
 	boom := errors.New("bootstrap exploded")
-	_, _, err := r.GetOrCreate("s", func() (*SharedSession, any, error) { return nil, nil, boom })
+	_, _, err := r.GetOrCreate("s", func() (*Session, any, error) { return nil, nil, boom })
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
@@ -175,7 +175,7 @@ func TestRegistryGetDoesNotBlockOnPendingBuild(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		r.GetOrCreate("slow", func() (*SharedSession, any, error) {
+		r.GetOrCreate("slow", func() (*Session, any, error) {
 			<-release
 			return buildShared()
 		})

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -92,8 +93,14 @@ type Stats struct {
 // Bounder (and, under SchemeDFT, its Comparator) to short-circuit
 // comparisons, and records statistics.
 //
-// A Session is not safe for concurrent use; run one per goroutine over the
-// same Oracle if parallel workloads are needed.
+// A Session is safe for concurrent use, and what it learns is shared: a
+// distance one goroutine resolves tightens the bounds every other
+// goroutine decides with. One mutex guards the bookkeeping, and no
+// comparison holds it across an oracle round-trip. Resolutions are
+// single-flight, so a pair costs at most one oracle call across all
+// goroutines. Answers do not depend on the interleaving; the call count
+// can. With one goroutine the session makes the same decisions in the
+// same order as a sequential run. See DESIGN.md, "Concurrency model".
 type Session struct {
 	fo      metric.FallibleOracle
 	g       *pgraph.Graph
@@ -101,10 +108,18 @@ type Session struct {
 	cmp     bounds.Comparator
 	maxDist float64
 
+	// mu guards the mutable bookkeeping: g, b, cmp, inflight, oracleErr,
+	// store and storeErr. Only BootstrapErr holds it across oracle calls.
+	mu sync.Mutex
+	// inflight lists the pairs some goroutine is resolving with the lock
+	// released: at most one per goroutine, so a scan beats hashing. A
+	// claim's flight stays nil until a second goroutine needs the pair,
+	// so an uncontended resolution allocates nothing (see claim).
+	inflight []claimed
+
 	// ins holds the session's own counters behind Stats, linked into
 	// the observer's registry series when one is attached. Each
-	// recording is atomic, so SharedSession's unlocked paths may bump
-	// them too.
+	// recording is atomic, so paths outside the lock may bump them too.
 	ins *obs.SessionInstruments
 
 	// tr, when non-nil (observer attached), receives one obs.Event per
@@ -112,8 +127,8 @@ type Session struct {
 	tr *obs.Tracer
 
 	// phase distinguishes bootstrap-phase oracle calls from run-phase
-	// ones for the phase-labelled call counters and trace events.
-	// Atomic because SharedSession wrappers read it without the lock.
+	// ones for the phase-labelled call counters and trace events. Atomic,
+	// since tracing reads it and GreedyLandmarks sets it without the lock.
 	phase atomic.Int32 // phaseRun | phaseBootstrap
 
 	// schemeName labels this session's instruments and trace events.
@@ -152,6 +167,14 @@ type Session struct {
 	// triangles it closes on the known-edge graph and feeds Auto slack.
 	auditor *metric.Auditor
 }
+
+// SharedSession is Session, which is safe for concurrent use. The alias
+// is kept only for cmd/proxload, a separate module that still names it;
+// it goes with that module's next change (ROADMAP item 8).
+type SharedSession = Session
+
+// Share returns s. Like SharedSession, it is kept only for cmd/proxload.
+func Share(s *Session) *Session { return s }
 
 // Option configures a Session.
 type Option func(*Session)
@@ -304,9 +327,10 @@ func NewFallibleSession(fo metric.FallibleOracle, scheme Scheme, opts ...Option)
 func NewFallibleSessionWithLandmarks(fo metric.FallibleOracle, scheme Scheme, landmarks []int, opts ...Option) *Session {
 	n := fo.Len()
 	s := &Session{
-		fo:      fo,
-		g:       pgraph.New(n),
-		maxDist: 1,
+		fo:       fo,
+		g:        pgraph.New(n),
+		maxDist:  1,
+		inflight: make([]claimed, 0, 8), // room for 8 concurrent resolutions
 	}
 	if r, ok := fo.(interface{ Ready() bool }); ok {
 		s.ready = r.Ready
@@ -367,13 +391,15 @@ func NewFallibleSessionWithLandmarks(fo metric.FallibleOracle, scheme Scheme, la
 }
 
 // N returns the number of objects.
-func (s *Session) N() int { return s.g.N() }
+func (s *Session) N() int { return s.g.N() } // immutable, no lock
 
 // Stats returns a snapshot of the session's instruments. When the oracle
 // is a resilient policy wrapper (anything exposing PolicyCounters), the
 // policy-layer counters (Retries, Timeouts, BreakerOpens) are mirrored
 // into the returned snapshot.
 func (s *Session) Stats() Stats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	st := Stats{
 		OracleCalls:         s.ins.OracleCalls.Value() + s.ins.BootstrapCalls.Value(),
 		BootstrapCalls:      s.ins.BootstrapCalls.Value(),
@@ -396,18 +422,25 @@ func (s *Session) Stats() Stats {
 	return st
 }
 
-// Graph exposes the partial graph of resolved distances (read-only use).
+// Graph exposes the partial graph of resolved distances, for
+// single-goroutine inspection only: it is read without the session lock,
+// so no other goroutine may use the session meanwhile.
 func (s *Session) Graph() *pgraph.Graph { return s.g }
 
-// Bounder returns the active bound scheme.
+// Bounder returns the active bound scheme, for single-goroutine
+// inspection only, like Graph.
 func (s *Session) Bounder() bounds.Bounder { return s.b }
 
 // MaxDistance returns the configured distance cap.
-func (s *Session) MaxDistance() float64 { return s.maxDist }
+func (s *Session) MaxDistance() float64 { return s.maxDist } // immutable, no lock
 
 // Known reports whether the pair is already resolved, without any oracle
 // call.
-func (s *Session) Known(i, j int) (float64, bool) { return s.g.Weight(i, j) }
+func (s *Session) Known(i, j int) (float64, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.g.Weight(i, j)
+}
 
 // Dist returns the exact distance between i and j, calling the oracle only
 // if the pair has not been resolved before. The resolution is fed to the
@@ -415,9 +448,10 @@ func (s *Session) Known(i, j int) (float64, bool) { return s.g.Weight(i, j) }
 //
 // If the resolution fails (fallible oracle exhausted or breaker open),
 // Dist degrades: it latches OracleErr, counts a DegradedAnswer, and
-// returns the midpoint of the current bounds as a best-effort estimate. The estimate is never committed to the graph or
-// the bound scheme, so the session's soundness invariants survive; use
-// DistErr when the caller needs to distinguish exact from estimated.
+// returns the midpoint of the current bounds as a best-effort estimate.
+// The estimate is never committed to the graph or the bound scheme, so
+// the session's soundness invariants survive; use DistErr when the caller
+// needs to distinguish exact from estimated.
 func (s *Session) Dist(i, j int) float64 {
 	d, _, _ := s.degrade(opDist, i, j, -1, -1, 0)
 	return d
@@ -425,31 +459,99 @@ func (s *Session) Dist(i, j int) float64 {
 
 // DistErr is Dist with error propagation: it returns the exact distance,
 // or a non-nil error wrapping ErrOracleUnavailable when the resolution
-// failed. Nothing is committed on failure, so a later retry of the same
-// pair is safe.
+// failed. It makes at most one oracle call per pair across all
+// goroutines, with the lock released for the round-trip. A failed
+// attempt is shared with every goroutine waiting on it but commits
+// nothing, so a later call can retry the pair.
 func (s *Session) DistErr(i, j int) (float64, error) {
+	s.mu.Lock()
+	d, wait, own := s.claim(i, j)
+	s.mu.Unlock()
+	return s.settle(i, j, d, wait, own)
+}
+
+// claim looks the pair up under the lock. A resolved pair (or i == j)
+// returns its distance. A pair another goroutine is resolving returns
+// that goroutine's flight to wait on. Otherwise the caller owns the pair:
+// own is true and the pair is registered in flight, so the caller must
+// settle it.
+func (s *Session) claim(i, j int) (d float64, wait *flight, own bool) {
 	if i == j {
-		return 0, nil
+		return 0, nil, false
 	}
 	if w, ok := s.g.Weight(i, j); ok {
-		return w, nil
+		return w, nil, false
+	}
+	key := pgraph.Key(i, j)
+	if f, busy := s.join(key); busy {
+		return 0, f, false
+	}
+	s.inflight = append(s.inflight, claimed{key: key})
+	return 0, nil, true
+}
+
+// join returns the flight of a pair some goroutine is resolving,
+// allocating it for the first waiter; busy is false when nobody is. The
+// caller holds the lock.
+func (s *Session) join(key int64) (f *flight, busy bool) {
+	for x := range s.inflight {
+		if c := &s.inflight[x]; c.key == key {
+			if c.f == nil {
+				c.f = newFlight()
+			}
+			return c.f, true
+		}
+	}
+	return nil, false
+}
+
+// release drops the claim on key and returns its flight, nil when no
+// goroutine waited. The caller holds the lock.
+func (s *Session) release(key int64) *flight {
+	for x, c := range s.inflight {
+		if c.key == key {
+			last := len(s.inflight) - 1
+			s.inflight[x], s.inflight[last] = s.inflight[last], claimed{}
+			s.inflight = s.inflight[:last]
+			return c.f
+		}
+	}
+	return nil
+}
+
+// settle finishes a claim with the lock released. A resolved claim
+// returns its distance, and a waiter returns its flight's result. The
+// owner makes the one oracle call, commits it (or latches its failure)
+// under the lock, and then wakes the waiters, if any arrived.
+func (s *Session) settle(i, j int, d float64, wait *flight, own bool) (float64, error) {
+	if wait != nil {
+		return wait.wait()
+	}
+	if !own {
+		return d, nil
 	}
 	d, err := s.oracleDistanceErr(i, j)
+	s.mu.Lock()
 	if err != nil {
 		s.noteOracleErr(err)
-		return 0, err
+	} else {
+		s.commitResolution(i, j, d)
 	}
-	s.commitResolution(i, j, d)
-	return d, nil
+	f := s.release(pgraph.Key(i, j))
+	s.mu.Unlock()
+	if f != nil {
+		f.finish(d, err)
+	}
+	return d, err
 }
 
 // oracleDistanceErr performs the raw oracle round-trip with no session
 // bookkeeping or mutation. It is the only Session path that touches the
-// oracle, split from commitResolution so SharedSession can release its
-// lock around the call (which is also why it must not write any
-// lock-protected session state — the caller owns error latching; the
-// latency histogram is an atomic instrument, so observing into it here
-// is safe without the lock).
+// oracle, split from commitResolution so the caller can release the lock
+// around the call (which is also why it must not write any lock-protected
+// session state — the caller owns error latching; the latency histogram
+// is an atomic instrument, so observing into it here is safe without the
+// lock).
 func (s *Session) oracleDistanceErr(i, j int) (float64, error) {
 	lat := s.ins.OracleLatency // nil unless observed: no clock reads
 	var t0 time.Time
@@ -470,9 +572,10 @@ func (s *Session) oracleDistanceErr(i, j int) (float64, error) {
 }
 
 // commitResolution records a freshly resolved distance: statistics, the
-// partial graph, the bound scheme, and the attached store. Callers must
-// ensure the pair is not already recorded (pgraph panics on conflicting
-// weights, and a duplicate would double-count OracleCalls).
+// partial graph, the bound scheme, and the attached store. The caller
+// holds the lock and must ensure the pair is not already recorded (pgraph
+// panics on conflicting weights, and a duplicate would double-count
+// OracleCalls and feed the bound scheme the pair twice).
 func (s *Session) commitResolution(i, j int, d float64) {
 	s.callsCounter().Inc()
 	s.record(i, j, d)
@@ -507,6 +610,13 @@ func (s *Session) record(i, j int, d float64) {
 // [lb−ε, ub+ε] (self-pairs and resolved pairs stay exact: oracle values
 // are not derived, so the near-metric contract does not touch them).
 func (s *Session) Bounds(i, j int) (lb, ub float64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.bounds(i, j)
+}
+
+// bounds is Bounds with the lock held.
+func (s *Session) bounds(i, j int) (lb, ub float64) {
 	if i == j {
 		return 0, 0
 	}
@@ -532,15 +642,18 @@ func (s *Session) Bounds(i, j int) (lb, ub float64) {
 // how many pairs it derived; other schemes fall back to a per-pair loop.
 // All four slices must share a length. This is the entry point the
 // service's /batch endpoint, the remote client's prefetch and the
-// in-process kNN row scan drive.
+// in-process kNN row scan drive. The batch takes the lock once: no
+// oracle call is made, so holding it for the whole batch is cheap.
 func (s *Session) BoundsBatch(is, js []int, lb, ub []float64) {
 	if len(is) != len(js) || len(is) != len(lb) || len(is) != len(ub) {
 		panic("core: BoundsBatch slice lengths differ")
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	bb, ok := s.b.(bounds.BatchBounder)
 	if !ok {
 		for q := range is {
-			lb[q], ub[q] = s.Bounds(is[q], js[q])
+			lb[q], ub[q] = s.bounds(is[q], js[q])
 		}
 		return
 	}
@@ -628,19 +741,24 @@ const opDist = "dist"
 // method adapts it, the degrading ones through degrade. op names the
 // shape by its trace op: obs.OpLess compares dist(i,j) with dist(k,l);
 // obs.OpLessThan and obs.OpDistIfLess compare dist(i,j) with c and pass
-// k = l = −1; opDist only resolves dist(i,j). What decide cannot settle is
-// resolved through DistErr and traced by noteResolution. A failed
-// resolution returns OutcomeUnavailable and its error; degrade marks a
-// caller that will answer with an estimate instead.
+// k = l = −1; opDist only resolves dist(i,j). The decision and the claim
+// on dist(i,j) share one lock hold; what decide cannot settle is resolved
+// with the lock released, single-flight, and traced by noteResolution. A
+// failed resolution returns OutcomeUnavailable and its error; degrade
+// marks a caller that will answer with an estimate instead.
 func (s *Session) compare(op string, i, j, k, l int, c float64, degrade bool) (d float64, less bool, out Outcome, err error) {
 	var gap float64
+	s.mu.Lock()
 	if op != opDist {
 		if d, less, out, gap = s.decide(op, i, j, k, l, c); out != OutcomeUndecided {
+			s.mu.Unlock()
 			return d, less, out, nil
 		}
 	}
+	d, wait, own := s.claim(i, j)
+	s.mu.Unlock()
 	t0 := s.traceStart()
-	d, err = s.DistErr(i, j)
+	d, err = s.settle(i, j, d, wait, own)
 	if err == nil && op == obs.OpLess {
 		c, err = s.DistErr(k, l)
 	}
@@ -654,16 +772,18 @@ func (s *Session) compare(op string, i, j, k, l int, c float64, degrade bool) (d
 // degrade is compare for the degrading methods (Dist, Less, LessOutcome,
 // LessThan, DistIfLess) and the one place a Session answers from
 // estimates: when a needed resolution failed, it compares bounds
-// midpoints instead. OracleErr was latched by the failure, and the
-// estimates are never committed, so they cannot poison later exact
-// answers.
+// midpoints instead, read under the lock. OracleErr was latched by the
+// failure, and the estimates are never committed, so they cannot poison
+// later exact answers.
 func (s *Session) degrade(op string, i, j, k, l int, c float64) (float64, bool, Outcome) {
 	d, less, out, err := s.compare(op, i, j, k, l, c, true)
 	if err != nil {
+		s.mu.Lock()
 		d = s.estimate(i, j)
 		if op == obs.OpLess {
 			c = s.estimate(k, l)
 		}
+		s.mu.Unlock()
 		less = d < c
 	}
 	return d, less, out
@@ -677,23 +797,23 @@ func (s *Session) degrade(op string, i, j, k, l int, c float64) (float64, bool, 
 // reports how far the bounds were from deciding (the "why did we pay?"
 // figure): the overlap of the two intervals for Less, ub − lb for
 // LessThan, and min(c, ub) − lb for DistIfLess, finite even at c = +Inf
-// (Prim's initial keys). decide never touches the oracle, which is why
-// SharedSession may call it under its lock.
+// (Prim's initial keys). decide runs with the lock held and never
+// touches the oracle.
 func (s *Session) decide(op string, i, j, k, l int, c float64) (d float64, less bool, out Outcome, gap float64) {
-	w, ok := s.Known(i, j)
+	w, ok := s.g.Weight(i, j)
 	rhs := c
 	if ok && op == obs.OpLess {
-		rhs, ok = s.Known(k, l)
+		rhs, ok = s.g.Weight(k, l)
 	}
 	if ok {
 		s.ins.CacheHits.Inc()
 		s.traceCmp(op, i, j, k, l, obs.OutcomeCache, 0, 0)
 		return w, w < rhs, OutcomeExact, 0
 	}
-	lb, ub := s.Bounds(i, j)
+	lb, ub := s.bounds(i, j)
 	lb2, ub2 := c, c // a constant is a collapsed interval
 	if op == obs.OpLess {
-		lb2, ub2 = s.Bounds(k, l)
+		lb2, ub2 = s.bounds(k, l)
 	}
 	less, decided := bounds.DecideLess(lb, ub, lb2, ub2)
 	if op == obs.OpDistIfLess {
@@ -756,8 +876,8 @@ func (s *Session) noteSaved() {
 // the outcome with the bound gap that forced the call and the time since
 // t0, and counts a DegradedAnswer when the resolution failed for a caller
 // that will answer with an estimate (degrade) rather than the error. It
-// writes only atomic instruments and the synchronised tracer, so
-// SharedSession calls it without its lock.
+// writes only atomic instruments and the synchronised tracer, so it runs
+// without the lock.
 func (s *Session) noteResolution(op string, i, j, k, l int, gap float64, t0 time.Time, err error, degrade bool) {
 	oc := obs.OutcomeOracle
 	if err != nil {
@@ -793,11 +913,26 @@ type bootstrapAbort struct{ err error }
 // BootstrapErr is Bootstrap with error propagation: it returns the calls
 // spent before the first failed resolution, and that failure (nil when
 // the bootstrap completed).
-func (s *Session) BootstrapErr(landmarks []int) (spent int64, err error) {
+//
+// Unlike the comparisons, a bootstrap holds the lock across its oracle
+// calls, because a Bootstrapper (TLAESA) builds its pivot tree between
+// resolutions. Other goroutines' comparisons wait for it, and a pair they
+// already have in flight is waited for rather than resolved twice.
+func (s *Session) BootstrapErr(landmarks []int) (int64, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	//proxlint:allow lockheldoracle -- TLAESA builds its pivot tree between bootstrap resolutions, so the scheme stays locked throughout; on a live session (the service's /bootstrap) comparisons wait for the bootstrap, and it waits for their in-flight pairs instead of resolving them twice
+	return s.bootstrap(landmarks)
+}
+
+// bootstrap is BootstrapErr with the lock held. A pair another goroutine
+// is resolving is waited for, with the lock released only for the wait,
+// and the phase set back to run meanwhile: that call belongs to the
+// goroutine that made it, so it counts in the run phase and not in spent.
+func (s *Session) bootstrap(landmarks []int) (spent int64, err error) {
 	// Flip the phase so commitResolution counts into the
-	// phase=bootstrap series; the spent figure is the counter's delta.
+	// phase=bootstrap series.
 	s.phase.Store(phaseBootstrap)
-	before := s.ins.BootstrapCalls.Value()
 	defer func() {
 		if r := recover(); r != nil {
 			a, ok := r.(bootstrapAbort)
@@ -806,14 +941,33 @@ func (s *Session) BootstrapErr(landmarks []int) (spent int64, err error) {
 			}
 			err = a.err
 		}
-		spent = s.ins.BootstrapCalls.Value() - before
 		s.phase.Store(phaseRun)
 	}()
 	resolve := func(i, j int) float64 {
-		d, derr := s.DistErr(i, j)
+		if i == j {
+			return 0
+		}
+		if w, ok := s.g.Weight(i, j); ok {
+			return w
+		}
+		if f, busy := s.join(pgraph.Key(i, j)); busy {
+			s.phase.Store(phaseRun)
+			s.mu.Unlock()
+			d, werr := f.wait()
+			s.mu.Lock()
+			s.phase.Store(phaseBootstrap)
+			if werr != nil {
+				panic(bootstrapAbort{werr})
+			}
+			return d
+		}
+		d, derr := s.oracleDistanceErr(i, j)
 		if derr != nil {
+			s.noteOracleErr(derr)
 			panic(bootstrapAbort{derr})
 		}
+		s.commitResolution(i, j, d)
+		spent++
 		return d
 	}
 	if b, ok := s.b.(bounds.Bootstrapper); ok {
@@ -823,7 +977,7 @@ func (s *Session) BootstrapErr(landmarks []int) (spent int64, err error) {
 			resolve(e.U, e.V)
 		}
 	}
-	return 0, nil // real values assigned in the deferred epilogue
+	return spent, nil
 }
 
 // PickLandmarks selects k well-separated landmarks with the classic greedy
@@ -850,6 +1004,8 @@ func PickLandmarks(n, k int, seed int64) []int {
 // spending oracle calls ((k−1)·n in the worst case) through the session so
 // the resolved rows double as bootstrap. It returns the landmark set; the
 // calls it makes are indistinguishable from Bootstrap calls in the stats.
+// It is a setup step: the phase label is session-wide, so calls other
+// goroutines make while it runs count as bootstrap calls too.
 func (s *Session) GreedyLandmarks(k int) []int {
 	n := s.N()
 	if k >= n {

@@ -277,7 +277,7 @@ func TestMaxDistanceOption(t *testing.T) {
 func TestSharedSessionInPackage(t *testing.T) {
 	m := datasets.RandomMetric(15, 22)
 	o := metric.NewOracle(m)
-	s := Share(NewSession(o, SchemeTri))
+	s := NewSession(o, SchemeTri)
 	if s.N() != 15 || s.MaxDistance() != 1 {
 		t.Fatalf("N/MaxDistance = %d/%v", s.N(), s.MaxDistance())
 	}

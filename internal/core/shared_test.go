@@ -2,12 +2,16 @@ package core
 
 import (
 	"math/rand"
+	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"metricprox/internal/cachestore"
 	"metricprox/internal/datasets"
 	"metricprox/internal/metric"
+	"metricprox/internal/pgraph"
 )
 
 // TestSharedSessionSingleFlightDist proves the single-flight guarantee in
@@ -18,7 +22,7 @@ func TestSharedSessionSingleFlightDist(t *testing.T) {
 	m := datasets.RandomMetric(10, 61)
 	inst := metric.NewInstrumented(m, 5*time.Millisecond)
 	o := metric.NewOracle(inst)
-	c := Share(NewSession(o, SchemeTri))
+	c := NewSession(o, SchemeTri)
 
 	const goroutines = 16
 	var wg sync.WaitGroup
@@ -67,7 +71,7 @@ func TestSharedSessionStress(t *testing.T) {
 		m := datasets.RandomMetric(n, 62)
 		inst := metric.NewInstrumented(m, 100*time.Microsecond)
 		o := metric.NewOracle(inst)
-		c := Share(NewSession(o, scheme))
+		c := NewSession(o, scheme)
 
 		var wg sync.WaitGroup
 		errs := make(chan string, goroutines)
@@ -132,9 +136,9 @@ func TestSharedSessionStress(t *testing.T) {
 }
 
 // TestSharedSessionMatchesSequentialAnswers runs the same random
-// comparison workload through a sequential Session and a SharedSession
-// under heavy concurrency: every individual answer must agree, because
-// each is exact regardless of resolution order.
+// comparison workload through a Session used by one goroutine and one
+// shared by eight: every individual answer must agree, because each is
+// exact regardless of resolution order.
 func TestSharedSessionMatchesSequentialAnswers(t *testing.T) {
 	const n = 20
 	m := datasets.RandomMetric(n, 63)
@@ -157,7 +161,7 @@ func TestSharedSessionMatchesSequentialAnswers(t *testing.T) {
 		want[x] = seq.Less(qu.i, qu.j, qu.k, qu.l)
 	}
 
-	c := Share(NewSession(metric.NewOracle(m), SchemeTri))
+	c := NewSession(metric.NewOracle(m), SchemeTri)
 	got := make([]bool, len(queries))
 	var wg sync.WaitGroup
 	const workers = 8
@@ -176,5 +180,102 @@ func TestSharedSessionMatchesSequentialAnswers(t *testing.T) {
 		if got[x] != want[x] {
 			t.Fatalf("query %d: concurrent Less = %v, sequential = %v", x, got[x], want[x])
 		}
+	}
+}
+
+// gatedSpace holds the first Distance call on one pair until release is
+// closed, closing entered when that call starts; later calls pass.
+type gatedSpace struct {
+	metric.Space
+	key              int64
+	entered, release chan struct{}
+	held             atomic.Bool
+}
+
+func (g *gatedSpace) Distance(i, j int) float64 {
+	if pgraph.Key(i, j) == g.key && g.held.CompareAndSwap(false, true) {
+		close(g.entered)
+		<-g.release
+	}
+	return g.Space.Distance(i, j)
+}
+
+// TestBootstrapWaitsForInFlightPair races a bootstrap against a
+// resolution of a pair in its landmark row: goroutine A's DistErr(0, 5)
+// is inside the oracle when goroutine B bootstraps landmark 0. B must
+// wait for A's call instead of making its own, so every pair costs one
+// oracle call and one store record, and A's call counts in the run
+// phase, not in B's spent figure.
+func TestBootstrapWaitsForInFlightPair(t *testing.T) {
+	const n = 16
+	m := datasets.RandomMetric(n, 65)
+	gated := &gatedSpace{Space: m, key: pgraph.Key(0, 5), entered: make(chan struct{}), release: make(chan struct{})}
+	inst := metric.NewInstrumented(gated, 0)
+	s := NewSessionWithLandmarks(metric.NewOracle(inst), SchemeLAESA, []int{0})
+	store, err := cachestore.Create(filepath.Join(t.TempDir(), "race.mpx"), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	if err := s.AttachStore(store); err != nil {
+		t.Fatal(err)
+	}
+
+	aDone := make(chan error, 1)
+	go func() {
+		_, err := s.DistErr(0, 5)
+		aDone <- err
+	}()
+	<-gated.entered
+
+	type result struct {
+		spent int64
+		err   error
+	}
+	bDone := make(chan result, 1)
+	go func() {
+		spent, err := s.BootstrapErr([]int{0})
+		bDone <- result{spent, err}
+	}()
+	// Let B run until it finishes or waits on A's flight (the first
+	// waiter allocates it), then let A's oracle call return.
+	var b result
+	finished, waiting := false, false
+	for !finished && !waiting {
+		select {
+		case b = <-bDone:
+			finished = true
+		case <-time.After(time.Millisecond):
+			s.mu.Lock()
+			for _, c := range s.inflight {
+				waiting = waiting || c.key == gated.key && c.f != nil
+			}
+			s.mu.Unlock()
+		}
+	}
+	close(gated.release)
+	if err := <-aDone; err != nil {
+		t.Fatal(err)
+	}
+	if !finished {
+		b = <-bDone
+	}
+	if b.err != nil {
+		t.Fatal(b.err)
+	}
+
+	if max := inst.MaxPairCalls(); max != 1 {
+		t.Errorf("some pair cost %d oracle calls, want 1", max)
+	}
+	if records, err := store.Len(); err != nil || records != n-1 {
+		t.Errorf("store holds %d records (err %v), want %d: one per pair", records, err, n-1)
+	}
+	st := s.Stats()
+	if st.OracleCalls != n-1 || st.BootstrapCalls != n-2 || b.spent != n-2 {
+		t.Errorf("OracleCalls %d, BootstrapCalls %d, spent %d; want %d, %d, %d (A's call is a run call)",
+			st.OracleCalls, st.BootstrapCalls, b.spent, n-1, n-2, n-2)
+	}
+	if lb, ub := s.Bounds(0, 5); lb != m.Distance(0, 5) || ub != lb {
+		t.Errorf("Bounds(0, 5) = [%v, %v], want the resolved %v", lb, ub, m.Distance(0, 5))
 	}
 }

@@ -1,11 +1,13 @@
 package core
 
-// flight is one in-progress oracle resolution. The first goroutine that
-// needs an unresolved pair registers a flight under the SharedSession
-// lock, performs the oracle round-trip with the lock released, publishes
-// the result, and closes done. Every other goroutine that needs the same
-// pair while the call is outstanding blocks on done instead of issuing a
-// duplicate oracle call — the single-flight guarantee.
+// flight is one in-progress oracle resolution, as its waiters see it.
+// The first goroutine that needs an unresolved pair claims it under the
+// Session lock, performs the oracle round-trip with the lock released,
+// commits the result and, if any waiter arrived, publishes it and closes
+// done. Every other goroutine that needs the same pair while the call is
+// outstanding blocks on done instead of issuing a duplicate oracle call —
+// the single-flight guarantee. The first waiter allocates the flight;
+// until one arrives the claim's flight is nil.
 type flight struct {
 	done chan struct{}
 	// d and err are written exactly once, before done is closed; the
@@ -15,6 +17,13 @@ type flight struct {
 	// later call for the same pair starts a fresh flight.
 	d   float64
 	err error
+}
+
+// claimed is one pair some goroutine is resolving: its key and, once a
+// second goroutine needs the pair, the flight that goroutine waits on.
+type claimed struct {
+	key int64
+	f   *flight
 }
 
 func newFlight() *flight { return &flight{done: make(chan struct{})} }

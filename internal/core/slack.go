@@ -129,6 +129,8 @@ func (s *Session) ViolationErr() error {
 // detect escalation and drop cached intervals (server bounds no longer
 // only tighten once ε can grow).
 func (s *Session) SlackEps() float64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if !s.slackAdditive() {
 		return 0
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"sync"
 	"testing"
 
 	"metricprox/internal/datasets"
@@ -293,17 +294,30 @@ func TestAutoSlackGrowsWithObservedMargin(t *testing.T) {
 	}
 }
 
+// TestSharedSessionSlackSurface resolves every pair from several
+// goroutines at once under Auto slack: the escalated ε the session serves
+// must be the auditor's observed margin, whichever goroutine closed the
+// violating triangle.
 func TestSharedSessionSlackSurface(t *testing.T) {
 	evil := violatingSpace{Space: tightSpace(10), i: 1, j: 8, d: 0.95}
 	s := NewSession(metric.NewOracle(evil), SchemeTri, WithSlack(SlackPolicy{Auto: true}))
-	sh := Share(s)
-	for i := 0; i < 10; i++ {
-		for j := i + 1; j < 10; j++ {
-			sh.Dist(i, j)
-		}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < 10; i += 4 {
+				for j := 0; j < 10; j++ {
+					if i != j {
+						s.Dist(i, j)
+					}
+				}
+			}
+		}(w)
 	}
-	if sh.SlackEps() != s.SlackEps() {
-		t.Fatalf("SharedSession.SlackEps = %v, Session = %v", sh.SlackEps(), s.SlackEps())
+	wg.Wait()
+	if margin := s.Auditor().Margin(); margin <= 0 || s.SlackEps() != margin {
+		t.Fatalf("SlackEps = %v, want the observed margin %v > 0", s.SlackEps(), margin)
 	}
 }
 

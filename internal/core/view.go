@@ -2,10 +2,11 @@ package core
 
 // View is the comparison interface proximity algorithms are written
 // against: everything a re-authored IF statement needs, with no
-// constructor or bootstrap surface. Both Session (single-goroutine) and
-// SharedSession (concurrent) implement it, so an algorithm written once
-// against View runs unchanged in either setting — the sequential and
-// parallel builders in internal/prox share their inner loops this way.
+// constructor or bootstrap surface. Session implements it for one
+// goroutine or many, and internal/proxclient's remote session for one,
+// so an algorithm written once against View runs unchanged in every
+// setting — the sequential and parallel builders in internal/prox share
+// their inner loops this way.
 type View interface {
 	// N returns the number of objects in the universe.
 	N() int
@@ -65,9 +66,9 @@ type BoundsPrefetcher interface {
 }
 
 // BatchBoundsView is an optional View extension for implementations that
-// answer many bound queries in one pass — Session and SharedSession
-// (single lock acquisition, one input-order sweep over the bound
-// scheme's state via bounds.BatchBounder) implement it. The service's
+// answer many bound queries in one pass — Session (one lock
+// acquisition, one input-order sweep over the bound scheme's state via
+// bounds.BatchBounder) implements it. The service's
 // /batch handler probes for it to serve runs of bounds ops without
 // per-pair dispatch, and the prox kNN row scan to read a row's n−1
 // bounds in one call. The answers are bit-identical to what per-pair
@@ -81,10 +82,6 @@ type BatchBoundsView interface {
 }
 
 var (
-	_ View            = (*Session)(nil)
-	_ View            = (*SharedSession)(nil)
 	_ FallibleView    = (*Session)(nil)
-	_ FallibleView    = (*SharedSession)(nil)
 	_ BatchBoundsView = (*Session)(nil)
-	_ BatchBoundsView = (*SharedSession)(nil)
 )

@@ -73,7 +73,7 @@ type auditGauges struct {
 // extra oracle calls. The Auditor itself never calls an oracle and never
 // blocks: counters are atomic obs counters and the worst margin/ratio are
 // CAS-max float cells, so it is safe to drive from under
-// core.SharedSession's bookkeeping lock.
+// core.Session's bookkeeping lock.
 //
 // The worst additive margin ε̂ (Margin) is the quantity ε-slack mode
 // consumes: if every violated triangle has margin ≤ ε, relaxing derived

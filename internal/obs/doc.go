@@ -8,12 +8,12 @@
 // natural telemetry is exactly that count, broken down by who paid it and
 // why. Three layers record into this package:
 //
-//   - internal/core (Session, SharedSession) counts oracle calls per
-//     phase (bootstrap vs run), comparisons saved/resolved, cache hits,
-//     degraded answers, and oracle latency, and — when a Tracer is
-//     attached — emits one Event per comparison recording how it was
-//     settled (cache, bounds, oracle, degraded) and the bound gap that
-//     forced any oracle fallback.
+//   - internal/core (Session) counts oracle calls per phase (bootstrap
+//     vs run), comparisons saved/resolved, cache hits, degraded answers,
+//     and oracle latency, and — when a Tracer is attached — emits one
+//     Event per comparison recording how it was settled (cache, bounds,
+//     oracle, degraded) and the bound gap that forced any oracle
+//     fallback.
 //   - internal/resilient records its retry/breaker accounting (attempts,
 //     retries, timeouts, breaker transitions, attempt latency).
 //   - internal/faultmetric records its injection ground truth, so a chaos

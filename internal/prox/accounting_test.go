@@ -37,7 +37,7 @@ func TestStatsMatchOracleCalls(t *testing.T) {
 
 	t.Run("shared", func(t *testing.T) {
 		o := metric.NewOracle(m)
-		sh := core.Share(core.NewSession(o, core.SchemeTri))
+		sh := core.NewSession(o, core.SchemeTri)
 		if _, err := sh.BootstrapErr(core.PickLandmarks(sh.N(), 6, 7)); err != nil {
 			t.Fatal(err)
 		}

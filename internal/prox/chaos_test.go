@@ -164,7 +164,7 @@ func TestChaosOutputPreservation(t *testing.T) {
 }
 
 // TestChaosParallelOutputPreservation repeats the preservation assertion
-// for the parallel builders over a SharedSession: concurrent retries,
+// for the parallel builders over one shared Session: concurrent retries,
 // shared single-flight failures, and commit ordering must still produce
 // the sequential fault-free output. Run under -race this doubles as the
 // data-race check on the failure paths.
@@ -177,14 +177,13 @@ func TestChaosParallelOutputPreservation(t *testing.T) {
 		clean := runAlgorithms(core.NewSession(metric.NewOracle(m), scheme))
 
 		s, inj, _ := chaosSession(m, scheme, seed)
-		c := core.Share(s)
-		knn := KNNGraphParallel(c, 3, workers)
+		knn := KNNGraphParallel(s, 3, workers)
 		if !reflect.DeepEqual(clean.knn, knn) {
 			t.Errorf("scheme %v: parallel kNN diverged under faults", scheme)
 		}
 
 		s2, _, _ := chaosSession(m, scheme, seed)
-		mst := BoruvkaMSTParallel(core.Share(s2), workers)
+		mst := BoruvkaMSTParallel(s2, workers)
 		cleanBoruvka := BoruvkaMST(core.NewSession(metric.NewOracle(m), scheme))
 		if mst.Weight != cleanBoruvka.Weight || !sameEdges(mst.Edges, cleanBoruvka.Edges) {
 			t.Errorf("scheme %v: parallel Borůvka diverged under faults", scheme)
@@ -201,7 +200,7 @@ func TestChaosParallelOutputPreservation(t *testing.T) {
 	}
 }
 
-// TestChaosConcurrentMixedWorkload hammers one SharedSession from many
+// TestChaosConcurrentMixedWorkload hammers one Session from many
 // goroutines with mixed comparison traffic under faults — the shape most
 // likely to trip races in the failure paths of the single-flight map.
 func TestChaosConcurrentMixedWorkload(t *testing.T) {
@@ -209,7 +208,6 @@ func TestChaosConcurrentMixedWorkload(t *testing.T) {
 	const n, workers = 32, 8
 	m := datasets.RandomMetric(n, 31)
 	s, _, _ := chaosSession(m, core.SchemeTri, seed)
-	c := core.Share(s)
 
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -218,9 +216,9 @@ func TestChaosConcurrentMixedWorkload(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < n; i++ {
 				j, k, l := (i+w+1)%n, (i+2*w+3)%n, (i+5)%n
-				c.Less(i, j, k, l)
-				c.LessThan(i, j, 0.5)
-				if d, err := c.DistErr(i, k); err == nil {
+				s.Less(i, j, k, l)
+				s.LessThan(i, j, 0.5)
+				if d, err := s.DistErr(i, k); err == nil {
 					if want := m.Distance(i, k); d != want {
 						t.Errorf("DistErr(%d,%d) = %v, want %v", i, k, d, want)
 					}

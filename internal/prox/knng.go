@@ -100,7 +100,7 @@ var rowPool = sync.Pool{New: func() any { return new(rowScratch) }}
 
 // rowBounds returns u's candidates v ≠ u in id order, each keyed by its
 // current lower bound. An in-process view answers the row with one
-// BoundsBatch call — for a SharedSession, one lock acquisition for all
+// BoundsBatch call — for a core.Session, one lock acquisition for all
 // n−1 pairs, which Tri answers as one run: one stamp of u's adjacency
 // row, and one pass over u's neighbour rows when that reads fewer cells
 // than probing each pair's row; any other view gets the prefetch hint

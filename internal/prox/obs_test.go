@@ -110,7 +110,7 @@ func TestObsReconciliation(t *testing.T) {
 		instr := metric.NewInstrumented(m, 0)
 		o := metric.NewOracle(instr)
 		observer := obs.NewObserver(true, 256, nil)
-		sh := core.Share(core.NewSession(o, core.SchemeTri, core.WithObserver(observer)))
+		sh := core.NewSession(o, core.SchemeTri, core.WithObserver(observer))
 		if _, err := sh.BootstrapErr(core.PickLandmarks(sh.N(), 6, 7)); err != nil {
 			t.Fatal(err)
 		}

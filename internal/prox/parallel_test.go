@@ -40,7 +40,7 @@ func TestKNNGraphParallelMatchesSequential(t *testing.T) {
 	want := refKNN(m, 4)
 
 	o := metric.NewOracle(m)
-	s := core.Share(core.NewSession(o, core.SchemeTri))
+	s := core.NewSession(o, core.SchemeTri)
 	got := KNNGraphParallel(s, 4, 4)
 	if !knnEqual(got, want) {
 		t.Fatal("parallel kNN graph diverged from brute force")
@@ -50,11 +50,11 @@ func TestKNNGraphParallelMatchesSequential(t *testing.T) {
 func TestKNNGraphParallelSavesCalls(t *testing.T) {
 	m := datasets.SFPOI(80, 52)
 	oN := metric.NewOracle(m)
-	noop := core.Share(core.NewSession(oN, core.SchemeNoop))
+	noop := core.NewSession(oN, core.SchemeNoop)
 	KNNGraphParallel(noop, 5, 4)
 
 	oT := metric.NewOracle(m)
-	tri := core.Share(core.NewSession(oT, core.SchemeTri))
+	tri := core.NewSession(oT, core.SchemeTri)
 	KNNGraphParallel(tri, 5, 4)
 
 	if oT.Calls() >= oN.Calls() {
@@ -70,7 +70,7 @@ func TestKNNGraphParallelSingleWorker(t *testing.T) {
 	wantG := KNNGraph(seq, 3)
 
 	oPar := metric.NewOracle(m)
-	par := core.Share(core.NewSession(oPar, core.SchemeTri))
+	par := core.NewSession(oPar, core.SchemeTri)
 	gotG := KNNGraphParallel(par, 3, 1)
 
 	if !knnEqual(gotG, wantG) {
@@ -101,7 +101,7 @@ func TestKNNGraphTiedDistances(t *testing.T) {
 			// Several repetitions: the interleaving (and hence the bound
 			// tightening order) differs run to run.
 			for rep := 0; rep < 3; rep++ {
-				sh := core.Share(core.NewSession(metric.NewOracle(m), sc))
+				sh := core.NewSession(metric.NewOracle(m), sc)
 				gotP := KNNGraphParallel(sh, k, workers)
 				if !knnEqual(gotP, want) {
 					t.Fatalf("scheme %v, workers=%d: parallel kNN diverged from reference under ties", sc, workers)
@@ -119,7 +119,7 @@ func TestKNNGraphNonPositiveK(t *testing.T) {
 	for _, k := range []int{0, -3} {
 		s, o := sessionFor(m, core.SchemeTri, nil)
 		g := KNNGraph(s, k)
-		sh := core.Share(core.NewSession(metric.NewOracle(m), core.SchemeTri))
+		sh := core.NewSession(metric.NewOracle(m), core.SchemeTri)
 		gp := KNNGraphParallel(sh, k, 4)
 		if len(g) != 12 || len(gp) != 12 {
 			t.Fatalf("k=%d: got %d/%d lists, want 12", k, len(g), len(gp))
@@ -140,8 +140,8 @@ func TestBoruvkaParallelMatchesSequential(t *testing.T) {
 	for _, sc := range []core.Scheme{core.SchemeNoop, core.SchemeTri, core.SchemeSPLUB} {
 		seq, _ := sessionFor(m, sc, nil)
 		want := BoruvkaMST(seq)
-		for _, workers := range []int{1, 4, 8} {
-			sh := core.Share(core.NewSession(metric.NewOracle(m), sc))
+		for _, workers := range []int{1, 2, 4, 8} {
+			sh := core.NewSession(metric.NewOracle(m), sc)
 			got := BoruvkaMSTParallel(sh, workers)
 			if math.Abs(got.Weight-want.Weight) > 1e-12 || !sameEdges(got.Edges, want.Edges) {
 				t.Fatalf("scheme %v, workers=%d: parallel Borůvka weight %v vs sequential %v",
@@ -159,7 +159,7 @@ func TestBoruvkaParallelUnderLatency(t *testing.T) {
 	want := BoruvkaMST(seq)
 
 	inst := metric.NewInstrumented(m, 200*time.Microsecond)
-	sh := core.Share(core.NewSession(metric.NewOracle(inst), core.SchemeTri))
+	sh := core.NewSession(metric.NewOracle(inst), core.SchemeTri)
 	got := BoruvkaMSTParallel(sh, 8)
 	if math.Abs(got.Weight-want.Weight) > 1e-12 || !sameEdges(got.Edges, want.Edges) {
 		t.Fatalf("parallel Borůvka diverged under latency: %v vs %v", got.Weight, want.Weight)
@@ -190,7 +190,7 @@ func TestKNNGraphParallelSpeedup(t *testing.T) {
 
 	runAt := func(workers int) (time.Duration, [][]Neighbor, *metric.Instrumented) {
 		inst := metric.NewInstrumented(m, latency)
-		s := core.Share(core.NewSession(metric.NewOracle(inst), core.SchemeTri))
+		s := core.NewSession(metric.NewOracle(inst), core.SchemeTri)
 		start := time.Now()
 		g := KNNGraphParallel(s, k, workers)
 		return time.Since(start), g, inst
@@ -216,7 +216,7 @@ func TestKNNGraphParallelSpeedup(t *testing.T) {
 func TestSharedSessionStats(t *testing.T) {
 	m := datasets.RandomMetric(20, 54)
 	o := metric.NewOracle(m)
-	s := core.Share(core.NewSession(o, core.SchemeTri))
+	s := core.NewSession(o, core.SchemeTri)
 	if _, err := s.BootstrapErr(core.PickLandmarks(20, 4, 1)); err != nil {
 		t.Fatal(err)
 	}

@@ -26,9 +26,9 @@ func (p *prefetchSpy) PrefetchBounds(pairs []core.Pair) {
 }
 
 // TestKNNRowScanParity pins the batched row scan to the per-pair one. A
-// raw Session and a SharedSession (one BoundsBatch per row) and a view
-// hiding core.BatchBoundsView (one Bounds call per pair) must return the
-// same rows and end with the same Stats, on Tri's batch sweep, on
+// raw Session (one BoundsBatch per row) and a view hiding
+// core.BatchBoundsView (one Bounds call per pair) must return the same
+// rows and end with the same Stats, on Tri's batch sweep, on
 // SPLUB's per-pair fallback inside Session.BoundsBatch, and on Tri under
 // an additive slack policy, whose widened intervals the batch path
 // relaxes separately.
@@ -58,7 +58,6 @@ func TestKNNRowScanParity(t *testing.T) {
 				v    core.View
 			}{
 				{"session", fresh()},
-				{"shared", core.Share(fresh())},
 				{"per-pair", batchHidden{fresh()}},
 			}
 			var want string

@@ -4,8 +4,8 @@
 // Session.oracleDistanceErr (and historically oracleDistance) performs
 // the raw oracle call with no accounting; Session.commitResolution
 // records exactly one resolution (statistics, partial graph, bound
-// scheme, persistent store). The split exists so SharedSession can
-// release its lock around the round-trip — but it also means the
+// scheme, persistent store). The split exists so a Session can release
+// its lock around the round-trip — but it also means the
 // compiler no longer guarantees the pairing. A path that calls the
 // round-trip without committing leaks an uncounted, unlearned resolution
 // (Stats.OracleCalls undercounts and the bound scheme never tightens); a

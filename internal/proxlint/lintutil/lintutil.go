@@ -149,8 +149,8 @@ var sessionDistValued = map[string]bool{
 
 // IsSessionDistValued reports whether f is a core-session method that
 // returns a raw resolved distance (see sessionDistValued). Matching by
-// package path and method name covers core.Session, core.SharedSession,
-// core.FallibleSession and the core.View interface alike.
+// package path and method name covers core.Session and the core.View and
+// core.FallibleView interfaces alike.
 func IsSessionDistValued(f *types.Func) bool {
 	if f == nil || f.Pkg() == nil || !InCorePackage(f.Pkg().Path()) {
 		return false
@@ -236,15 +236,15 @@ var coreOracleEntrypoints = map[string]bool{
 	"oracleDistanceErr": true,
 
 	// The comparison tail every method above adapts, and its degrading
-	// wrapper (Session and SharedSession alike).
+	// wrapper.
 	"compare": true,
 	"degrade": true,
 }
 
 // IsCoreOracleEntry reports whether f is a core-session method that can
 // reach the distance oracle (directly or transitively). It matches by
-// package path and method name so it works on core.Session,
-// core.SharedSession, and the core.View interface alike.
+// package path and method name so it works on core.Session and the
+// core.View interface alike.
 func IsCoreOracleEntry(f *types.Func) bool {
 	if f == nil || f.Pkg() == nil || !InCorePackage(f.Pkg().Path()) {
 		return false

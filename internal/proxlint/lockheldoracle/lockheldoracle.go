@@ -1,9 +1,9 @@
 // Package lockheldoracle defines an analyzer that forbids oracle
 // round-trips while a mutex acquired in the enclosing function is held.
 //
-// The PR-1 concurrency design hinges on one invariant: the SharedSession
-// lock protects only in-memory bookkeeping and is never held across an
-// oracle call. The oracle dominates cost (milliseconds to seconds per
+// The concurrency design hinges on one invariant: the core.Session lock
+// protects only in-memory bookkeeping and no comparison holds it across
+// an oracle call. The oracle dominates cost (milliseconds to seconds per
 // call), so a single code path that resolves a distance under the lock
 // re-serialises every worker and silently erases the parallel speedup —
 // without failing any test or tripping the race detector. This analyzer

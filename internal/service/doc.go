@@ -1,7 +1,7 @@
 // Package service implements the metricproxd daemon: a long-running HTTP
-// server hosting named multi-tenant core.SharedSessions over one metric
-// space, so many clients can amortise a single shared partial graph of
-// resolved distances and bounds instead of each re-paying the oracle.
+// server hosting named multi-tenant core.Sessions over one metric space,
+// so many clients can amortise a single shared partial graph of resolved
+// distances and bounds instead of each re-paying the oracle.
 //
 // The layer split: core.SessionRegistry owns session lifecycle (single-
 // flight creation, max-sessions cap, TTL eviction); this package owns

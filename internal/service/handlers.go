@@ -55,7 +55,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	entry, created, err := s.reg.GetOrCreate(req.Name, func() (*core.SharedSession, any, error) {
+	entry, created, err := s.reg.GetOrCreate(req.Name, func() (*core.Session, any, error) {
 		return s.buildSession(req.Name, scheme, lmCount, req.Seed, req.Bootstrap, slack, req.Audit)
 	})
 	switch {
@@ -85,9 +85,8 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 }
 
 // buildSession is the registry build callback: session, optional
-// persistent cache (replayed for warm starts), optional bootstrap, then
-// the shared concurrent wrapper.
-func (s *Server) buildSession(name string, scheme core.Scheme, lmCount int, seed int64, bootstrap bool, slack core.SlackPolicy, audit bool) (*core.SharedSession, any, error) {
+// persistent cache (replayed for warm starts), then optional bootstrap.
+func (s *Server) buildSession(name string, scheme core.Scheme, lmCount int, seed int64, bootstrap bool, slack core.SlackPolicy, audit bool) (*core.Session, any, error) {
 	var opts []core.Option
 	if s.cfg.MaxDistance > 0 {
 		opts = append(opts, core.WithMaxDistance(s.cfg.MaxDistance))
@@ -148,7 +147,7 @@ func (s *Server) buildSession(name string, scheme core.Scheme, lmCount int, seed
 			s.cfg.Replicator.Track(name, st.store, meta)
 		}
 	}
-	return core.Share(sess), st, nil
+	return sess, st, nil
 }
 
 // handleList lists live sessions.
@@ -245,7 +244,7 @@ func writeFailure(w http.ResponseWriter, err error) {
 // raw oracle values; each scalar endpoint ships only its own contract's
 // fields of the result (one bit for less/lessthan, an interval for
 // bounds). On error res is left as it was.
-func (s *Server) handleDistOp(sess *core.SharedSession, op *api.BatchOp, res *api.BatchResult) error {
+func (s *Server) handleDistOp(sess *core.Session, op *api.BatchOp, res *api.BatchResult) error {
 	if err := s.checkPair(op.I, op.J); err != nil {
 		return err
 	}
@@ -422,7 +421,7 @@ func (s *Server) handleDistBatch(w http.ResponseWriter, r *http.Request, entry *
 // BoundsBatch call. Ops with invalid pairs fail individually with
 // CodeBadRequest, exactly as the scalar path would, and do not join the
 // batch.
-func (s *Server) serveBoundsRun(sess *core.SharedSession, ops []api.BatchOp, results []api.BatchResult) {
+func (s *Server) serveBoundsRun(sess *core.Session, ops []api.BatchOp, results []api.BatchResult) {
 	is := make([]int, 0, len(ops))
 	js := make([]int, 0, len(ops))
 	slots := make([]int, 0, len(ops))
@@ -456,7 +455,7 @@ func (s *Server) serveBoundsRun(sess *core.SharedSession, ops []api.BatchOp, res
 // the session's OracleErr, and never with an estimate in its answer.
 // Bounds and BoundsBatch pass through, so kNN rows keep their one-sweep
 // bound read.
-type requestView struct{ *core.SharedSession }
+type requestView struct{ *core.Session }
 
 // requestAbort carries a resolution failure out of the builder.
 type requestAbort struct{ err error }
@@ -495,7 +494,7 @@ func abortOn(err error) {
 
 // runRequest runs build over a requestView of sess and returns its
 // result, or the resolution failure that stopped it.
-func runRequest[T any](sess *core.SharedSession, build func(core.View) T) (out T, err error) {
+func runRequest[T any](sess *core.Session, build func(core.View) T) (out T, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			a, ok := r.(requestAbort)

@@ -313,7 +313,7 @@ func (s *Server) promote(name string) *core.SessionEntry {
 		s.logf("service: promote %q: replicated slack unsupported: %v", name, err)
 		return nil
 	}
-	_, created, err := s.reg.GetOrCreate(name, func() (*core.SharedSession, any, error) {
+	_, created, err := s.reg.GetOrCreate(name, func() (*core.Session, any, error) {
 		return s.buildSession(name, scheme, meta.Landmarks, meta.Seed, meta.Bootstrap, slack, meta.Audit)
 	})
 	if err != nil {
