@@ -31,9 +31,9 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 	"time"
@@ -111,22 +111,28 @@ func main() {
 		cfg.FaultRate = fcfg.TransientRate
 		cfg.FaultSeed = fcfg.Seed
 	}
+	// The JSONL sink writes through a 64 KiB buffer, so a traced run pays
+	// one write syscall per 64 KiB of events, not one per event.
 	var sinkFile *os.File
+	var sinkBuf *bufio.Writer
 	if *obsFlag || *traceFlag != "" {
-		var sink io.Writer
 		switch *traceFlag {
 		case "":
 		case "-":
-			sink = os.Stderr
+			sinkBuf = bufio.NewWriterSize(os.Stderr, 64<<10)
 		default:
 			f, err := os.Create(*traceFlag)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "proxbench: -trace: %v\n", err)
 				os.Exit(2)
 			}
-			sinkFile, sink = f, f
+			sinkFile, sinkBuf = f, bufio.NewWriterSize(f, 64<<10)
 		}
-		cfg.Observer = obs.NewObserver(*traceFlag != "", 0, sink)
+		if sinkBuf != nil {
+			cfg.Observer = obs.NewObserver(true, 0, sinkBuf)
+		} else {
+			cfg.Observer = obs.NewObserver(false, 0, nil)
+		}
 	}
 
 	var runners []experiments.Runner
@@ -169,6 +175,9 @@ func main() {
 		if t := cfg.Observer.Tracer; t != nil {
 			if err := t.SinkErr(); err != nil {
 				fmt.Fprintln(os.Stderr, "proxbench: trace sink failed part-way; the JSONL file is incomplete:", err)
+			} else if err := sinkBuf.Flush(); err != nil {
+				fmt.Fprintln(os.Stderr, "proxbench: -trace:", err)
+				os.Exit(1)
 			}
 		}
 		if sinkFile != nil {

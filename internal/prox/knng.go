@@ -15,13 +15,18 @@ import (
 // k-th-nearest distance — every remaining candidate is pruned wholesale.
 // Bounds only tighten as edges resolve, so the early exit is sound.
 //
-// A row reads all n−1 lower bounds up front — in one BoundsBatch call
+// A row reads all n−1 intervals up front — in one BoundsBatch call
 // when s is an in-process core.BatchBoundsView, after one PrefetchBounds
 // hint when it is a core.BoundsPrefetcher — and pops candidates lazily
-// from a heap in (lower bound, id) order, so the few it examines cost
-// O(log n) each instead of a sort of the whole row. Either way the scan
-// sees the same candidates in the same order and makes the same oracle
-// calls as a per-pair Bounds loop followed by a full sort.
+// from a heap in (lower bound, id) order. Only the candidates whose lower
+// bound is at most T, the row's k-th smallest upper bound, enter the
+// heap at first: with sound bounds the k-th distance is at most T, so
+// the scan stops before it reaches any other. The rest wait behind the
+// heap and are heapified only if it runs dry while the scan could still
+// admit one (an unsound float bound put the k-th distance above T).
+// Either way the scan sees the same candidates in the same order and
+// makes the same oracle calls as a per-pair Bounds loop followed by a
+// full sort.
 //
 // Each inner comparison is the paper's canonical IF: `is dist(u,v) smaller
 // than the current k-th nearest distance?` — re-authored as
@@ -87,49 +92,88 @@ func emptyNeighborLists(n int) [][]Neighbor {
 }
 
 // rowScratch is one row scan's working set: the BoundsBatch argument
-// slices and the candidate heap's backing array, each n−1 long. Rows draw
-// it from rowPool, so a build allocates it once per concurrent row scan
-// rather than once per row; no row a builder returns aliases it.
+// slices and the row's lower and upper bounds, each n−1 long, the
+// candidate heap's backing array, and the k-entry heap that selects the
+// k-th smallest upper bound. Rows draw it from rowPool, so a build
+// allocates it once per concurrent row scan rather than once per row; no
+// row a builder returns aliases it.
 type rowScratch struct {
 	is, js []int
 	lb, ub []float64
 	cands  []Neighbor
+	lowUB  []Neighbor // the k smallest upper bounds seen, negated
 }
 
 var rowPool = sync.Pool{New: func() any { return new(rowScratch) }}
 
-// rowBounds returns u's candidates v ≠ u in id order, each keyed by its
-// current lower bound. An in-process view answers the row with one
-// BoundsBatch call — for a core.Session, one lock acquisition for all
-// n−1 pairs, which Tri answers as one run: one stamp of u's adjacency
-// row, and one pass over u's neighbour rows when that reads fewer cells
-// than probing each pair's row; any other view gets the prefetch hint
-// and then one Bounds call per pair.
-func (sc *rowScratch) rowBounds(s core.View, u, n int) []Neighbor {
-	cands := sc.cands[:0]
+// rowBounds reads the interval of (u, v) for every v ≠ u into sc.lb and
+// sc.ub, in id order with u skipped. An in-process view answers the row
+// with one BoundsBatch call — for a core.Session, one lock acquisition
+// for all n−1 pairs, which Tri answers as one run: one stamp of u's
+// adjacency row, and one pass over u's neighbour rows when that reads
+// fewer cells than probing each pair's row; any other view gets the
+// prefetch hint and then one Bounds call per pair.
+func (sc *rowScratch) rowBounds(s core.View, u, n int) {
+	if cap(sc.lb) < n-1 {
+		sc.lb, sc.ub = make([]float64, n-1), make([]float64, n-1)
+	}
+	lb, ub := sc.lb[:n-1], sc.ub[:n-1]
 	if bb, ok := s.(core.BatchBoundsView); ok {
-		is, js := sc.is[:0], sc.js[:0]
-		for v := 0; v < n; v++ {
-			if v != u {
-				is, js = append(is, u), append(js, v)
+		if cap(sc.is) < n-1 {
+			sc.is, sc.js = make([]int, n-1), make([]int, n-1)
+		}
+		is, js := sc.is[:n-1], sc.js[:n-1]
+		for x := range js {
+			is[x], js[x] = u, x
+			if x >= u {
+				js[x]++
 			}
 		}
-		if cap(sc.lb) < len(is) {
-			sc.lb, sc.ub = make([]float64, len(is)), make([]float64, len(is))
-		}
-		lb, ub := sc.lb[:len(is)], sc.ub[:len(is)]
 		bb.BoundsBatch(is, js, lb, ub)
-		for x, v := range js {
-			cands = append(cands, Neighbor{ID: v, Dist: lb[x]})
+		return
+	}
+	prefetchRow(s, u, n)
+	for v, x := 0, 0; v < n; v++ {
+		if v != u {
+			lb[x], ub[x] = s.Bounds(u, v)
+			x++
 		}
-		sc.is, sc.js = is, js
-	} else {
-		prefetchRow(s, u, n)
-		for v := 0; v < n; v++ {
-			if v != u {
-				lb, _ := s.Bounds(u, v)
-				cands = append(cands, Neighbor{ID: v, Dist: lb})
+	}
+}
+
+// kthUpper returns the k-th smallest of the row's upper bounds
+// (0 < k ≤ n−1) in O(n log k). A MinHeap over the negated bounds is a
+// max-heap of the k smallest seen so far; a later bound replaces its top
+// only when smaller.
+func (sc *rowScratch) kthUpper(n, k int) float64 {
+	top := sc.lowUB[:0]
+	for _, b := range sc.ub[:k] {
+		top = append(top, Neighbor{Dist: -b})
+	}
+	var h MinHeap
+	h.init(top)
+	for _, b := range sc.ub[k : n-1] {
+		if -b > h.items[0].Dist {
+			h.items[0].Dist = -b
+			h.down(0)
+		}
+	}
+	sc.lowUB = h.items
+	return -h.items[0].Dist
+}
+
+// candidates returns, keyed by lower bound, the candidates v ≠ u whose
+// lower bound is above t when above is set, and the others otherwise. A
+// tie at t is not above it: the scan may have to pop it when kth == t.
+func (sc *rowScratch) candidates(u, n int, t float64, above bool) []Neighbor {
+	cands := sc.cands[:0]
+	for x, lb := range sc.lb[:n-1] {
+		if (lb > t) == above {
+			v := x
+			if x >= u {
+				v++
 			}
+			cands = append(cands, Neighbor{ID: v, Dist: lb})
 		}
 	}
 	sc.cands = cands
@@ -145,17 +189,39 @@ func (sc *rowScratch) rowBounds(s core.View, u, n int) []Neighbor {
 // and admits a candidate exactly when its (distance, id) precedes it
 // lexicographically, so the returned set is the canonical k smallest
 // (distance, id) pairs regardless of the order candidates resolve in.
+//
+// Candidates pop in (lb, id) order. Those with lb ≤ T (the k-th smallest
+// upper bound) precede every other, so the heap starts with them alone.
+// When it runs dry the next candidate has lb > T; the scan stops there
+// if it holds k neighbours with kth ≤ T, since that candidate has
+// lb > kth, and otherwise heapifies the rest and goes on. The pops, the
+// oracle calls and the Stats are therefore the full heap's for any
+// bounds, sound or not; T only decides how much is heapified.
 func knnForNode(s core.View, u, k int) []Neighbor {
 	sc := rowPool.Get().(*rowScratch)
 	defer rowPool.Put(sc)
+	n := s.N()
+	sc.rowBounds(s, u, n)
+	cut := sc.kthUpper(n, k)
+	refilled := false
 	var cands MinHeap // keyed by lower bound: Dist holds lb(u, ID)
-	cands.init(sc.rowBounds(s, u, s.N()))
+	cands.init(sc.candidates(u, n, cut, false))
 
-	// Running top-k as a simple sorted slice (k is small).
-	best := make([]Neighbor, 0, k+1)
+	// Running top-k as a sorted slice; admit inserts in place.
+	best := make([]Neighbor, 0, k)
 	kth := s.MaxDistance() * 2 // +∞ until k candidates are in
 	kthID := -1                // id of the current k-th neighbour
-	for cands.Len() > 0 {
+	for {
+		if cands.Len() == 0 {
+			if refilled || (len(best) == k && kth <= cut) {
+				// Nothing left, or every waiting candidate has
+				// lb > cut ≥ kth: pruned below, as the full heap would.
+				break
+			}
+			cands.init(sc.candidates(u, n, cut, true))
+			refilled = true
+			continue
+		}
 		c := cands.Pop()
 		if len(best) == k && (c.Dist > kth || (fcmp.ExactEq(c.Dist, kth) && c.ID > kthID)) {
 			// Candidates pop in (lb, id) order: every remaining one has
@@ -187,15 +253,35 @@ func knnForNode(s core.View, u, k int) []Neighbor {
 				continue
 			}
 		}
-		best = append(best, Neighbor{ID: c.ID, Dist: d})
-		sortNeighbors(best)
-		if len(best) > k {
-			best = best[:k]
-		}
+		best = admit(best, Neighbor{ID: c.ID, Dist: d}, k)
 		if len(best) == k {
 			kth = best[k-1].Dist
 			kthID = best[k-1].ID
 		}
 	}
+	return best
+}
+
+// admit inserts e into best, which is sorted in the canonical
+// (distance, id) order and holds at most k entries: a binary search finds
+// e's place, the entries after it shift up one, and an entry shifted past
+// the k-th place drops out.
+func admit(best []Neighbor, e Neighbor, k int) []Neighbor {
+	lo, hi := 0, len(best)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if fcmp.TieLess(best[mid].Dist, best[mid].ID, e.Dist, e.ID) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if len(best) < k {
+		best = append(best, Neighbor{})
+	} else if lo == k {
+		return best
+	}
+	copy(best[lo+1:], best[lo:])
+	best[lo] = e
 	return best
 }

@@ -22,26 +22,25 @@ type Neighbor struct {
 	Dist float64
 }
 
-// sortNeighbors orders by (distance, id) for deterministic output.
-func sortNeighbors(ns []Neighbor) {
-	sort.Slice(ns, func(a, b int) bool {
-		return fcmp.TieLess(ns[a].Dist, ns[a].ID, ns[b].Dist, ns[b].ID)
-	})
-}
-
 // SortNeighbors orders a neighbour list by the canonical (distance, id)
 // rule every builder in this repository resolves ties with. Exported for
 // the packages that share Neighbor as their result type — the nsw
 // search-graph builder keeps its adjacency in this order so traversal is
 // deterministic.
-func SortNeighbors(ns []Neighbor) { sortNeighbors(ns) }
+func SortNeighbors(ns []Neighbor) {
+	sort.Slice(ns, func(a, b int) bool {
+		return fcmp.TieLess(ns[a].Dist, ns[a].ID, ns[b].Dist, ns[b].ID)
+	})
+}
 
 // MinHeap is a binary min-heap of neighbours in the canonical
 // (distance, id) order: Pop returns the fcmp.TieLess-smallest entry, so
 // a sequence of pops is exactly the prefix of a full sort by that rule.
 // The nsw beam search keeps its frontier in one; the kNN row scan
-// heapifies a row's candidates keyed by lower bound in O(n) and pops
-// only the few it examines.
+// heapifies, keyed by lower bound, only the row's candidates it can pop
+// before it stops (lb at most the row's k-th smallest upper bound: about
+// 45 of 2,999 on cmd/proxload's knn-inproc shape) and the rest only if
+// the heap runs dry before then.
 type MinHeap struct{ items []Neighbor }
 
 // Len returns the number of entries.

@@ -178,7 +178,7 @@ func refKNN(m *metric.Matrix, k int) [][]Neighbor {
 				ns = append(ns, Neighbor{ID: v, Dist: m.Distance(u, v)})
 			}
 		}
-		sortNeighbors(ns)
+		SortNeighbors(ns)
 		out[u] = ns[:k]
 	}
 	return out

@@ -153,7 +153,7 @@ func TestMinHeapPopsSortedOrder(t *testing.T) {
 	want := append([]Neighbor(nil), items...)
 	extra := []Neighbor{{ID: 900, Dist: 0}, {ID: 901, Dist: 2.5}, {ID: 902, Dist: 99}}
 	want = append(want, extra...)
-	sortNeighbors(want)
+	SortNeighbors(want)
 
 	var h MinHeap
 	h.init(items)

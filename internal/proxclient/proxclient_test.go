@@ -495,7 +495,9 @@ func (s *resolvedSpace) has(key uint64) bool {
 // candidates back for their value — and holds that once the daemon has
 // answered a distifless on a pair it holds resolved, the client never
 // asks /dist for that pair: the answer shipped the exact distance into
-// the mirror. The rows must still equal the in-process noop rows.
+// the mirror. The rows must still equal the in-process noop rows, and
+// each row must cost the round trips the full-heap row scan paid
+// (wantTrips): the k-th-upper-bound cut changes no call the scan makes.
 func TestRemoteKNNRowSendsNoDistAfterResolvedDistIfLess(t *testing.T) {
 	const n, k = 120, 10
 	_, dna := datasets.DNA(n, 64, testSeed)
@@ -535,11 +537,18 @@ func TestRemoteKNNRowSendsNoDistAfterResolvedDistIfLess(t *testing.T) {
 		ts.Close()
 		srv.Close()
 	})
-	sess := remoteSession(t, New(ts.URL, fastOptions()), "edit")
+	c := New(ts.URL, fastOptions())
+	sess := remoteSession(t, c, "edit")
 	ref := core.NewSession(metric.NewOracle(dna), core.SchemeNoop)
-	for u := 0; u < 30; u++ {
-		got, want := prox.KNNRow(sess, u, k), prox.KNNRow(ref, u, k)
-		sameGraph(t, [][]prox.Neighbor{got}, [][]prox.Neighbor{want}, fmt.Sprintf("row %d", u))
+	wantTrips := []int64{22, 28, 11, 11, 11, 23, 22, 23, 14, 11, 21, 14, 17, 17, 9,
+		19, 19, 16, 27, 17, 21, 9, 17, 18, 13, 21, 20, 16, 17, 7}
+	for u := range wantTrips {
+		before := c.Requests()
+		got := prox.KNNRow(sess, u, k)
+		if trips := c.Requests() - before; trips != wantTrips[u] {
+			t.Errorf("row %d: %d round trips, the full-heap scan paid %d", u, trips, wantTrips[u])
+		}
+		sameGraph(t, [][]prox.Neighbor{got}, [][]prox.Neighbor{prox.KNNRow(ref, u, k)}, fmt.Sprintf("row %d", u))
 	}
 	if len(told) == 0 {
 		t.Fatal("no distifless was answered on a resolved pair; the rows exercise nothing")
