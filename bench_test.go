@@ -202,12 +202,12 @@ func BenchmarkTriBoundsBatch(b *testing.B) {
 }
 
 // BenchmarkTriBoundsRow measures the batch entry point on the shape the
-// kNN and Prim row scans emit: one anchor against every other object
-// (n−1 = 511 pairs per op), on the same graph as BenchmarkTriBoundsCSR.
-// The anchor walks every object in turn, so the op averages over rows of
-// every degree, most of which take the neighbour-major sweep; resolved
-// pairs answer exactly, and pairs/op is the divisor for a per-pair
-// figure.
+// kNN row scan emits: one anchor against every other object in id order
+// (n−1 = 511 pairs per op, Tri's row path), on the same graph as
+// BenchmarkTriBoundsCSR, which has no complete row. The anchor walks
+// every object in turn, so the op averages over rows of every degree,
+// most of which take the neighbour-major sweep; resolved pairs answer
+// exactly, and pairs/op is the divisor for a per-pair figure.
 func BenchmarkTriBoundsRow(b *testing.B) {
 	g, _ := triWorkload()
 	tri := bounds.NewTri(g, 1)
@@ -224,6 +224,43 @@ func BenchmarkTriBoundsRow(b *testing.B) {
 			if v != a {
 				is[x], js[x] = a, v
 				x++
+			}
+		}
+		tri.BoundsBatch(is, js, lb, ub)
+	}
+	b.ReportMetric(float64(n-1), "pairs/op")
+}
+
+// BenchmarkTriBoundsLandmarkRow measures the batch entry point on the
+// knn-inproc shape: one row per op, an anchor against the other
+// n−1 = 2,999 objects in id order, over the planar UrbanGB surrogate
+// bootstrapped on ⌊log₂ n⌋ = 11 landmark rows. Those rows are complete,
+// so the row's sweep folds them without loading neighbour ids. The kNN
+// rows (k = 10) of the first half of a seeded permutation are resolved
+// off the clock, as midway through a knn-inproc round, and the anchors
+// walk the other half.
+func BenchmarkTriBoundsLandmarkRow(b *testing.B) {
+	const n, k = 3000, 10
+	lms := core.PickLandmarks(n, bits.Len(n)-1, 1)
+	s := core.NewSessionWithLandmarks(metric.NewOracle(datasets.UrbanGBPlanar(n, 1)), core.SchemeTri, lms)
+	s.Bootstrap(lms)
+	order := rand.New(rand.NewSource(1)).Perm(n)
+	for _, u := range order[:n/2] {
+		prox.KNNRow(s, u, k)
+	}
+	tri := s.Bounder().(*bounds.Tri)
+	is := make([]int, n-1)
+	js := make([]int, n-1)
+	lb := make([]float64, n-1)
+	ub := make([]float64, n-1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a := order[n/2+i%(n/2)]
+		for x := range js {
+			is[x], js[x] = a, x
+			if x >= a {
+				js[x]++
 			}
 		}
 		tri.BoundsBatch(is, js, lb, ub)

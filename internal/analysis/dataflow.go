@@ -158,6 +158,23 @@ func (st *TaintState) Label(e ast.Expr) string {
 			}
 			return ""
 		}
+		if id, ok := ast.Unparen(e.Fun).(*ast.Ident); ok {
+			if b, ok := ta.Info.Uses[id].(*types.Builtin); ok && b.Name() == "append" {
+				// The result holds the slice argument's elements and the
+				// appended values, so it carries all their labels; a
+				// spread argument (append(s, t...)) contributes what its
+				// elements carry, as copies of them.
+				out := ""
+				for x, arg := range e.Args {
+					l := st.Label(arg)
+					if x > 0 && x == len(e.Args)-1 && e.Ellipsis.IsValid() {
+						l = st.element(l)
+					}
+					out = st.join(out, l)
+				}
+				return out
+			}
+		}
 		if ta.Source != nil {
 			return ta.Source(e)
 		}

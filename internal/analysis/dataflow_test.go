@@ -194,6 +194,20 @@ func TestTaint(t *testing.T) {
 			want: []string{"4:t"},
 		},
 		{
+			name: "append_joins_arguments",
+			src: `func f() {
+				xs := append([]int{}, 1)
+				sink(xs...)
+				ys := append(xs, src())
+				sink(ys...)
+				zs := append([]int{0}, ys...)
+				sink(zs...)
+			}`,
+			// A spread argument passes its elements' label, which the
+			// engine's default Element keeps.
+			want: []string{"5:t", "7:t"},
+		},
+		{
 			name: "conversions_pass_taint_through",
 			src: `func f() {
 				y := int(int64(src()))

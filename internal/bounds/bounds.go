@@ -88,7 +88,7 @@ func clamp(lb, ub, maxDist float64) (float64, float64) {
 		ub = maxDist
 	}
 	if lb > ub {
-		// Rounding artefact: collapse to the midpoint ordering.
+		// Rounding artefact: collapse the interval onto ub.
 		lb = ub
 	}
 	return lb, ub

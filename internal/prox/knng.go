@@ -109,10 +109,10 @@ var rowPool = sync.Pool{New: func() any { return new(rowScratch) }}
 // rowBounds reads the interval of (u, v) for every v ≠ u into sc.lb and
 // sc.ub, in id order with u skipped. An in-process view answers the row
 // with one BoundsBatch call — for a core.Session, one lock acquisition
-// for all n−1 pairs, which Tri answers as one run: one stamp of u's
-// adjacency row, and one pass over u's neighbour rows when that reads
-// fewer cells than probing each pair's row; any other view gets the
-// prefetch hint and then one Bounds call per pair.
+// for all n−1 pairs, which Tri answers as one canonical row: one pass
+// over u's neighbour rows, folded straight into sc.lb and sc.ub, when
+// that reads fewer cells than probing each pair's row; any other view
+// gets the prefetch hint and then one Bounds call per pair.
 func (sc *rowScratch) rowBounds(s core.View, u, n int) {
 	if cap(sc.lb) < n-1 {
 		sc.lb, sc.ub = make([]float64, n-1), make([]float64, n-1)

@@ -2,6 +2,8 @@ package prox
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -97,6 +99,48 @@ func TestKNNRowScanParity(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestKNNRowBoundsBatchMatchesScalar holds Tri's row path to the scalar
+// bounds on the knn-inproc shape at test size: a planar UrbanGB session
+// of 300 objects, bootstrapped on ⌊log₂ n⌋ = 8 landmark rows (complete
+// rows, which the row sweep folds four at a time), runs KNNRow over a
+// seeded permutation. Before each row, BoundsBatch over the row's
+// canonical pairs must equal per-pair Bounds bit for bit (NaN and the
+// sign of zero count) and advance BoundProbes by as much, while the rows
+// resolved before it relocate rows of the store.
+func TestKNNRowBoundsBatchMatchesScalar(t *testing.T) {
+	const n, k = 300, 10
+	lms := core.PickLandmarks(n, bits.Len(n)-1, 1)
+	s := core.NewSessionWithLandmarks(metric.NewOracle(datasets.UrbanGBPlanar(n, 1)), core.SchemeTri, lms)
+	s.Bootstrap(lms)
+	is, js := make([]int, n-1), make([]int, n-1)
+	lb, ub := make([]float64, n-1), make([]float64, n-1)
+	start := s.Graph().Stats().Epoch
+	for _, u := range rand.New(rand.NewSource(7)).Perm(n) {
+		for x := range js {
+			is[x], js[x] = u, x
+			if x >= u {
+				js[x]++
+			}
+		}
+		p0 := s.Stats().BoundProbes
+		s.BoundsBatch(is, js, lb, ub)
+		p1 := s.Stats().BoundProbes
+		for x, v := range js {
+			wl, wu := s.Bounds(u, v)
+			if math.Float64bits(lb[x]) != math.Float64bits(wl) || math.Float64bits(ub[x]) != math.Float64bits(wu) {
+				t.Fatalf("row %d: batch (%d,%d) = [%v,%v], scalar [%v,%v]", u, u, v, lb[x], ub[x], wl, wu)
+			}
+		}
+		if batch, scalar := p1-p0, s.Stats().BoundProbes-p1; batch != scalar {
+			t.Fatalf("row %d: BoundsBatch probed %d pairs, per-pair Bounds %d", u, batch, scalar)
+		}
+		KNNRow(s, u, k)
+	}
+	if s.Graph().Stats().Epoch == start {
+		t.Fatal("the rows relocated no row of the store; grow the workload")
 	}
 }
 

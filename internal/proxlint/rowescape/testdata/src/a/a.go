@@ -23,6 +23,24 @@ func fieldStore(g *pgraph.Graph, h *holder) {
 	h.nbrs = nbrs // want `stored in a field`
 }
 
+// rowRef keeps a weight row, as a scratch entry might.
+type rowRef struct {
+	r []float64
+}
+
+type rowsHolder struct {
+	rows []rowRef
+}
+
+// appendStore stores the borrow through append: the appended value, and
+// so the grown slice, holds the row.
+func appendStore(g *pgraph.Graph, h *rowsHolder) {
+	_, ww := g.Row(0)
+	var rows []rowRef
+	rows = append(rows, rowRef{r: ww})
+	h.rows = rows // want `stored in a field`
+}
+
 func globalStore(g *pgraph.Graph) {
 	global, _ = g.Row(0) // want `package-level variable`
 }

@@ -33,3 +33,15 @@ func readOnly(g *pgraph.Graph) int {
 	}
 	return count + len(nbrs)
 }
+
+// snapshot keeps a copy of a weight row.
+type snapshot struct {
+	wts []float64
+}
+
+// appendCopy copies the borrow's elements with a spread append: the
+// result is fresh memory, safe to keep past the next growth.
+func appendCopy(g *pgraph.Graph, h *snapshot) {
+	_, wts := g.Row(0)
+	h.wts = append([]float64(nil), wts...)
+}
