@@ -387,10 +387,9 @@ func TestTriBatchOutOfRangePanics(t *testing.T) {
 }
 
 // TestTriBatchInterleavedWithUpdates checks that batch answers stay
-// correct across graph growth — row relocations and compactions between
-// batches must not leave the bounder reading stale views, neither on
-// random pairs nor on a full row against one anchor, general or
-// canonical.
+// correct across graph growth — row relocations between batches must
+// not leave the bounder reading stale views, neither on random pairs nor
+// on a full row against one anchor, general or canonical.
 func TestTriBatchInterleavedWithUpdates(t *testing.T) {
 	const n = 48
 	m := datasets.SFPOI(n, 2)
@@ -403,14 +402,14 @@ func TestTriBatchInterleavedWithUpdates(t *testing.T) {
 	lb := make([]float64, 128)
 	ub := make([]float64, 128)
 	for round := 0; round < 12; round++ {
-		for k := 0; k < 60; k++ { // grow: forces relocations/compaction
+		for k := 0; k < 60; k++ { // grow: forces relocations
 			i, j := rng.Intn(n), rng.Intn(n)
 			if i != j && !g.Known(i, j) {
 				tri.Update(i, j, m.Distance(i, j))
 			}
 		}
 		// A row-shaped batch takes the neighbour-major sweep over rows
-		// the growth above just relocated or compacted.
+		// the growth above just relocated.
 		var ri, rj []int
 		for a, v := rng.Intn(n), 0; v < n; v++ {
 			ri, rj = append(ri, a), append(rj, v)

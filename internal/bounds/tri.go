@@ -17,11 +17,12 @@ import (
 // The common neighbours come from intersecting the two flat adjacency
 // rows of the partial graph's CSR store. Rather than a two-cursor sorted
 // merge (whose key comparisons are data-dependent branches the CPU cannot
-// predict), the intersection stamps one row into per-object scratch and
-// probes the other — two sequential scans with one predictable test each,
-// no per-query allocation. Expected query cost stays O(deg i + deg j) =
-// O(m/n) (Theorem 4.2); updates are the sorted-run insertions done by the
-// shared partial graph.
+// predict), the intersection stamps one row, with its weights, into
+// per-object scratch and probes the other — two sequential scans, the
+// probe selecting each cell's candidates by its stamp test rather than
+// branching on it (probeBits), no per-query allocation. Expected query
+// cost stays O(deg i + deg j) = O(m/n) (Theorem 4.2); updates are the
+// sorted-run insertions done by the shared partial graph.
 //
 // A batch row — one anchor u against many objects j, the shape of a kNN
 // or Prim row — is answered the cheaper of two ways (see BoundsBatch).
@@ -51,12 +52,14 @@ type Tri struct {
 	rho     float64 // relaxation factor; 1 = true metric
 
 	// Intersection scratch, sized n at construction: stamp[v] == qid
-	// marks v as a neighbour of the currently stamped row and pos[v]
-	// remembers where, so a probe of the other row finds each common
-	// neighbour in O(1) with no clearing between queries (qid advances
-	// instead). Guarded by the session lock like the graph itself.
+	// marks v as a neighbour of the currently stamped row and val[v]
+	// holds the weight of its edge to the row's object, so a probe of
+	// the other row finds each common neighbour's side in O(1) with no
+	// clearing between queries (qid advances instead). val[v] is stale
+	// wherever the stamp is. Guarded by the session lock like the graph
+	// itself.
 	stamp []uint64
-	pos   []int32
+	val   []float64
 	qid   uint64
 
 	// Sweep accumulators of a general run, allocated on its first
@@ -91,7 +94,7 @@ func NewTriRelaxed(g *pgraph.Graph, maxDist, rho float64) *Tri {
 		maxDist: maxDist,
 		rho:     rho,
 		stamp:   make([]uint64, g.N()),
-		pos:     make([]int32, g.N()),
+		val:     make([]float64, g.N()),
 	}
 }
 
@@ -114,59 +117,52 @@ func (t *Tri) Bounds(i, j int) (float64, float64) {
 		i, j = j, i
 		ni, wi, nj, wj = nj, wj, ni, wi
 	}
-	t.mark(ni)
+	t.mark(ni, wi)
 	if t.stamp[j] == t.qid {
 		// j is in i's stamped row: the pair is resolved, and the stamp
-		// names the cell holding its weight, as in BoundsBatch.
-		w := wi[t.pos[j]]
+		// holds its weight, as in BoundsBatch.
+		w := t.val[j]
 		return w, w
 	}
-	lb, ub := t.probe(wi, nj, wj)
+	lb, ub := t.probe(nj, wj)
 	return clamp(lb, ub, t.maxDist)
 }
 
-// mark stamps row ni into the intersection scratch under a fresh query
-// id. A later probe recognises exactly these neighbours; stale stamps
-// from earlier queries fail the qid test and never need clearing.
-func (t *Tri) mark(ni []int32) {
+// mark stamps row ni, with its weights wi, into the intersection scratch
+// under a fresh query id. A later probe recognises exactly these
+// neighbours; stale stamps from earlier queries fail the qid test and
+// never need clearing.
+func (t *Tri) mark(ni []int32, wi []float64) {
 	t.qid++
+	wi = wi[:len(ni)]
 	for x, v := range ni {
 		t.stamp[v] = t.qid
-		t.pos[v] = int32(x)
+		t.val[v] = wi[x]
 	}
 }
 
-// probe scans row nj against the stamped row: every hit is a common
-// neighbour — a triangle whose other two sides are known — and
-// contributes one candidate interval. wi indexes by the stamped row's
-// positions, wj by nj's. Common neighbours are visited in ascending id
-// order (nj is sorted), the same order the sorted merge produced, so the
-// accumulated interval is bit-identical to the merge's.
-func (t *Tri) probe(wi []float64, nj []int32, wj []float64) (lb, ub float64) {
-	lb, ub = 0, t.maxDist
-	qid, stamp := t.qid, t.stamp
+// probe scans row nj, with its weights wj, against the stamped row:
+// every hit is a common neighbour — a triangle whose other two sides are
+// known — and contributes one candidate interval. Common neighbours are
+// visited in ascending id order (nj is sorted), the same order the
+// sorted merge produced, so the accumulated interval is bit-identical to
+// the merge's. At ρ = 1 the branch-free probeBits answers unless it
+// hands the pair back to the float scan below.
+func (t *Tri) probe(nj []int32, wj []float64) (lb, ub float64) {
 	if t.rho == 1 {
-		// True-metric fast path: with ρ = 1 the relaxed formulas below
-		// reduce exactly (x/1 and 1·x are IEEE identities), and the two
-		// divisions per triangle disappear from the hot loop.
-		for y, v := range nj {
-			if stamp[v] == qid {
-				a, b := wi[t.pos[v]], wj[y]
-				if d := a - b; d > lb {
-					lb = d
-				} else if d := b - a; d > lb {
-					lb = d
-				}
-				if s := a + b; s < ub {
-					ub = s
-				}
-			}
+		if lb, ub = probeBits(nj, wj, t.stamp, t.val, t.qid, t.maxDist); !math.IsNaN(lb) && ub > 0 {
+			return lb, ub
 		}
-		return lb, ub
 	}
+	// The float scan: with ρ = 1 its formulas reduce exactly (x/1 and
+	// 1·x are IEEE identities). It skips NaN candidates and keeps the
+	// first zero upper bound it meets.
+	qid, stamp, val := t.qid, t.stamp, t.val
+	wj = wj[:len(nj)]
+	lb, ub = 0, t.maxDist
 	for y, v := range nj {
 		if stamp[v] == qid {
-			a, b := wi[t.pos[v]], wj[y]
+			a, b := val[v], wj[y]
 			if d := a/t.rho - b; d > lb {
 				lb = d
 			} else if d := b/t.rho - a; d > lb {
@@ -180,24 +176,46 @@ func (t *Tri) probe(wi []float64, nj []int32, wj []float64) (lb, ub float64) {
 	return lb, ub
 }
 
+// probeBits is probe at ρ = 1 with no data-dependent branch: every cell
+// of nj computes |a−b| and a+b as int64 bit patterns, as foldCells does,
+// and the stamp test only selects between them and the neutral pair
+// (0, MaxInt64), which no max or min takes, so a missed cell's stale val
+// never counts. The result is the float scan's bits unless lb comes out
+// NaN or ub not above 0; probe hands those two cases back to the float
+// scan, as settle does for foldCells, and foldCells' comment is the
+// proof.
+func probeBits(nj []int32, wj []float64, stamp []uint64, val []float64, qid uint64, maxDist float64) (lb, ub float64) {
+	wj = wj[:len(nj)]
+	l, h := int64(0), int64(math.Float64bits(maxDist))
+	for y, v := range nj {
+		a, b := val[v], wj[y]
+		d, s := absBits(a-b), sumBits(a, b)
+		if stamp[v] != qid {
+			d, s = 0, math.MaxInt64
+		}
+		l, h = max(l, d), min(h, s)
+	}
+	return math.Float64frombits(uint64(l)), math.Float64frombits(uint64(h))
+}
+
 // settle is the one exit of every interval a batch derives; scalar
 // Bounds ends in the same clamp. lo[y] and hi[y] belong to the pair
 // (anchor, j+y): settle turns their sweep fold into the pair's interval
 // in place when swept is set, probes j+y's row against the stamped
-// anchor row wa otherwise, and clamps. The probe also answers the swept
+// anchor row otherwise, and clamps. The probe also answers the swept
 // pairs whose folds may differ from its own: a fold a NaN candidate
 // reached (the folds carry NaN, the probe skips it) and an upper bound
 // of zero or less (the float folds may pick −0 where the probe keeps the
 // first zero it meets, and the integer folds order negative values
 // backwards).
-func (t *Tri) settle(lo, hi []float64, swept bool, wa []float64, j int) {
+func (t *Tri) settle(lo, hi []float64, swept bool, j int) {
 	hi = hi[:len(lo)]
 	maxDist := t.maxDist
 	for y := range lo {
 		l, h := lo[y], hi[y]
 		if !swept || math.IsNaN(l) || !(h > 0) {
 			nj, wj := t.g.Row(j + y)
-			l, h = t.probe(wa, nj, wj)
+			l, h = t.probe(nj, wj)
 		}
 		lo[y], hi[y] = clamp(l, h, maxDist)
 	}
@@ -209,7 +227,7 @@ func (t *Tri) settle(lo, hi []float64, swept bool, wa []float64, j int) {
 // pairs sharing an anchor (first object) form a run, which stamps the
 // anchor's row into the intersection scratch once; a self-pair never
 // ends a run. While the anchor stays stamped a pair is resolved exactly
-// when its second object carries the stamp, and the stamped position
+// when its second object carries the stamp, and the stamp scratch
 // holds the weight, so no pair pays a known-map lookup. The in-repo
 // emitters are anchor-contiguous (a kNN or Prim row, an NSW frontier,
 // PAM's point×medoid grid) or carry one pair per anchor (PAM's swap
@@ -303,7 +321,7 @@ func (t *Tri) row(u int, lb, ub []float64) int {
 	na, wa := t.g.Row(u)
 	derived := len(lb) - len(na)
 	if derived > 0 {
-		t.mark(na)
+		t.mark(na, wa)
 		cells := 0
 		for _, w := range na {
 			cells += t.g.Degree(int(w))
@@ -326,11 +344,11 @@ func (t *Tri) row(u int, lb, ub []float64) int {
 				e = int(na[k])
 			}
 			if s <= u && u < e {
-				t.settle(lb[s:u], ub[s:u], swept, wa, s)
+				t.settle(lb[s:u], ub[s:u], swept, s)
 				s = u + 1
 			}
 			d := slot(s, u)
-			t.settle(lb[d:d+e-s], ub[d:d+e-s], swept, wa, s)
+			t.settle(lb[d:d+e-s], ub[d:d+e-s], swept, s)
 			s = e + 1
 		}
 	}
@@ -347,7 +365,7 @@ func (t *Tri) row(u int, lb, ub []float64) int {
 // it derived.
 func (t *Tri) run(u int, is, js []int, lb, ub []float64) int {
 	na, wa := t.g.Row(u)
-	t.mark(na)
+	t.mark(na, wa)
 	qid, stamp := t.qid, t.stamp
 	derived, probeCells := 0, 0
 	for x, j := range js {
@@ -355,7 +373,7 @@ func (t *Tri) run(u int, is, js []int, lb, ub []float64) int {
 		case is[x] == j:
 			lb[x], ub[x] = 0, 0
 		case stamp[j] == qid:
-			w := wa[t.pos[j]]
+			w := t.val[j]
 			lb[x], ub[x] = w, w
 		default:
 			derived++
@@ -388,7 +406,7 @@ func (t *Tri) run(u int, is, js []int, lb, ub []float64) int {
 			s := slot(j, u)
 			lb[x], ub[x] = t.lo[s], t.hi[s]
 		}
-		t.settle(lb[x:x+1], ub[x:x+1], swept, wa, j)
+		t.settle(lb[x:x+1], ub[x:x+1], swept, j)
 	}
 	return derived
 }

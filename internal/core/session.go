@@ -48,6 +48,8 @@ type Stats struct {
 	// bootstrap (the Bootstrap column of Tables 2–3).
 	BootstrapCalls int64
 	// BoundProbes counts Bounds() evaluations performed for comparisons.
+	// A DistIfLess whose threshold exceeds the distance cap makes none:
+	// no interval can settle it (see decide).
 	BoundProbes int64
 	// SavedComparisons counts comparisons decided without any oracle call.
 	SavedComparisons int64
@@ -796,9 +798,16 @@ func (s *Session) degrade(op string, i, j, k, l int, c float64) (float64, bool, 
 // must resolve and compare; ResolvedComparisons has been counted, and gap
 // reports how far the bounds were from deciding (the "why did we pay?"
 // figure): the overlap of the two intervals for Less, ub − lb for
-// LessThan, and min(c, ub) − lb for DistIfLess, finite even at c = +Inf
-// (Prim's initial keys). decide runs with the lock held and never
-// touches the oracle.
+// LessThan, and min(c, ub) − lb for DistIfLess. decide runs with the lock
+// held and never touches the oracle.
+//
+// A DistIfLess whose threshold c exceeds the distance cap (nsw's seeds
+// and beam fill, a kNN row's first k pops and TSP's first candidate ask
+// 2·maxDist, Prim's unset keys +Inf) makes no bound query: every
+// scheme's derived interval ends in clamp or is [0, maxDist], and slack
+// relaxation keeps it there, so lb ≤ maxDist < c and "not less" is out
+// of reach; on data the cap covers, DFT's LP cannot prove d ≥ c either.
+// Its gap is the a-priori interval's, maxDist.
 func (s *Session) decide(op string, i, j, k, l int, c float64) (d float64, less bool, out Outcome, gap float64) {
 	w, ok := s.g.Weight(i, j)
 	rhs := c
@@ -809,6 +818,10 @@ func (s *Session) decide(op string, i, j, k, l int, c float64) (d float64, less 
 		s.ins.CacheHits.Inc()
 		s.traceCmp(op, i, j, k, l, obs.OutcomeCache, 0, 0)
 		return w, w < rhs, OutcomeExact, 0
+	}
+	if op == obs.OpDistIfLess && c > s.maxDist {
+		s.ins.ResolvedComparisons.Inc()
+		return 0, false, OutcomeUndecided, s.maxDist
 	}
 	lb, ub := s.bounds(i, j)
 	lb2, ub2 := c, c // a constant is a collapsed interval

@@ -145,7 +145,9 @@ func (g *Graph) searchLayer(v core.View, q, ef, exclude int) ([]prox.Neighbor, e
 
 // resolveAlways resolves dist(q, x) unconditionally through the IF
 // surface (threshold above any possible distance), with error
-// propagation when the view supports it.
+// propagation when the view supports it. The threshold is above the
+// distance cap, so an in-process session skips the bound query that
+// could not settle it.
 func resolveAlways(v core.View, q, x int) (float64, error) {
 	d, _, err := resolveIfLess(v, q, x, v.MaxDistance()*2)
 	return d, err

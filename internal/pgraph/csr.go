@@ -20,12 +20,14 @@ package pgraph
 //   - An insert into a full run relocates it to fresh space at the slab
 //     tail with doubled capacity (epoch-based growth: the epoch counter
 //     advances on every relocation, so stale row views are detectable).
-//     The abandoned cells become garbage.
-//   - When garbage exceeds half the slab, the whole store compacts into
-//     node order with a little per-row headroom (amortized compaction).
+//     The abandoned cells become garbage, which is never reclaimed.
 //     Relocation is O(deg) and doubling makes its amortized cost O(1) per
-//     insert; compaction is O(total) and halving makes it amortized O(1)
-//     per relocated cell.
+//     insert.
+//   - Doubling also bounds the garbage: a row's relocation from capacity
+//     c abandons c cells and reserves 2c, and its first allocation
+//     reserves minRowCap cells and abandons none, so every row's dead
+//     cells stay below half of all the cells it ever reserved, and
+//     Dead ≤ Slab/2 for the whole store.
 //
 // Sorted-insert costs O(deg) memmove instead of the tree's O(log deg)
 // pointer surgery, but the partial graph's expected degree is m/n (the
@@ -41,8 +43,8 @@ type flatStore struct {
 	nbr   []int32
 	wt    []float64
 	live  int    // cells referenced by live runs (sum of rows[].len)
-	dead  int    // cells abandoned by relocations, reclaimed by compaction
-	epoch uint64 // advanced on every relocation or compaction
+	dead  int    // cells abandoned by relocations, never reclaimed
+	epoch uint64 // advanced on every relocation
 }
 
 // rowRef names one node's run inside the slabs.
@@ -65,9 +67,8 @@ func newFlatStore(n int) *flatStore {
 func (f *flatStore) degree(u int) int { return int(f.rows[u].len) }
 
 // row returns u's sorted neighbour ids and the matching weights. The
-// slices alias the store's slabs: they are valid until the next insert or
-// compaction (watch epoch to detect invalidation) and must not be
-// modified.
+// slices alias the store's slabs: they are valid until the next insert
+// (watch epoch to detect a relocation) and must not be modified.
 func (f *flatStore) row(u int) ([]int32, []float64) {
 	r := f.rows[u]
 	return f.nbr[r.off : r.off+r.len : r.off+r.len], f.wt[r.off : r.off+r.len : r.off+r.len]
@@ -118,7 +119,7 @@ func (f *flatStore) insert(u, v int, w float64) {
 }
 
 // relocate moves u's run to fresh slab space with doubled capacity,
-// abandoning the old cells, and compacts the slab when garbage dominates.
+// abandoning the old cells.
 func (f *flatStore) relocate(u int) {
 	r := f.rows[u]
 	newCap := int32(minRowCap)
@@ -133,40 +134,6 @@ func (f *flatStore) relocate(u int) {
 	f.rows[u] = rowRef{off: off, len: r.len, cap: newCap}
 	f.dead += int(r.cap)
 	f.epoch++
-	if f.dead > len(f.nbr)/2 && len(f.nbr) > 1024 {
-		f.compact()
-	}
-}
-
-// compact rebuilds the slabs in node order, reclaiming abandoned cells.
-// Every surviving row keeps 25% headroom (at least one cell) so the next
-// insert does not immediately relocate it again.
-func (f *flatStore) compact() {
-	total := 0
-	for i := range f.rows {
-		if l := int(f.rows[i].len); l > 0 {
-			total += l + l/4 + 1
-		}
-	}
-	nbr := make([]int32, 0, total)
-	wt := make([]float64, 0, total)
-	for i := range f.rows {
-		r := &f.rows[i]
-		if r.len == 0 {
-			*r = rowRef{}
-			continue
-		}
-		newCap := r.len + r.len/4 + 1
-		off := int32(len(nbr))
-		nbr = append(nbr, f.nbr[r.off:r.off+r.len]...)
-		wt = append(wt, f.wt[r.off:r.off+r.len]...)
-		nbr = append(nbr, make([]int32, newCap-r.len)...)
-		wt = append(wt, make([]float64, newCap-r.len)...)
-		*r = rowRef{off: off, len: r.len, cap: newCap}
-	}
-	f.nbr, f.wt = nbr, wt
-	f.dead = 0
-	f.epoch++
 }
 
 // StoreStats reports the flat store's occupancy for benchmarks, tests,
@@ -176,12 +143,13 @@ type StoreStats struct {
 	// (2·M for an undirected partial graph).
 	Live int
 	// Slab is the total slab size in cells, including reserved headroom
-	// and garbage awaiting compaction.
+	// and garbage.
 	Slab int
 	// Dead is the number of garbage cells left behind by row relocations.
+	// Nothing reclaims them; capacity doubling keeps Dead ≤ Slab/2.
 	Dead int
-	// Epoch counts row relocations and compactions since creation; row
-	// views obtained before a growth event may alias stale memory.
+	// Epoch counts row relocations since creation; row views obtained
+	// before a relocation may alias stale memory.
 	Epoch uint64
 }
 

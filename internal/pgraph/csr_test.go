@@ -46,7 +46,8 @@ func TestFlatStoreSortedRows(t *testing.T) {
 }
 
 // TestFlatStoreGrowthEpoch checks that relocations advance the epoch and
-// that garbage is eventually compacted away.
+// that capacity doubling keeps the garbage they leave to at most half
+// the slab.
 func TestFlatStoreGrowthEpoch(t *testing.T) {
 	const n = 512
 	g := New(n)
@@ -67,15 +68,16 @@ func TestFlatStoreGrowthEpoch(t *testing.T) {
 	if st.Live != 2*g.M() {
 		t.Fatalf("live cells %d, want 2*M = %d", st.Live, 2*g.M())
 	}
-	if st.Slab > 1024 && st.Dead > st.Slab/2 {
-		t.Fatalf("compaction never ran: %d dead of %d slab cells", st.Dead, st.Slab)
+	if st.Dead > st.Slab/2 {
+		t.Fatalf("doubling invariant violated: %d dead of %d slab cells", st.Dead, st.Slab)
 	}
 }
 
-// TestFlatStoreCompaction drives one node's row through repeated doublings
-// so the slab accumulates garbage and must compact, then checks the rows
-// survived the move intact.
-func TestFlatStoreCompaction(t *testing.T) {
+// TestFlatStoreRelocation drives one node's row through repeated
+// doublings, each relocating it and abandoning its old cells, then checks
+// that the garbage stays within the doubling invariant and that every
+// row survived the moves intact.
+func TestFlatStoreRelocation(t *testing.T) {
 	const n = 600
 	g := New(n)
 	// Star around node 0: its row doubles ~log2(n) times, abandoning
@@ -84,8 +86,11 @@ func TestFlatStoreCompaction(t *testing.T) {
 		g.AddEdge(0, v, float64(v))
 	}
 	st := g.Stats()
-	if st.Dead > st.Slab/2 && st.Slab > 1024 {
-		t.Fatalf("store left more than half the slab dead: %+v", st)
+	if st.Epoch == 0 || st.Dead == 0 {
+		t.Fatalf("the hub row never relocated: %+v", st)
+	}
+	if st.Dead > st.Slab/2 {
+		t.Fatalf("doubling invariant violated: more than half the slab dead: %+v", st)
 	}
 	nbrs, weights := g.Row(0)
 	if len(nbrs) != n-1 {
@@ -150,7 +155,7 @@ func TestSearcherWarmRunNoAlloc(t *testing.T) {
 }
 
 // TestRowViewsMatchSortedScan cross-checks Row against a sort of the
-// inserted edges after heavy churn (many relocations and at least one compaction).
+// inserted edges after heavy churn (many relocations).
 func TestRowViewsMatchSortedScan(t *testing.T) {
 	const n = 300
 	g := New(n)

@@ -4,9 +4,9 @@
 // known. It is the shared data model of every bound-computation scheme.
 //
 // Each node's adjacency is a sorted run inside a CSR-style flat store
-// (see csr.go): sorted neighbour/weight slabs with epoch-based growth and
-// amortized compaction, serving the Tri Scheme's merge intersection and
-// SPLUB's Dijkstra relaxation allocation-free. The rows are the only
+// (see csr.go): sorted neighbour/weight slabs with epoch-based doubling
+// growth, serving the Tri Scheme's merge intersection and SPLUB's
+// Dijkstra relaxation allocation-free. The rows are the only
 // edge store: an exact lookup binary-searches the shorter of the two
 // rows, and SPLUB's "scan all known edges" step walks each row's tail of
 // larger neighbour ids, so every resolved distance is held once, in its

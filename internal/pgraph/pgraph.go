@@ -66,9 +66,9 @@ func (g *Graph) Degree(u int) int { return g.adj.degree(u) }
 // Row returns u's adjacency as two parallel slices — neighbour ids in
 // strictly increasing order and the matching edge weights. The slices
 // alias the graph's flat store: they are read-only and valid only until
-// the next AddEdge (a row relocation or compaction may move them; see
-// Stats().Epoch). This zero-copy view is the substrate of the Tri
-// Scheme's sorted-merge intersection.
+// the next AddEdge (a row relocation may move them; see Stats().Epoch).
+// This zero-copy view is the substrate of the Tri Scheme's sorted-merge
+// intersection.
 func (g *Graph) Row(u int) (nbrs []int32, weights []float64) {
 	return g.adj.row(u)
 }

@@ -231,6 +231,8 @@ func knnForNode(s core.View, u, k int) []Neighbor {
 		}
 		threshold := kth
 		if len(best) < k {
+			// Above the distance cap: a session resolves without
+			// asking the bounds, which could not refuse the pair.
 			threshold = s.MaxDistance() * 2
 		}
 		d, less := s.DistIfLess(u, c.ID, threshold)

@@ -19,9 +19,10 @@ type MST struct {
 // PrimMST computes the MST with Prim's algorithm, re-authored per the
 // paper: the inner IF statement `if dist(u,v) < key[v]` becomes
 // Session.DistIfLess, so candidate edges whose lower bound already exceeds
-// the current key are skipped without an oracle call. With the Noop scheme
-// this resolves exactly C(n,2) distances — the paper's "Without Plug"
-// column.
+// the current key are skipped without an oracle call. An unset key is
+// +Inf, above the distance cap, so a first relaxation pays no bound
+// query either. With the Noop scheme this resolves exactly C(n,2)
+// distances — the paper's "Without Plug" column.
 func PrimMST(s core.View) MST {
 	n := s.N()
 	inTree := make([]bool, n)

@@ -45,7 +45,8 @@ func TSPApprox(s *core.Session) Tour {
 // TSPNearestNeighbour returns the greedy nearest-neighbour tour. The inner
 // IF — `is dist(cur, x) smaller than the best candidate so far?` — runs
 // through DistIfLess, so candidates whose lower bound exceeds the current
-// best are skipped without a call.
+// best are skipped without a call. The first candidate's threshold,
+// 2·maxDist, is above the cap, so it pays no bound query.
 func TSPNearestNeighbour(s *core.Session) Tour {
 	n := s.N()
 	visited := make([]bool, n)

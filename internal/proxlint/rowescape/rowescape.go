@@ -3,8 +3,8 @@
 //
 // pgraph.Graph.Row returns slices that alias the store's shared slabs:
 // they are valid only until the next AddEdge, which may relocate the row
-// or compact the whole arena in place (internal/pgraph/csr.go documents
-// the contract; nothing enforced it). This analyzer runs the forward
+// to fresh slab space (internal/pgraph/csr.go documents the contract;
+// nothing enforced it). This analyzer runs the forward
 // taint engine over every function: values borrowed from Row carry a
 // "row" label, any call that can grow the slab — AddEdge itself, or any
 // function whose body transitively reaches AddEdge, discovered through
@@ -111,8 +111,8 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// isGrowingCall reports whether the call can relocate or compact a CSR
-// slab: (pgraph.Graph).AddEdge, a function already known (locally or by
+// isGrowingCall reports whether the call can relocate a CSR row:
+// (pgraph.Graph).AddEdge, a function already known (locally or by
 // imported fact) to grow, or an abstract method named AddEdge with the
 // (int, int, float64) shape — the conservative answer for interface
 // dispatch.
@@ -269,7 +269,7 @@ func checkStaleUses(pass *analysis.Pass, st *analysis.TaintState, n ast.Node) {
 			borrowed = " (borrowed at line " + itoa(pass.Fset.Position(defs[0].Pos()).Line) + ")"
 		}
 		pass.Reportf(id.Pos(),
-			"pgraph row slice %s%s used after a call that can relocate or compact the slab; re-borrow with Row after any AddEdge", id.Name, borrowed)
+			"pgraph row slice %s%s used after a call that can relocate the row; re-borrow with Row after any AddEdge", id.Name, borrowed)
 		return true
 	})
 }

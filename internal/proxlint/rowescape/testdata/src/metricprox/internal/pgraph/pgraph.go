@@ -1,5 +1,5 @@
 // Package pgraph is a shape-faithful fake of the CSR adjacency store:
-// Row borrows slab-aliasing slices, AddEdge may relocate or compact.
+// Row borrows slab-aliasing slices, AddEdge may relocate the row.
 package pgraph
 
 // Graph is the proximity graph.
@@ -11,7 +11,7 @@ func New(n int) *Graph { return &Graph{n: n} }
 // Row returns slices aliasing the CSR slab, valid until the next AddEdge.
 func (g *Graph) Row(u int) ([]int32, []float64) { return nil, nil }
 
-// AddEdge inserts an edge and may relocate the row or compact the arena.
+// AddEdge inserts an edge and may relocate the row.
 func (g *Graph) AddEdge(i, j int, w float64) {}
 
 // N reports the number of points.
