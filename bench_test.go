@@ -165,7 +165,7 @@ func benchNearMetricAudit(b *testing.B, audit bool) {
 // --- ablation benchmarks (DESIGN.md §9) ---
 
 // BenchmarkTriBoundsCSR measures the Tri Scheme query as shipped: a
-// sorted-merge intersection over the graph's flat CSR adjacency rows.
+// sorted-merge intersection over the graph's sorted adjacency rows.
 func BenchmarkTriBoundsCSR(b *testing.B) {
 	g, pairs := triWorkload()
 	tri := bounds.NewTri(g, 1)

@@ -51,7 +51,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"metricprox/internal/buildinfo"
@@ -64,7 +63,6 @@ import (
 	"metricprox/internal/obs"
 	"metricprox/internal/obs/obshttp"
 	"metricprox/internal/prox"
-	"metricprox/internal/resilient"
 )
 
 // algoNames lists the -algo values runAlgo accepts, for up-front
@@ -126,33 +124,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "metricprox: -k and -l must be >= 1; -landmarks and -demo must be >= 0")
 		os.Exit(2)
 	}
-	var faultCfg faultmetric.Config
-	if *faultsFlag != "" {
-		var err error
-		if faultCfg, err = faultmetric.ParseSpec(*faultsFlag); err != nil {
-			fmt.Fprintf(os.Stderr, "metricprox: -faults: %v\n", err)
-			os.Exit(2)
-		}
-	}
-	if *nearFlag != "" {
-		nearCfg, err := faultmetric.ParseNearMetricSpec(*nearFlag)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "metricprox: -near-metric: %v\n", err)
-			os.Exit(2)
-		}
-		if *faultsFlag != "" {
-			// One injector serves both fault classes; its schedule — and
-			// hence the seed — comes from -faults, so a second seed here
-			// would be silently ignored. Reject the ambiguity instead.
-			if hasSeedKey(*nearFlag) {
-				fmt.Fprintln(os.Stderr, "metricprox: -near-metric: seed is taken from -faults when both flags are set")
-				os.Exit(2)
-			}
-			faultCfg.NearMetricEps = nearCfg.NearMetricEps
-			faultCfg.NearMetricRatio = nearCfg.NearMetricRatio
-		} else {
-			faultCfg = nearCfg
-		}
+	faultCfg, err := faultmetric.ParseFlags(*faultsFlag, *nearFlag)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "metricprox: %v\n", err)
+		os.Exit(2)
 	}
 	var slack core.SlackPolicy
 	if *slackFlag != "" {
@@ -198,23 +173,11 @@ func main() {
 		}()
 	}
 
-	var oracle metric.FallibleOracle = metric.NewOracle(space)
-	if *faultsFlag != "" || *nearFlag != "" {
-		inj := faultmetric.New(space, faultCfg)
-		if observer != nil {
-			inj.Observe(observer.Registry)
-		}
-		oracle = inj
-		if faultCfg.TransientRate > 0 {
-			// The retry policy only earns its keep over transient
-			// failures; a pure near-metric injector never fails.
-			ro := resilient.New(inj, resilient.RetryOnlyPolicy(faultCfg.Seed))
-			if observer != nil {
-				ro.Observe(observer.Registry)
-			}
-			oracle = ro
-		}
+	var reg *obs.Registry
+	if observer != nil {
+		reg = observer.Registry
 	}
+	oracle := faultmetric.Stack(space, faultCfg, reg)
 	var opts []core.Option
 	if observer != nil {
 		opts = append(opts, core.WithObserver(observer))
@@ -303,17 +266,6 @@ func main() {
 		// what the relaxed intervals already tolerate; the audit line above
 		// records them.
 	}
-}
-
-// hasSeedKey reports whether a key=value spec sets "seed", for rejecting
-// the ambiguous -faults + -near-metric seed combination.
-func hasSeedKey(spec string) bool {
-	for _, field := range strings.Split(spec, ",") {
-		if key, _, ok := strings.Cut(strings.TrimSpace(field), "="); ok && key == "seed" {
-			return true
-		}
-	}
-	return false
 }
 
 // calibrate repairs the cache file in place and prints the report; it is

@@ -37,7 +37,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -48,7 +47,6 @@ import (
 	"metricprox/internal/metric"
 	"metricprox/internal/obs"
 	"metricprox/internal/obs/obshttp"
-	"metricprox/internal/resilient"
 	"metricprox/internal/service"
 )
 
@@ -86,33 +84,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "metricproxd: -max-sessions must be >= 0 and -queue >= 1")
 		os.Exit(2)
 	}
-	var faultCfg faultmetric.Config
-	if *faultsFlag != "" {
-		var err error
-		if faultCfg, err = faultmetric.ParseSpec(*faultsFlag); err != nil {
-			fmt.Fprintf(os.Stderr, "metricproxd: -faults: %v\n", err)
-			os.Exit(2)
-		}
-	}
-	if *nearFlag != "" {
-		nearCfg, err := faultmetric.ParseNearMetricSpec(*nearFlag)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "metricproxd: -near-metric: %v\n", err)
-			os.Exit(2)
-		}
-		if *faultsFlag != "" {
-			// One injector serves both fault classes; its schedule — and
-			// hence the seed — comes from -faults, so a second seed here
-			// would be silently ignored. Reject the ambiguity instead.
-			if hasSeedKey(*nearFlag) {
-				fmt.Fprintln(os.Stderr, "metricproxd: -near-metric: seed is taken from -faults when both flags are set")
-				os.Exit(2)
-			}
-			faultCfg.NearMetricEps = nearCfg.NearMetricEps
-			faultCfg.NearMetricRatio = nearCfg.NearMetricRatio
-		} else {
-			faultCfg = nearCfg
-		}
+	faultCfg, err := faultmetric.ParseFlags(*faultsFlag, *nearFlag)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "metricproxd: %v\n", err)
+		os.Exit(2)
 	}
 
 	var topo *cluster.Topology
@@ -148,19 +123,7 @@ func main() {
 	}
 
 	reg := obs.NewRegistry()
-	var oracle metric.FallibleOracle = metric.NewOracle(space)
-	if *faultsFlag != "" || *nearFlag != "" {
-		inj := faultmetric.New(space, faultCfg)
-		inj.Observe(reg)
-		oracle = inj
-		if faultCfg.TransientRate > 0 {
-			// The retry policy only earns its keep over transient
-			// failures; a pure near-metric injector never fails.
-			ro := resilient.New(inj, resilient.RetryOnlyPolicy(faultCfg.Seed))
-			ro.Observe(reg)
-			oracle = ro
-		}
-	}
+	oracle := faultmetric.Stack(space, faultCfg, reg)
 
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "metricproxd: "+format+"\n", args...)
@@ -244,17 +207,6 @@ func main() {
 		repl.Close()
 	}
 	fmt.Fprintln(os.Stderr, "metricproxd: drained, bye")
-}
-
-// hasSeedKey reports whether a key=value spec sets "seed", for rejecting
-// the ambiguous -faults + -near-metric seed combination.
-func hasSeedKey(spec string) bool {
-	for _, field := range strings.Split(spec, ",") {
-		if key, _, ok := strings.Cut(strings.TrimSpace(field), "="); ok && key == "seed" {
-			return true
-		}
-	}
-	return false
 }
 
 // loadSpace mirrors cmd/metricprox: a synthetic demo or a CSV point file

@@ -11,7 +11,7 @@
 //
 //     This is how CI gates the repository; it covers test files, caches
 //     results per package like any vet run, and carries cross-package
-//     facts (rowescape's slab-growth sets, degradedtaint's
+//     facts (rowescape's row-growth sets, degradedtaint's
 //     estimate-returning functions, wireinf's raw-float wire types)
 //     through the unitchecker vetx files.
 //
@@ -47,7 +47,7 @@ import (
 // version keys the go command's vet result cache: bump it whenever the
 // analyzer suite, the fact encoding, or the diagnostic set changes, so
 // stale cached results (and stale vetx fact files) are never reused.
-const version = "v1.2.4"
+const version = "v1.2.5"
 
 // fixUsage is the single source of truth for the -fix flag's description:
 // it is registered once in run and echoed verbatim by the -flags probe,

@@ -107,7 +107,7 @@ type TaintAnalysis struct {
 
 	// Clobber rewrites each live label when call executes; returning the
 	// label unchanged means the call does not affect it. rowescape maps
-	// "row" -> "stale" at every slab-growing call.
+	// "row" -> "stale" at every row-growing call.
 	Clobber func(call *ast.CallExpr, label string) string
 
 	// Element maps a container's label to the label of a value read out

@@ -11,7 +11,7 @@ import (
 // Fact is one piece of analyzer-produced knowledge about a package-level
 // object (a function, method, type, or variable), keyed so it survives
 // crossing a package boundary: when internal/pgraph is analyzed, rowescape
-// records "Graph.AddEdge grows the slab"; when internal/bounds is analyzed
+// records "Graph.AddEdge grows a row"; when internal/bounds is analyzed
 // later, the engine re-resolves that fact from the imported (gc export
 // data) object without ever re-reading pgraph's source. This is the
 // dependency-free analogue of golang.org/x/tools/go/analysis facts.

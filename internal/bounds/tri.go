@@ -14,15 +14,16 @@ import (
 //	lb = max over common neighbours l of |w(i,l) − w(j,l)|
 //	ub = min over common neighbours l of  w(i,l) + w(j,l)
 //
-// The common neighbours come from intersecting the two flat adjacency
-// rows of the partial graph's CSR store. Rather than a two-cursor sorted
-// merge (whose key comparisons are data-dependent branches the CPU cannot
-// predict), the intersection stamps one row, with its weights, into
+// The common neighbours come from intersecting the two sorted adjacency
+// rows of the partial graph (one id slice and one weight slice per
+// node). Rather than a two-cursor sorted merge (whose key comparisons
+// are data-dependent branches the CPU cannot predict), the intersection
+// stamps one row, with its weights, into
 // per-object scratch and probes the other — two sequential scans, the
 // probe selecting each cell's candidates by its stamp test rather than
 // branching on it (probeBits), no per-query allocation. Expected query
 // cost stays O(deg i + deg j) = O(m/n) (Theorem 4.2); updates are the
-// sorted-run insertions done by the shared partial graph.
+// sorted-row insertions done by the shared partial graph.
 //
 // A batch row — one anchor u against many objects j, the shape of a kNN
 // or Prim row — is answered the cheaper of two ways (see BoundsBatch).

@@ -587,7 +587,8 @@ func (s *Session) commitResolution(i, j int, d float64) {
 func (s *Session) record(i, j int, d float64) {
 	if s.auditor != nil {
 		// Audit before AddEdge: auditTriangles borrows adjacency rows,
-		// and the commit below may grow the slabs and invalidate them.
+		// and the commit below may shift them or move them to fresh
+		// slices.
 		s.auditTriangles(i, j, d)
 		if s.slack.Auto && s.ins.SlackEps != nil {
 			// Publish the possibly escalated ε; in-process bounds are
@@ -597,13 +598,12 @@ func (s *Session) record(i, j int, d float64) {
 			s.ins.SlackEps.Set(s.slackEps())
 		}
 	}
-	if s.sharesGraph {
-		// SPLUB/Tri read the session graph; a single AddEdge serves both.
-		s.g.AddEdge(i, j, d)
-		return
-	}
 	s.g.AddEdge(i, j, d)
-	s.b.Update(i, j, d)
+	if !s.sharesGraph {
+		// SPLUB/Tri read the session graph, which the AddEdge above
+		// already updated.
+		s.b.Update(i, j, d)
+	}
 }
 
 // Bounds returns the current lower and upper bounds for (i, j) without any

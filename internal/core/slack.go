@@ -179,9 +179,10 @@ func (s *Session) boundsOutcome() (Outcome, string) {
 // auditTriangles checks every triangle the fresh resolution (i, j, d)
 // closes against the known-edge graph: the common neighbours of i and j,
 // found by a two-cursor merge of the sorted adjacency rows. Rows are
-// borrowed before AddEdge commits the new edge (the commit may grow the
-// adjacency slabs and invalidate borrowed rows) and never escape this
-// frame. Cost is O(deg(i)+deg(j)) comparisons and zero oracle calls.
+// borrowed before AddEdge commits the new edge (the commit may shift a
+// row or move it to fresh slices, invalidating borrowed views) and never
+// escape this frame. Cost is O(deg(i)+deg(j)) comparisons and zero
+// oracle calls.
 func (s *Session) auditTriangles(i, j int, d float64) {
 	ni, wi := s.g.Row(i)
 	nj, wj := s.g.Row(j)

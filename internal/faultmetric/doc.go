@@ -26,4 +26,9 @@
 // Injector.Observe links those counters to an obs.Registry's series
 // (faultmetric_* series; see docs/METRICS.md and DESIGN.md §8) without
 // influencing the fault schedule.
+//
+// The CLIs' -faults and -near-metric flags build their oracle here too:
+// ParseFlags merges the two specs into one Config, and Stack wraps a
+// space in the injector and, for transient faults, the resilient retry
+// layer.
 package faultmetric

@@ -3,10 +3,10 @@
 // subset of the edges (the distances resolved so far by the oracle) are
 // known. It is the shared data model of every bound-computation scheme.
 //
-// Each node's adjacency is a sorted run inside a CSR-style flat store
-// (see csr.go): sorted neighbour/weight slabs with epoch-based doubling
-// growth, serving the Tri Scheme's merge intersection and SPLUB's
-// Dijkstra relaxation allocation-free. The rows are the only
+// Each node owns its adjacency row (see csr.go): a sorted slice of
+// neighbour ids and a parallel slice of weights, moved to fresh slices
+// of twice the length when full, serving the Tri Scheme's intersection
+// and SPLUB's Dijkstra relaxation allocation-free. The rows are the only
 // edge store: an exact lookup binary-searches the shorter of the two
 // rows, and SPLUB's "scan all known edges" step walks each row's tail of
 // larger neighbour ids, so every resolved distance is held once, in its

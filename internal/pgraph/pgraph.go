@@ -15,16 +15,18 @@ type Edge struct {
 }
 
 // Graph is a partial distance graph over objects 0..n-1. Each resolved
-// distance lives once, in the two cells of its endpoints' rows in the
-// flat store.
+// distance lives once, in the two cells of its endpoints' rows (see
+// csr.go).
 type Graph struct {
-	n   int
-	adj *flatStore // per-node sorted neighbour/weight runs
+	ids   [][]int32   // ids[u]: u's neighbours, strictly ascending
+	wts   [][]float64 // wts[u]: the weights of ids[u], same length and capacity
+	live  int         // cells held by the rows, 2·M
+	epoch uint64      // row moves since creation
 }
 
 // New returns an empty partial graph over n objects.
 func New(n int) *Graph {
-	return &Graph{n: n, adj: newFlatStore(n)}
+	return &Graph{ids: make([][]int32, n), wts: make([][]float64, n)}
 }
 
 // Key packs an unordered pair into a single map key.
@@ -36,22 +38,25 @@ func Key(i, j int) int64 {
 }
 
 // N returns the number of objects.
-func (g *Graph) N() int { return g.n }
+func (g *Graph) N() int { return len(g.ids) }
 
 // M returns the number of known edges.
-func (g *Graph) M() int { return g.adj.live / 2 }
+func (g *Graph) M() int { return g.live / 2 }
 
 // Weight returns the known weight of edge (i, j), if resolved, by binary
 // search over the shorter of the two rows. A pair outside the universe
 // is not resolved.
 func (g *Graph) Weight(i, j int) (float64, bool) {
-	if uint(i) >= uint(g.n) || uint(j) >= uint(g.n) {
+	if uint(i) >= uint(len(g.ids)) || uint(j) >= uint(len(g.ids)) {
 		return 0, false
 	}
-	if g.adj.degree(j) < g.adj.degree(i) {
+	if len(g.ids[j]) < len(g.ids[i]) {
 		i, j = j, i
 	}
-	return g.adj.get(i, j)
+	if x, ok := searchInt32(g.ids[i], int32(j)); ok {
+		return g.wts[i][x], true
+	}
+	return 0, false
 }
 
 // Known reports whether the distance between i and j has been resolved.
@@ -61,21 +66,21 @@ func (g *Graph) Known(i, j int) bool {
 }
 
 // Degree returns the number of known edges incident on u.
-func (g *Graph) Degree(u int) int { return g.adj.degree(u) }
+func (g *Graph) Degree(u int) int { return len(g.ids[u]) }
 
 // Row returns u's adjacency as two parallel slices — neighbour ids in
 // strictly increasing order and the matching edge weights. The slices
-// alias the graph's flat store: they are read-only and valid only until
-// the next AddEdge (a row relocation may move them; see Stats().Epoch).
-// This zero-copy view is the substrate of the Tri Scheme's sorted-merge
-// intersection.
+// are views of u's row, capped at its length: they are read-only and
+// valid only until the next AddEdge, which may shift them in place or
+// move the row to fresh slices (see Stats().Epoch). This zero-copy view
+// is the substrate of the Tri Scheme's sorted-merge intersection.
 func (g *Graph) Row(u int) (nbrs []int32, weights []float64) {
-	return g.adj.row(u)
+	ids, wts := g.ids[u], g.wts[u]
+	return ids[:len(ids):len(ids)], wts[:len(wts):len(wts)]
 }
 
-// Stats snapshots the flat store's occupancy (slab cells, garbage,
-// growth epoch).
-func (g *Graph) Stats() StoreStats { return g.adj.stats() }
+// Stats snapshots the rows' occupancy (live cells, row moves).
+func (g *Graph) Stats() StoreStats { return StoreStats{Live: g.live, Epoch: g.epoch} }
 
 // AddEdge records the resolved distance w between i and j.
 // Re-adding an existing edge with the same weight is a no-op; re-adding
@@ -85,8 +90,8 @@ func (g *Graph) AddEdge(i, j int, w float64) {
 	if i == j {
 		panic("pgraph: self edge")
 	}
-	if i < 0 || j < 0 || i >= g.n || j >= g.n {
-		panic(fmt.Sprintf("pgraph: edge (%d,%d) outside universe of %d objects", i, j, g.n))
+	if n := len(g.ids); i < 0 || j < 0 || i >= n || j >= n {
+		panic(fmt.Sprintf("pgraph: edge (%d,%d) outside universe of %d objects", i, j, n))
 	}
 	if old, ok := g.Weight(i, j); ok {
 		if !fcmp.ExactEq(old, w) {
@@ -94,8 +99,8 @@ func (g *Graph) AddEdge(i, j int, w float64) {
 		}
 		return
 	}
-	g.adj.insert(i, j, w)
-	g.adj.insert(j, i, w)
+	g.insert(i, j, w)
+	g.insert(j, i, w)
 }
 
 // Searcher runs repeated Dijkstra searches over the same graph, reusing its
@@ -109,13 +114,13 @@ type Searcher struct {
 // NewSearcher returns a Searcher bound to g. The Searcher sees edges added
 // to g after construction (it reads the live adjacency).
 func NewSearcher(g *Graph) *Searcher {
-	return &Searcher{g: g, q: pqueue.NewIndexedMin(g.n)}
+	return &Searcher{g: g, q: pqueue.NewIndexedMin(g.N())}
 }
 
 // Run computes shortest path distances from src into dist (length n).
 func (s *Searcher) Run(src int, dist []float64) {
 	g := s.g
-	if len(dist) != g.n {
+	if len(dist) != g.N() {
 		panic("pgraph: dist slice has wrong length")
 	}
 	for i := range dist {
@@ -129,7 +134,7 @@ func (s *Searcher) Run(src int, dist []float64) {
 		if du > dist[u] {
 			continue
 		}
-		nb, ws := g.adj.row(u)
+		nb, ws := g.Row(u)
 		for t, v := range nb {
 			if nd := du + ws[t]; nd < dist[v] {
 				dist[v] = nd

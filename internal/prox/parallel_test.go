@@ -1,6 +1,7 @@
 package prox
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -141,12 +142,16 @@ func TestBoruvkaParallelMatchesSequential(t *testing.T) {
 		seq, _ := sessionFor(m, sc, nil)
 		want := BoruvkaMST(seq)
 		for _, workers := range []int{1, 2, 4, 8} {
-			sh := core.NewSession(metric.NewOracle(m), sc)
-			got := BoruvkaMSTParallel(sh, workers)
-			if math.Abs(got.Weight-want.Weight) > 1e-12 || !sameEdges(got.Edges, want.Edges) {
-				t.Fatalf("scheme %v, workers=%d: parallel Borůvka weight %v vs sequential %v",
-					sc, workers, got.Weight, want.Weight)
-			}
+			// The cases share only the read-only metric and want, so they
+			// run in parallel once every scheme's reference is built.
+			t.Run(fmt.Sprintf("%v_workers=%d", sc, workers), func(t *testing.T) {
+				t.Parallel()
+				sh := core.NewSession(metric.NewOracle(m), sc)
+				got := BoruvkaMSTParallel(sh, workers)
+				if math.Abs(got.Weight-want.Weight) > 1e-12 || !sameEdges(got.Edges, want.Edges) {
+					t.Fatalf("parallel Borůvka weight %v vs sequential %v", got.Weight, want.Weight)
+				}
+			})
 		}
 	}
 }

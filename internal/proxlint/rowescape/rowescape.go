@@ -1,18 +1,19 @@
-// Package rowescape defines an analyzer that enforces the epoch contract
-// of the zero-copy CSR adjacency store, statically.
+// Package rowescape defines an analyzer that enforces the borrow contract
+// of the partial graph's zero-copy adjacency rows, statically.
 //
-// pgraph.Graph.Row returns slices that alias the store's shared slabs:
-// they are valid only until the next AddEdge, which may relocate the row
-// to fresh slab space (internal/pgraph/csr.go documents the contract;
-// nothing enforced it). This analyzer runs the forward
+// pgraph.Graph.Row returns views of a node's row: they are valid only
+// until the next AddEdge, which may shift the row's cells in place or
+// move the row to fresh slices (internal/pgraph/csr.go documents the
+// contract; nothing enforced it). This analyzer runs the forward
 // taint engine over every function: values borrowed from Row carry a
-// "row" label, any call that can grow the slab — AddEdge itself, or any
+// "row" label, any call that can grow a row — AddEdge itself, or any
 // function whose body transitively reaches AddEdge, discovered through
 // cross-package "grows" facts — rewrites live labels to "stale", and the
 // analyzer reports
 //
 //   - any read of a stale-labeled slice (a borrow used across a growing
-//     call: the classic relocation use-after-free, minus the segfault),
+//     call: a read of shifted or abandoned cells, the classic
+//     use-after-free minus the segfault),
 //   - any store of a borrowed slice into a struct field, package-level
 //     variable, or channel, and any borrowed slice handed to a goroutine
 //     (escapes that outlive the borrow epoch unverifiably).
@@ -22,8 +23,8 @@
 // rules. Elements copied out of a borrowed slice (nbrs[k], weights[k])
 // are scalar copies and carry no label.
 //
-// The analyzer skips internal/pgraph itself (the store manages its own
-// slabs) and test files (which exercise epoch invalidation on purpose).
+// The analyzer skips internal/pgraph itself (the graph manages its own
+// rows) and test files (which exercise borrow invalidation on purpose).
 package rowescape
 
 import (
@@ -34,25 +35,25 @@ import (
 	"metricprox/internal/proxlint/lintutil"
 )
 
-// Analyzer flags pgraph row borrows that escape or outlive a slab-growing
+// Analyzer flags pgraph row borrows that escape or outlive a row-growing
 // call.
 var Analyzer = &analysis.Analyzer{
 	Name: "rowescape",
-	Doc: "slices borrowed from pgraph.Graph.Row alias the CSR slab and die at the " +
+	Doc: "slices borrowed from pgraph.Graph.Row are views of the graph's rows and die at the " +
 		"next AddEdge; forbid storing them in fields/globals/channels/goroutines " +
-		"or reading them across a call that can grow the slab",
+		"or reading them across a call that can grow a row",
 	Run: run,
 }
 
 const (
-	labelRow   = "row"   // aliases the slab, epoch-current
-	labelStale = "stale" // aliases the slab, epoch possibly expired
+	labelRow   = "row"   // a current view of a row
+	labelStale = "stale" // a view a growing call may have invalidated
 )
 
 func run(pass *analysis.Pass) error {
 	fns := lintutil.Funcs(pass)
 
-	// Phase 1: which functions can grow a slab? Fixed point over the
+	// Phase 1: which functions can grow a row? Fixed point over the
 	// package's call structure, seeded by (pgraph.Graph).AddEdge and by
 	// imported "grows" facts; every discovery is exported for downstream
 	// packages.
@@ -100,8 +101,8 @@ func run(pass *analysis.Pass) error {
 		}
 	}
 
-	// Phase 3: report escapes and stale uses. The store's own package is
-	// exempt — it manages the slabs the borrows alias.
+	// Phase 3: report escapes and stale uses. The graph's own package is
+	// exempt — it manages the rows the borrows alias.
 	if lintutil.InPgraphPackage(pass.Pkg.Path()) {
 		return nil
 	}
@@ -111,7 +112,7 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-// isGrowingCall reports whether the call can relocate a CSR row:
+// isGrowingCall reports whether the call can shift or move a pgraph row:
 // (pgraph.Graph).AddEdge, a function already known (locally or by
 // imported fact) to grow, or an abstract method named AddEdge with the
 // (int, int, float64) shape — the conservative answer for interface
@@ -208,7 +209,7 @@ func reportFunc(pass *analysis.Pass, fn lintutil.Func, grows, borrows map[*types
 		case *ast.SendStmt:
 			if st.Label(n.Value) != "" {
 				pass.Reportf(n.Value.Pos(),
-					"borrowed pgraph row slice sent across a channel; the receiver cannot know when the slab grows — copy the data instead")
+					"borrowed pgraph row slice sent across a channel; the receiver cannot know when the row changes — copy the data instead")
 			}
 		case *ast.GoStmt:
 			for _, arg := range n.Call.Args {
@@ -242,11 +243,11 @@ func checkStores(pass *analysis.Pass, st *analysis.TaintState, as *ast.AssignStm
 		switch l := ast.Unparen(lhs).(type) {
 		case *ast.SelectorExpr:
 			pass.Reportf(l.Pos(),
-				"borrowed pgraph row slice stored in a field; it aliases the CSR slab and dies at the next AddEdge — copy the data or re-borrow with Row at use time")
+				"borrowed pgraph row slice stored in a field; it aliases the graph's row and dies at the next AddEdge — copy the data or re-borrow with Row at use time")
 		case *ast.Ident:
 			if obj := pass.TypesInfo.ObjectOf(l); obj != nil && obj.Parent() == pass.Pkg.Scope() {
 				pass.Reportf(l.Pos(),
-					"borrowed pgraph row slice stored in package-level variable %s; it aliases the CSR slab and dies at the next AddEdge", l.Name)
+					"borrowed pgraph row slice stored in package-level variable %s; it aliases the graph's row and dies at the next AddEdge", l.Name)
 			}
 		}
 	}

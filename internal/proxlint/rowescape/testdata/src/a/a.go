@@ -20,7 +20,7 @@ func staleUse(g *pgraph.Graph) float64 {
 
 func fieldStore(g *pgraph.Graph, h *holder) {
 	nbrs, _ := g.Row(0)
-	h.nbrs = nbrs // want `stored in a field`
+	h.nbrs = nbrs // want `stored in a field; it aliases the graph's row`
 }
 
 // rowRef keeps a weight row, as a scratch entry might.
@@ -42,12 +42,12 @@ func appendStore(g *pgraph.Graph, h *rowsHolder) {
 }
 
 func globalStore(g *pgraph.Graph) {
-	global, _ = g.Row(0) // want `package-level variable`
+	global, _ = g.Row(0) // want `package-level variable global; it aliases the graph's row`
 }
 
 func sendAcross(g *pgraph.Graph, ch chan []int32) {
 	nbrs, _ := g.Row(0)
-	ch <- nbrs // want `sent across a channel`
+	ch <- nbrs // want `sent across a channel; the receiver cannot know when the row changes`
 }
 
 func goEscape(g *pgraph.Graph) {

@@ -2,12 +2,12 @@ package a
 
 import "metricprox/internal/pgraph"
 
-// reborrow re-borrows after growing: the epoch contract done right.
+// reborrow re-borrows after growing: the borrow contract done right.
 func reborrow(g *pgraph.Graph) float64 {
 	_, wts := g.Row(0)
 	total := 0.0
 	for _, w := range wts {
-		total += w // element copies never alias the slab
+		total += w // element copies never alias the row
 	}
 	g.AddEdge(1, 2, total)
 	_, wts = g.Row(0) // fresh borrow after the growth
@@ -15,7 +15,7 @@ func reborrow(g *pgraph.Graph) float64 {
 }
 
 // copyOut snapshots the borrow before growing; the copy is immune to
-// relocation.
+// row moves.
 func copyOut(g *pgraph.Graph) []float64 {
 	_, wts := g.Row(0)
 	out := make([]float64, len(wts))

@@ -1,5 +1,5 @@
-// Package pgraph is a shape-faithful fake of the CSR adjacency store:
-// Row borrows slab-aliasing slices, AddEdge may relocate the row.
+// Package pgraph is a shape-faithful fake of the partial graph's rows:
+// Row borrows views of a row, AddEdge may shift or move the row.
 package pgraph
 
 // Graph is the proximity graph.
@@ -8,10 +8,10 @@ type Graph struct{ n int }
 // New returns an empty graph on n points.
 func New(n int) *Graph { return &Graph{n: n} }
 
-// Row returns slices aliasing the CSR slab, valid until the next AddEdge.
+// Row returns views of u's row, valid until the next AddEdge.
 func (g *Graph) Row(u int) ([]int32, []float64) { return nil, nil }
 
-// AddEdge inserts an edge and may relocate the row.
+// AddEdge inserts an edge and may shift or move the row.
 func (g *Graph) AddEdge(i, j int, w float64) {}
 
 // N reports the number of points.
