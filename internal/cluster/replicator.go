@@ -345,7 +345,9 @@ func (r *Replicator) ship(ctx context.Context, st *replStream, pc *peerCursor, r
 // confirmed, moves the cursor forward. The log holds at least head
 // records (sampled when the cycle began) and every record just sent (a
 // batch may read past head); an ack beyond both is impossible for a
-// replica of this log and is an error.
+// replica of this log and is an error. The body is the request's own
+// MarshalJSON output, which is already json.Marshal's bytes: calling
+// json.Marshal would only re-scan and copy it.
 func (r *Replicator) sendBatch(ctx context.Context, st *replStream, pc *peerCursor, recs []cachestore.Record, head int64) (int64, error) {
 	reqBody := api.ReplAppendRequest{
 		Node:    r.cfg.Topology.SelfName(),
@@ -356,7 +358,7 @@ func (r *Replicator) sendBatch(ctx context.Context, st *replStream, pc *peerCurs
 	for i, rec := range recs {
 		reqBody.Records[i] = api.ReplRecord{I: rec.I, J: rec.J, D: api.WireFloat(rec.Dist)}
 	}
-	buf, err := json.Marshal(reqBody)
+	buf, err := reqBody.MarshalJSON()
 	if err != nil {
 		return 0, err
 	}

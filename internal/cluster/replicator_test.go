@@ -1,12 +1,16 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -513,5 +517,50 @@ func TestRebalanceBesidePump(t *testing.T) {
 	}
 	if got := peer.seq(); got != 600 {
 		t.Fatalf("peer has %d records, want 600", got)
+	}
+}
+
+// An append's body is the request's own MarshalJSON output, and that is
+// byte for byte what json.Marshal writes for it, on the float edges of
+// encoding/json's formats; a NaN, which encoding/json refuses, sends
+// nothing.
+func TestReplicatorSendsMarshalBytes(t *testing.T) {
+	var bodies [][]byte
+	hc := &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		b, err := io.ReadAll(r.Body)
+		if err != nil {
+			return nil, err
+		}
+		bodies = append(bodies, b)
+		return &http.Response{StatusCode: http.StatusOK, Body: io.NopCloser(strings.NewReader(`{"seq":0}`)), Request: r}, nil
+	})}
+	r := NewReplicator(ReplicatorConfig{Topology: replTopo(t, "http://peer.invalid"), HTTPClient: hc})
+	defer r.Close()
+	meta := testMeta(64)
+	meta.SlackEps, meta.SlackRatio = api.WireFloat(math.Inf(1)), 1e-7
+	st := &replStream{name: "sess", meta: meta}
+	pc := &peerCursor{node: Node{Name: "peer", URL: "http://peer.invalid"}}
+	edges := []float64{0, math.Copysign(0, -1), 5e-324, 1e-6, math.Nextafter(1e-6, 0), 1e21, math.Nextafter(1e21, 0), 0.1, 123456789, math.Inf(1)}
+	var recs []cachestore.Record
+	for k, d := range edges {
+		recs = append(recs, cachestore.Record{I: k, J: 63 - k, Dist: d})
+	}
+	for _, batch := range [][]cachestore.Record{nil, recs[:1], recs, append(recs[:2:2], cachestore.Record{I: 1, J: 2, Dist: math.NaN()})} {
+		bodies = nil
+		_, err := r.sendBatch(context.Background(), st, pc, batch, 0)
+		req := api.ReplAppendRequest{Node: "self", Meta: meta, From: pc.seq, Records: make([]api.ReplRecord, len(batch))}
+		for i, rec := range batch {
+			req.Records[i] = api.ReplRecord{I: rec.I, J: rec.J, D: api.WireFloat(rec.Dist)}
+		}
+		want, werr := json.Marshal(req)
+		if werr != nil {
+			if err == nil || len(bodies) != 0 {
+				t.Fatalf("%d records with a NaN: sent %d bodies, error %v", len(batch), len(bodies), err)
+			}
+			continue
+		}
+		if err != nil || len(bodies) != 1 || !bytes.Equal(bodies[0], want) {
+			t.Fatalf("%d records: sent %q, %v; json.Marshal %s", len(batch), bodies, err, want)
+		}
 	}
 }

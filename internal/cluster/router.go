@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 
 	"metricprox/internal/obs"
@@ -160,7 +161,7 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 
 // handleCreate routes POST /v1/sessions by the name inside the body.
 func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, api.MaxBodyBytes))
+	body, err := readRequest(r)
 	if err != nil {
 		rt.writeError(w, http.StatusBadRequest, api.CodeBadRequest, "reading body: "+err.Error())
 		return
@@ -177,12 +178,18 @@ func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
 
 // handleSession routes every per-session path by the {name} segment.
 func (rt *Router) handleSession(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, api.MaxBodyBytes))
+	body, err := readRequest(r)
 	if err != nil {
 		rt.writeError(w, http.StatusBadRequest, api.CodeBadRequest, "reading body: "+err.Error())
 		return
 	}
 	rt.proxy(w, r, r.PathValue("name"), body)
+}
+
+// readRequest reads at most api.MaxBodyBytes of a request body, into a
+// buffer sized from its Content-Length.
+func readRequest(r *http.Request) ([]byte, error) {
+	return api.ReadBody(io.LimitReader(r.Body, api.MaxBodyBytes), r.ContentLength)
 }
 
 // proxy forwards the request to the session's owners in failover order,
@@ -204,7 +211,15 @@ func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, session string, 
 			}
 			continue
 		}
-		relay, respBody := rt.classify(resp)
+		relay, respBody, err := rt.classify(resp)
+		if err != nil {
+			// Every owner would give the same answer: refuse it here
+			// rather than relay it cut or fail over.
+			rt.requests(node.Name, http.StatusBadGateway).Inc()
+			rt.logf("cluster: router: %s %s via %s: %v", r.Method, r.URL.Path, node.Name, err)
+			rt.writeError(w, http.StatusBadGateway, api.CodeInternal, fmt.Sprintf("%s: %v", node.Name, err))
+			return
+		}
 		if relay {
 			rt.requests(node.Name, resp.StatusCode).Inc()
 			rt.relay(w, resp, respBody)
@@ -258,15 +273,25 @@ func (rt *Router) forward(r *http.Request, node Node, body []byte) (*http.Respon
 	return rt.hc.Do(req)
 }
 
+// errAnswerTooLarge refuses an upstream answer longer than
+// api.MaxBodyBytes.
+var errAnswerTooLarge = fmt.Errorf("answer exceeds %d bytes", api.MaxBodyBytes)
+
 // classify decides whether an upstream response is relayed to the client
 // or treated as a node-death symptom worth failing over (FailsOver). It
-// reads the body either way (the relay needs it) but parses only a 5xx
-// body, for its error code.
-func (rt *Router) classify(resp *http.Response) (relay bool, body []byte) {
-	body, err := io.ReadAll(io.LimitReader(resp.Body, api.MaxBodyBytes))
+// reads the body whole either way (the relay needs it), into a buffer
+// sized from the upstream Content-Length, but parses only a 5xx body,
+// for its error code. An answer that breaks off is a symptom. An answer
+// longer than api.MaxBodyBytes is neither: classify returns
+// errAnswerTooLarge, because the router never relays a cut answer.
+func (rt *Router) classify(resp *http.Response) (relay bool, body []byte, err error) {
+	body, err = api.ReadBody(io.LimitReader(resp.Body, api.MaxBodyBytes+1), resp.ContentLength)
 	resp.Body.Close()
-	if err != nil {
-		return false, nil // truncated upstream answer: try the next owner
+	switch {
+	case err != nil:
+		return false, nil, nil // truncated upstream answer: try the next owner
+	case len(body) > api.MaxBodyBytes:
+		return false, nil, errAnswerTooLarge
 	}
 	code := ""
 	if resp.StatusCode >= 500 {
@@ -275,7 +300,7 @@ func (rt *Router) classify(resp *http.Response) (relay bool, body []byte) {
 			code = eb.Code
 		}
 	}
-	return !FailsOver(resp.StatusCode, code), body
+	return !FailsOver(resp.StatusCode, code), body, nil
 }
 
 // FailsOver reports whether an answer with this HTTP status and API error
@@ -298,13 +323,15 @@ func FailsOver(status int, code string) bool {
 	return false
 }
 
-// relay copies an upstream response to the client.
+// relay copies a whole upstream response to the client, with its
+// Content-Length.
 func (rt *Router) relay(w http.ResponseWriter, resp *http.Response, body []byte) {
 	for _, h := range []string{"Content-Type", "Retry-After"} {
 		if v := resp.Header.Get(h); v != "" {
 			w.Header().Set(h, v)
 		}
 	}
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(resp.StatusCode)
 	_, _ = w.Write(body)
 }

@@ -307,3 +307,58 @@ func TestRouterHealthz(t *testing.T) {
 		t.Fatalf("healthz = %+v", h)
 	}
 }
+
+// roundTripFunc is an in-memory http.RoundTripper.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// endless is a response body that never ends.
+type endless struct{}
+
+func (endless) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+func (endless) Close() error { return nil }
+
+// An upstream answer longer than api.MaxBodyBytes is neither relayed cut
+// nor failed over: every owner would give the same one, so the router
+// answers 502 internal itself after the first owner.
+func TestRouterRefusesOversizedAnswer(t *testing.T) {
+	var calls atomic.Int64
+	hc := &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		calls.Add(1)
+		return &http.Response{
+			StatusCode:    http.StatusOK,
+			Header:        http.Header{"Content-Type": {"application/json"}},
+			Body:          endless{},
+			ContentLength: -1,
+			Request:       r,
+		}, nil
+	})}
+	cfg := Config{Replicas: 2}
+	for _, name := range []string{"a", "b", "c"} {
+		cfg.Nodes = append(cfg.Nodes, Node{Name: name, URL: "http://" + name + ".invalid"})
+	}
+	topo, err := NewTopology(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := NewRouter(RouterConfig{Topology: topo, HTTPClient: hc})
+	rec := httptest.NewRecorder()
+	rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/sessions/s/batch", strings.NewReader(`{"ops":[]}`)))
+	var eb api.ErrorBody
+	if rec.Code != http.StatusBadGateway || json.Unmarshal(rec.Body.Bytes(), &eb) != nil || eb.Code != api.CodeInternal {
+		t.Fatalf("oversized answer: status %d, %d bytes relayed, want 502 internal", rec.Code, rec.Body.Len())
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("%d owners asked, want 1 (no failover)", n)
+	}
+	if cl := rec.Header().Get("Content-Length"); cl != "" {
+		t.Fatalf("refusal carries the upstream Content-Length %s", cl)
+	}
+}

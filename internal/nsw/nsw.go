@@ -136,6 +136,8 @@ func Build(v core.View, p Params) (*Graph, error) {
 		adj:     make([][]prox.Neighbor, n),
 		present: make([]bool, n),
 	}
+	sc := scratchPool.Get().(*searchScratch)
+	defer scratchPool.Put(sc)
 	for idx, u := range g.order {
 		if idx == 0 {
 			g.entry = u
@@ -146,7 +148,7 @@ func Build(v core.View, p Params) (*Graph, error) {
 		// Search first, mutate after: the beam search pays all the oracle
 		// calls of this insert, so an abort here leaves the graph exactly
 		// as the previous insert committed it.
-		found, err := g.searchLayer(v, u, p.EfConstruction, -1)
+		found, err := g.searchLayer(sc, v, u, p.EfConstruction, -1)
 		if err != nil {
 			return g, &BuildError{Inserted: g.inserted, Node: u, Err: err}
 		}
@@ -158,11 +160,12 @@ func Build(v core.View, p Params) (*Graph, error) {
 }
 
 // commit links u to the min(M, len(found)) canonically closest
-// discoveries and adds the reverse links, shrinking any adjacency that
-// grows past 2·M back to its M closest entries. It performs no oracle
-// calls: every distance it handles was resolved by the beam search that
-// produced found (or by the search that committed the edge originally),
-// which is what makes an insert atomic from the oracle's point of view.
+// discoveries (copying them: found is search scratch) and adds the
+// reverse links, shrinking any adjacency that grows past 2·M back to its
+// M closest entries. It performs no oracle calls: every distance it
+// handles was resolved by the beam search that produced found (or by the
+// search that committed the edge originally), which is what makes an
+// insert atomic from the oracle's point of view.
 func (g *Graph) commit(u int, found []prox.Neighbor) {
 	m := g.params.M
 	if m > len(found) {

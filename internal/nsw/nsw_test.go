@@ -5,6 +5,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
+	"sync"
 	"testing"
 
 	"metricprox/internal/core"
@@ -370,4 +372,64 @@ func ExampleBuild() {
 	}
 	fmt.Println(g.Inserted(), "nodes,", len(res), "answers")
 	// Output: 60 nodes, 3 answers
+}
+
+// TestSearchConcurrentMatchesSequential: searches share pooled scratch,
+// never one search's scratch. Several goroutines search two graphs of
+// different sizes, each over one session shared by all of them, in
+// different query orders; every answer must equal the one a sequential
+// search gives over a fresh session.
+func TestSearchConcurrentMatchesSequential(t *testing.T) {
+	const (
+		workers  = 4
+		k        = 5
+		efSearch = 24
+	)
+	type fixture struct {
+		g    *Graph
+		s    *core.Session
+		want [][]prox.Neighbor
+	}
+	var fixtures []fixture
+	for _, n := range []int{150, 40} {
+		s := newSession(t, n, core.SchemeTri)
+		g, err := Build(s, Params{Seed: 3})
+		if err != nil {
+			t.Fatalf("build n=%d: %v", n, err)
+		}
+		ref := newSession(t, n, core.SchemeTri)
+		want := make([][]prox.Neighbor, n)
+		for q := range want {
+			if want[q], err = g.Search(ref, q, k, efSearch); err != nil {
+				t.Fatalf("sequential search %d: %v", q, err)
+			}
+		}
+		fixtures = append(fixtures, fixture{g, s, want})
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for step := 0; step < 150; step++ {
+				f := fixtures[(step+w)%len(fixtures)]
+				q := (step*(w+1) + w*37) % f.g.N()
+				got, err := f.g.Search(f.s, q, k, efSearch)
+				if err != nil {
+					errs <- fmt.Errorf("worker %d search %d: %v", w, q, err)
+					return
+				}
+				if !reflect.DeepEqual(got, f.want[q]) {
+					errs <- fmt.Errorf("worker %d search %d of %d objects = %v, sequential %v", w, q, f.g.N(), got, f.want[q])
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
 }

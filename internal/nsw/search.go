@@ -2,6 +2,8 @@ package nsw
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"metricprox/internal/core"
 	"metricprox/internal/fcmp"
@@ -34,14 +36,38 @@ func (g *Graph) Search(v core.View, q, k, efSearch int) ([]prox.Neighbor, error)
 	if ef < k {
 		ef = k
 	}
-	res, err := g.searchLayer(v, q, ef, q)
-	if err != nil {
+	sc := scratchPool.Get().(*searchScratch)
+	defer scratchPool.Put(sc)
+	res, err := g.searchLayer(sc, v, q, ef, q)
+	if err != nil || len(res) == 0 {
 		return nil, err
 	}
-	if len(res) > k {
-		res = res[:k]
+	return slices.Clone(res[:min(k, len(res))]), nil
+}
+
+// searchScratch is a beam search's working memory: the visited marks,
+// the candidate heap and the result beam. A search takes one from
+// scratchPool and puts it back when it returns, so a query allocates
+// only the answer it hands out, and concurrent searches of one Graph
+// never share one.
+type searchScratch struct {
+	visited []bool
+	cands   prox.MinHeap
+	beam    beamList
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(searchScratch) }}
+
+// reset readies sc for a search over n objects.
+func (sc *searchScratch) reset(n int) {
+	if cap(sc.visited) < n {
+		sc.visited = make([]bool, n)
+	} else {
+		sc.visited = sc.visited[:n]
+		clear(sc.visited)
 	}
-	return res, nil
+	sc.cands.Reset()
+	sc.beam.items = sc.beam.items[:0]
 }
 
 // searchLayer is the greedy beam search shared by insertion and query:
@@ -58,11 +84,13 @@ func (g *Graph) Search(v core.View, q, k, efSearch int) ([]prox.Neighbor, error)
 // query object itself when it is part of the universe (its self-distance
 // is 0 by definition, no oracle involved). Pass -1 during insertion,
 // where q is not yet in the graph. Results come back sorted in canonical
-// (distance, id) order, at most ef of them.
-func (g *Graph) searchLayer(v core.View, q, ef, exclude int) ([]prox.Neighbor, error) {
-	visited := make([]bool, g.n)
-	var cands prox.MinHeap // unexpanded discoveries, closest first
-	var results beamList   // current ef best, canonical order
+// (distance, id) order, at most ef of them, in sc's beam: the caller
+// copies what it keeps before sc goes back to the pool.
+func (g *Graph) searchLayer(sc *searchScratch, v core.View, q, ef, exclude int) ([]prox.Neighbor, error) {
+	sc.reset(g.n)
+	visited := sc.visited
+	cands := &sc.cands  // unexpanded discoveries, closest first
+	results := &sc.beam // current ef best, canonical order
 
 	// Seed resolutions are unconditional: the beam has no threshold yet,
 	// and on a session bootstrapped on the same landmarks they are cache

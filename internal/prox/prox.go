@@ -46,6 +46,9 @@ type MinHeap struct{ items []Neighbor }
 // Len returns the number of entries.
 func (h *MinHeap) Len() int { return len(h.items) }
 
+// Reset empties the heap and keeps its backing array for reuse.
+func (h *MinHeap) Reset() { h.items = h.items[:0] }
+
 // Push adds e.
 func (h *MinHeap) Push(e Neighbor) {
 	h.items = append(h.items, e)

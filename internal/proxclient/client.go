@@ -199,7 +199,7 @@ func (c *Client) once(ctx context.Context, method, path string, in, out any) err
 		return err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	data, err := api.ReadBody(resp.Body, resp.ContentLength)
 	if err != nil {
 		return err
 	}
@@ -217,11 +217,24 @@ func (c *Client) once(ctx context.Context, method, path string, in, out any) err
 		return apiErr
 	}
 	if out != nil {
-		if err := json.Unmarshal(data, out); err != nil {
+		if err := unmarshal(data, out); err != nil {
 			return fmt.Errorf("proxclient: decode response: %w", err)
 		}
 	}
 	return nil
+}
+
+// unmarshal decodes a response body into out as json.Unmarshal does. A
+// *api.BatchResponse is parsed by its own UnmarshalJSON, called
+// directly: that skips json.Unmarshal's validity scan and the pass that
+// finds the value, and its fallback for a body outside the canonical
+// form is json.Unmarshal over the same bytes, so the value and the error
+// are json.Unmarshal's.
+func unmarshal(data []byte, out any) error {
+	if resp, ok := out.(*api.BatchResponse); ok {
+		return resp.UnmarshalJSON(data)
+	}
+	return json.Unmarshal(data, out)
 }
 
 // Healthz probes the daemon.

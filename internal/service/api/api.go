@@ -50,8 +50,9 @@ const (
 
 // MaxBodyBytes caps a request body (64 MiB — far above any legitimate
 // API payload; a batch of 10k ops is ~1 MiB). The service answers a
-// larger body with 400 bad_request; the router buffers at most this much
-// of a request or of an upstream answer.
+// larger body with 400 bad_request. The router buffers at most this much
+// of a request, and refuses an upstream answer longer than this with 502
+// internal rather than relay it cut.
 const MaxBodyBytes = 64 << 20
 
 // ErrorBody is the JSON error envelope every non-2xx response carries.

@@ -225,9 +225,10 @@ func (r *BatchResponse) UnmarshalJSON(data []byte) error {
 	return json.Unmarshal(data, (*batchResponseJSON)(r))
 }
 
-// DecodeStrict decodes data, one JSON value, into v as a json.Decoder
-// with DisallowUnknownFields does. A *BatchRequest or *ReplAppendRequest
-// in the canonical form is parsed without reflection.
+// DecodeStrict decodes the first JSON value of data into v as a
+// json.Decoder with DisallowUnknownFields does, trailing bytes ignored.
+// A *BatchRequest or *ReplAppendRequest whose whole data is the
+// canonical form is parsed without reflection.
 func DecodeStrict(data []byte, v any) error {
 	switch v := v.(type) {
 	case *BatchRequest:

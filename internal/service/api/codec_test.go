@@ -249,10 +249,17 @@ func strictJSON(data []byte, v any) error {
 //     or fails with the error, that encoding/json gives the method-less
 //     copy, and parses back on the canonical path when its strings are
 //     plain and its arrays non-empty;
+//   - sent as they are, the encoders' bytes are the ones encoding/json
+//     writes for the message itself: a BatchResponse's, with a newline,
+//     json.Encoder's (the node's writeJSON), and a ReplAppendRequest's
+//     json.Marshal's (the replicator's append), both passes failing
+//     together on a NaN;
 //   - the fuzz bytes themselves, whenever a parser accepts them, decode
 //     through encoding/json (strictly, for the two requests) to a
-//     reflect.DeepEqual value, and json.Unmarshal into a BatchResponse
-//     decodes them, or fails, exactly as encoding/json alone does.
+//     reflect.DeepEqual value; json.Unmarshal into a BatchResponse
+//     decodes them, or fails, exactly as encoding/json alone does; and
+//     so does its UnmarshalJSON called directly (proxclient's parse);
+//   - api.ReadBody returns the bytes whole, whatever length is declared.
 func FuzzWireCodec(f *testing.F) {
 	for _, x := range fuzzFloats {
 		f.Add(math.Float64bits(x), []byte{})
@@ -294,6 +301,8 @@ func FuzzWireCodec(f *testing.F) {
 		checkEncode(t, "BatchResponse", d, resp, batchResponseJSON(resp), parseBatchResponse)
 		ar := d.replAppendRequest()
 		checkEncode(t, "ReplAppendRequest", d, ar, replAppendRequestJSON(ar), parseReplAppendRequest)
+		checkDirect(t, resp, true)
+		checkDirect(t, ar, false)
 
 		var pbr, bref BatchRequest
 		if parseBatchRequest(data, &pbr) {
@@ -319,6 +328,15 @@ func FuzzWireCodec(f *testing.F) {
 		var pr, prref BatchResponse
 		if err, ref := json.Unmarshal(data, &pr), json.Unmarshal(data, (*batchResponseJSON)(&prref)); !sameErr(err, ref) || !reflect.DeepEqual(pr, prref) {
 			t.Fatalf("json.Unmarshal(%q) = %+v, %v; encoding/json %+v, %v", data, pr, err, prref, ref)
+		}
+		var direct, viaJSON BatchResponse
+		if err, ref := direct.UnmarshalJSON(data), json.Unmarshal(data, &viaJSON); !sameErr(err, ref) || !reflect.DeepEqual(direct, viaJSON) {
+			t.Fatalf("UnmarshalJSON(%q) = %+v, %v; json.Unmarshal %+v, %v", data, direct, err, viaJSON, ref)
+		}
+		for _, size := range []int64{-1, 0, int64(len(data)) / 2, int64(len(data)), int64(len(data)) + 1} {
+			if got, err := ReadBody(bytes.NewReader(data), size); err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("ReadBody(%q, %d) = %q, %v", data, size, got, err)
+			}
 		}
 		p := parser{b: data}
 		if w := p.number(); !p.bad && p.i == len(data) {
@@ -351,26 +369,45 @@ func checkEncode[T any](t *testing.T, name string, d *fuzzData, v T, ref any, pa
 	}
 }
 
+// checkDirect holds m's MarshalJSON output, sent as it is, to the bytes
+// encoding/json writes for m, which run that output through their
+// compaction pass: json.Encoder's, newline and all, when line is set, and
+// json.Marshal's otherwise. Both fail together or give equal bytes.
+func checkDirect(t *testing.T, m json.Marshaler, line bool) {
+	t.Helper()
+	got, err := m.MarshalJSON()
+	var want []byte
+	var werr error
+	if line {
+		var buf bytes.Buffer
+		werr = json.NewEncoder(&buf).Encode(m)
+		want = buf.Bytes()
+		got = append(got, '\n')
+	} else {
+		want, werr = json.Marshal(m)
+	}
+	if (err == nil) != (werr == nil) || err == nil && !bytes.Equal(got, want) {
+		t.Fatalf("%T %+v sent directly: %s, %v; encoding/json %s, %v", m, m, got, err, want, werr)
+	}
+}
+
 // BenchmarkWireCodec times each bulk message through the calls its
-// endpoints make — the client's json.Marshal and json.Unmarshal, the
-// server's strict first-value decode and its Encoder — at the workloads'
-// shapes: a 64-op /batch with 32 bounds ops and its response, and a
-// 512-record replication append. Each <encode|decode>-json line runs
-// encoding/json on the method-less copy beside it.
+// endpoints make — a client's json.Marshal of a /batch, the node's
+// DecodeStrict over a whole request body, the encoders' MarshalJSON sent
+// as it is (the node's writeJSON, the replicator's append) and
+// proxclient's direct UnmarshalJSON — at the workloads' shapes: a 64-op
+// /batch with 32 bounds ops and its response, and a 512-record
+// replication append. Each <encode|decode>-json line runs encoding/json
+// on the method-less copy beside it, as the endpoints did before the
+// codec.
 func BenchmarkWireCodec(b *testing.B) {
 	req, resp := batchShape()
 	repl := replShape(512)
-	serverDecode := func(body []byte, v any) error {
-		dec := json.NewDecoder(bytes.NewReader(body))
-		dec.DisallowUnknownFields()
-		var raw json.RawMessage
-		if err := dec.Decode(&raw); err != nil {
-			return err
-		}
-		return DecodeStrict(raw, v)
-	}
 	marshal := func(v any) func([]byte) error {
 		return func([]byte) error { _, err := json.Marshal(v); return err }
+	}
+	direct := func(m json.Marshaler) func([]byte) error {
+		return func([]byte) error { _, err := m.MarshalJSON(); return err }
 	}
 	encode := func(v any) func([]byte) error {
 		return func([]byte) error { return json.NewEncoder(io.Discard).Encode(v) }
@@ -383,17 +420,17 @@ func BenchmarkWireCodec(b *testing.B) {
 		// BatchRequest has no encoder: encode is encoding/json's.
 		{"BatchRequest", req, [4]func([]byte) error{
 			marshal(req), nil,
-			func(body []byte) error { var v BatchRequest; return serverDecode(body, &v) },
+			func(body []byte) error { var v BatchRequest; return DecodeStrict(body, &v) },
 			func(body []byte) error { var v BatchRequest; return strictJSON(body, &v) },
 		}},
 		{"BatchResponse", resp, [4]func([]byte) error{
-			encode(resp), encode(batchResponseJSON(resp)),
-			func(body []byte) error { var v BatchResponse; return json.Unmarshal(body, &v) },
+			direct(resp), encode(batchResponseJSON(resp)),
+			func(body []byte) error { var v BatchResponse; return v.UnmarshalJSON(body) },
 			func(body []byte) error { var v batchResponseJSON; return json.Unmarshal(body, &v) },
 		}},
 		{"ReplAppendRequest", repl, [4]func([]byte) error{
-			marshal(repl), marshal(replAppendRequestJSON(repl)),
-			func(body []byte) error { var v ReplAppendRequest; return serverDecode(body, &v) },
+			direct(repl), marshal(replAppendRequestJSON(repl)),
+			func(body []byte) error { var v ReplAppendRequest; return DecodeStrict(body, &v) },
 			func(body []byte) error { var v replAppendRequestJSON; return strictJSON(body, &v) },
 		}},
 	} {

@@ -10,6 +10,7 @@ import (
 	"sort"
 	"testing"
 
+	"metricprox/internal/cluster"
 	"metricprox/internal/datasets"
 	"metricprox/internal/metric"
 	"metricprox/internal/service/api"
@@ -28,6 +29,11 @@ import (
 //     Each /batch holds 64 ops over seeded uniform pairs, shuffled: 32
 //     bounds, 19 distifless at the median pair distance, 13 dist. Fresh
 //     resolutions append to the session's cachestore.
+//   - repl: one replication append of cluster.DefaultReplBatch records
+//     (seeded uniform pairs at their distances) to a cluster-mode node,
+//     each op continuing the replica's log where the last one ended, so
+//     every record is appended to its store. Bodies are the sender's
+//     bytes, about 20 KiB each; use -benchtime Nx to bound them.
 func BenchmarkHandler(b *testing.B) {
 	const n = 2000
 	space := datasets.SFPOIPlanar(n, 1)
@@ -81,6 +87,35 @@ func BenchmarkHandler(b *testing.B) {
 			bodies[x] = marshal(b, api.BatchRequest{Ops: ops})
 		}
 		runHandler(b, srv, "/v1/sessions/b/batch", bodies)
+	})
+	b.Run("repl", func(b *testing.B) {
+		topo, err := cluster.NewTopology(cluster.Config{Self: "b", Nodes: []cluster.Node{{Name: "b", URL: "http://b.invalid"}}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		srv, err := New(Config{Oracle: metric.NewOracle(space), CacheDir: b.TempDir(), Cluster: topo})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Cleanup(func() { srv.Close() })
+		meta := api.ReplMeta{Scheme: "tri", Landmarks: 10, Seed: 1, Bootstrap: true, N: n}
+		rng := randv2.New(randv2.NewPCG(2, 0))
+		bodies := make([][]byte, b.N)
+		for x := range bodies {
+			recs := make([]api.ReplRecord, cluster.DefaultReplBatch)
+			for k := range recs {
+				i, j := rng.IntN(n), rng.IntN(n-1)
+				if j >= i {
+					j++
+				}
+				recs[k] = api.ReplRecord{I: i, J: j, D: api.WireFloat(space.Distance(i, j))}
+			}
+			req := api.ReplAppendRequest{Node: "a", Meta: meta, From: int64(x * len(recs)), Records: recs}
+			if bodies[x], err = req.MarshalJSON(); err != nil {
+				b.Fatal(err)
+			}
+		}
+		runHandler(b, srv, "/v1/repl/r", bodies)
 	})
 }
 

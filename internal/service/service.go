@@ -1,11 +1,14 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -313,30 +316,62 @@ func writeError(w http.ResponseWriter, status int, code, msg string) {
 	_ = json.NewEncoder(w).Encode(api.ErrorBody{Code: code, Message: msg})
 }
 
-// writeJSON emits a 200 JSON response.
+// writeJSON emits a 200 JSON response, the bytes a json.Encoder writes
+// for v. A BatchResponse's MarshalJSON output is already compact and
+// HTML-escaped, so it goes out as it is, with the Encoder's newline and a
+// Content-Length, skipping the Encoder's compaction pass and second
+// buffer; a response that does not encode (a NaN) writes nothing, as the
+// Encoder does.
 func writeJSON(w http.ResponseWriter, v any) {
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(v)
+	resp, ok := v.(api.BatchResponse)
+	if !ok {
+		_ = json.NewEncoder(w).Encode(v)
+		return
+	}
+	b, err := resp.MarshalJSON()
+	if err != nil {
+		return
+	}
+	b = append(b, '\n')
+	w.Header().Set("Content-Length", strconv.Itoa(len(b)))
+	_, _ = w.Write(b)
 }
 
 // decode parses the first JSON value of a request body into v; an
-// unknown field is an error. The bulk requests read that value as raw
-// bytes for api.DecodeStrict, which parses their canonical form without
-// reflection. It cannot be their UnmarshalJSON: that method would not see
-// DisallowUnknownFields.
+// unknown field is an error. A bulk request's body is read once, into a
+// buffer sized from its Content-Length, and handed whole to
+// api.DecodeStrict, which parses the canonical form without reflection
+// and decodes any other body as a json.Decoder would. (It cannot be the
+// requests' UnmarshalJSON: that method would not see
+// DisallowUnknownFields.) When the read stops short — the body cap, a
+// dropped client — a json.Decoder runs over the bytes that arrived and
+// then meets the same error, so a first value that arrived whole still
+// decodes, and any other body fails as it would have streamed.
 func decode(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
 	switch v.(type) {
 	case *api.BatchRequest, *api.ReplAppendRequest:
-		var raw json.RawMessage
-		if err := dec.Decode(&raw); err != nil {
-			return err
+		body, err := api.ReadBody(r.Body, r.ContentLength)
+		if err == nil {
+			return api.DecodeStrict(body, v)
 		}
-		return api.DecodeStrict(raw, v)
+		return decodeStream(io.MultiReader(bytes.NewReader(body), errReader{err}), v)
 	}
+	return decodeStream(r.Body, v)
+}
+
+// decodeStream decodes the first JSON value read from r into v; an
+// unknown field is an error.
+func decodeStream(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
 	return dec.Decode(v)
 }
+
+// errReader fails every read with err.
+type errReader struct{ err error }
+
+func (e errReader) Read([]byte) (int, error) { return 0, e.err }
 
 // validName reports whether a session name is safe for registry keys and
 // cache filenames: [A-Za-z0-9._-]+, no leading dot, at most 128 bytes.
