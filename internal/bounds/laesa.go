@@ -267,7 +267,7 @@ func EdgesForBootstrap(n int, landmarks []int) []pgraph.Edge {
 	for _, l := range landmarks {
 		isLand[l] = true
 	}
-	var out []pgraph.Edge
+	out := make([]pgraph.Edge, 0, len(landmarks)*max(n-1, 0))
 	for idx, l := range landmarks {
 		for x := 0; x < n; x++ {
 			if x == l {

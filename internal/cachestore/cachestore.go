@@ -7,11 +7,14 @@
 // universe replays the log into its partial graph before making a single
 // new call.
 //
-// Format: a 16-byte header (magic, version, object count) followed by
-// fixed-width 20-byte records (uint32 i, uint32 j, float64 distance, CRC-
-// less — integrity is guarded by a per-record XOR checksum byte folded
-// into the layout below). Appends are O(1); a torn final record (crash
-// mid-write) is detected and truncated on open.
+// Format: a 16-byte header (little-endian uint32 magic "MPX1", uint32
+// version 1, uint64 object count) followed by fixed-width records of
+// RecordSize bytes: little-endian uint32 i, uint32 j (Append writes
+// i < j), the float64 distance's bits, and a uint32 FNV-1a checksum over
+// the first 16 bytes. Appends are O(1); a torn final record (crash
+// mid-write) is detected and truncated on open. The records are also the
+// replication wire format: ReadFrom hands them out raw, CheckRecords
+// checks them as the readers do, and AppendFrom writes them raw.
 package cachestore
 
 import (
@@ -23,12 +26,17 @@ import (
 	"os"
 )
 
+// RecordSize is the length of one record in the file and on the wire:
+// i uint32 | j uint32 | dist float64 | check uint32.
+const RecordSize = 20
+
 const (
-	magic   = uint32(0x4d505831) // "MPX1"
-	version = uint32(1)
-	// record: i uint32 | j uint32 | dist float64 | check uint32
-	recordSize = 20
+	magic      = uint32(0x4d505831) // "MPX1"
+	version    = uint32(1)
 	headerSize = 16
+	// chunk is how many records Append encodes per write, through a
+	// buffer on its own stack.
+	chunk = 512
 )
 
 // ErrCorrupt is returned when the file is not a cachestore or its header
@@ -110,7 +118,7 @@ func Open(path string) (*Store, error) {
 		f.Close()
 		return nil, err
 	}
-	if tail := (st.Size() - headerSize) % recordSize; tail != 0 {
+	if tail := (st.Size() - headerSize) % RecordSize; tail != 0 {
 		// Torn write from a crash: drop the partial record.
 		if err := f.Truncate(st.Size() - tail); err != nil {
 			f.Close()
@@ -149,20 +157,44 @@ func OpenOrCreate(path string, n int) (*Store, error) {
 // N returns the universe size the store was created for.
 func (s *Store) N() int { return s.n }
 
-// Append durably records a resolution. The pair is stored normalised
-// (i < j); appending the same pair twice is allowed and replay keeps the
-// first occurrence.
-func (s *Store) Append(i, j int, dist float64) error {
-	var rec [recordSize]byte
-	if err := s.encode(rec[:], i, j, dist); err != nil {
-		return err
+// Append records resolutions in order, each pair stored normalised
+// (i < j), and returns how many records it wrote. It encodes up to 512
+// records at a time into a buffer on its own stack and writes each such
+// chunk with one write, so the file holds the same bytes whether the
+// records come one per call or all in one. A record with an invalid pair
+// or distance is skipped and the others are written, the first such
+// error returned; a failed write ends the call with its error. Appending
+// the same pair twice is allowed and replay keeps the first occurrence.
+func (s *Store) Append(recs ...Record) (int, error) {
+	var buf [chunk * RecordSize]byte
+	written := 0
+	var invalid error
+	for len(recs) > 0 {
+		n := 0
+		for _, r := range recs[:min(len(recs), chunk)] {
+			if err := s.encode(buf[n:n+RecordSize], r.I, r.J, r.Dist); err != nil {
+				if invalid == nil {
+					invalid = err
+				}
+				continue
+			}
+			n += RecordSize
+		}
+		recs = recs[min(len(recs), chunk):]
+		if n == 0 {
+			continue
+		}
+		w, err := s.f.Write(buf[:n])
+		written += w / RecordSize
+		if err != nil {
+			return written, err
+		}
 	}
-	_, err := s.f.Write(rec[:])
-	return err
+	return written, invalid
 }
 
 // encode validates one resolution against the universe and writes its
-// record, pair normalised to i < j, into rec (recordSize bytes).
+// record, pair normalised to i < j, into rec (RecordSize bytes).
 func (s *Store) encode(rec []byte, i, j int, dist float64) error {
 	if i == j || i < 0 || j < 0 || i >= s.n || j >= s.n {
 		return fmt.Errorf("cachestore: invalid pair (%d,%d) for universe %d", i, j, s.n)
@@ -180,22 +212,50 @@ func (s *Store) encode(rec []byte, i, j int, dist float64) error {
 	return nil
 }
 
-// decode reads one record; ok is false when it fails its checksum (a torn
-// or bit-rotted write) or holds an invalid pair or distance that slipped
-// past the checksum.
-func (s *Store) decode(rec []byte) (r Record, ok bool) {
-	if binary.LittleEndian.Uint32(rec[16:]) != checksum(rec[:16]) {
-		return Record{}, false
+// valid returns the length in bytes of raw's longest prefix of records
+// the log may hold for a universe of n objects, and why the prefix ends
+// before raw does (nil when it does not): a record that fails its
+// checksum (a torn or bit-rotted write), one that holds a self pair, an
+// index outside the universe or a NaN or negative distance behind a good
+// checksum, or a torn tail shorter than a record.
+func valid(raw []byte, n int) (int, error) {
+	k := 0
+	for ; k+RecordSize <= len(raw); k += RecordSize {
+		rec := raw[k : k+RecordSize]
+		i, j := binary.LittleEndian.Uint32(rec[0:]), binary.LittleEndian.Uint32(rec[4:])
+		d := math.Float64frombits(binary.LittleEndian.Uint64(rec[8:]))
+		switch {
+		case binary.LittleEndian.Uint32(rec[16:]) != checksum(rec[:16]):
+			return k, fmt.Errorf("record %d: checksum mismatch", k/RecordSize)
+		case i == j || uint64(i) >= uint64(n) || uint64(j) >= uint64(n):
+			return k, fmt.Errorf("record %d: invalid pair (%d,%d) for universe %d", k/RecordSize, i, j, n)
+		case math.IsNaN(d) || d < 0:
+			return k, fmt.Errorf("record %d: invalid distance %v", k/RecordSize, d)
+		}
 	}
-	r = Record{
+	if k < len(raw) {
+		return k, fmt.Errorf("record %d: torn, %d of %d bytes", k/RecordSize, len(raw)-k, RecordSize)
+	}
+	return k, nil
+}
+
+// CheckRecords checks raw, records in the file's layout, as the log's
+// readers check each record they read: it returns nil when every record
+// is one the log may hold for a universe of n objects, and otherwise an
+// error naming the first that is not. A replica checks each replicated
+// batch with it before it touches its store.
+func CheckRecords(raw []byte, n int) error {
+	_, err := valid(raw, n)
+	return err
+}
+
+// unpack reads one record that valid accepted.
+func unpack(rec []byte) Record {
+	return Record{
 		I:    int(binary.LittleEndian.Uint32(rec[0:])),
 		J:    int(binary.LittleEndian.Uint32(rec[4:])),
 		Dist: math.Float64frombits(binary.LittleEndian.Uint64(rec[8:])),
 	}
-	if r.I >= s.n || r.J >= s.n || r.I == r.J || r.Dist < 0 || math.IsNaN(r.Dist) {
-		return Record{}, false
-	}
-	return r, true
 }
 
 // Sync flushes appended records to stable storage.
@@ -213,10 +273,6 @@ func (s *Store) Close() error {
 // replayChunk caps how many records Replay reads per ReadFrom.
 const replayChunk = 4096
 
-// readPiece is how many records ReadFrom reads per pread, through a
-// buffer on its own stack.
-const readPiece = 512
-
 // Replay streams every valid record to fn in append order. A record whose
 // checksum fails stops the replay (everything after it is suspect) without
 // an error — mirroring the torn-write policy. fn returning false stops
@@ -227,18 +283,18 @@ func (s *Store) Replay(fn func(Record) bool) error {
 	if err != nil || n == 0 {
 		return err
 	}
-	buf := make([]Record, min(n, replayChunk))
-	for seq := int64(0); ; seq += int64(len(buf)) {
-		recs, err := s.ReadFrom(seq, buf)
+	buf := make([]byte, min(n, replayChunk)*RecordSize)
+	for seq := int64(0); ; seq += int64(len(buf) / RecordSize) {
+		raw, err := s.ReadFrom(seq, buf)
 		if err != nil {
 			return err
 		}
-		for _, r := range recs {
-			if !fn(r) {
+		for k := 0; k < len(raw); k += RecordSize {
+			if !fn(unpack(raw[k : k+RecordSize])) {
 				return nil
 			}
 		}
-		if len(recs) < len(buf) {
+		if len(raw) < len(buf) {
 			return nil // the end of the log, or a damaged record
 		}
 	}
@@ -250,7 +306,7 @@ func (s *Store) Len() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return int((st.Size() - headerSize) / recordSize), nil
+	return int((st.Size() - headerSize) / RecordSize), nil
 }
 
 // LastSeq returns the store's replication cursor: the sequence number of
@@ -263,59 +319,47 @@ func (s *Store) LastSeq() (int64, error) {
 	return int64(n), err
 }
 
-// ReadFrom reads up to len(dst) records starting at sequence number seq
-// into dst and returns the filled prefix of dst; it allocates nothing
-// else, so a caller that reads in a loop reuses one dst. It reads with
-// pread, so it is safe to call while another goroutine appends — the
-// primary's replicator tails a live session's store this way. The read
-// covers only the complete records the file held when it began. A record
-// that fails its checksum or is invalid (a concurrent half-written tail,
-// or damage) ends the batch early; the caller simply retries from the
-// same cursor once the writer has finished the record. seq past the end
-// returns an empty slice, not an error.
-func (s *Store) ReadFrom(seq int64, dst []Record) ([]Record, error) {
-	if seq < 0 || len(dst) == 0 {
+// ReadFrom reads records starting at sequence number seq into dst, as
+// many whole records as fit, in the file's layout, and returns the
+// filled prefix of dst; it needs no buffer of its own, so a caller that
+// reads in a loop reuses one dst. It reads with one pread, so it is safe to call
+// while another goroutine appends — the primary's replicator tails a
+// live session's store this way. The read covers only the complete
+// records the file held when it began. A record that fails its checksum
+// or is invalid (a concurrent half-written tail, or damage) ends the
+// batch early; the caller simply retries from the same cursor once the
+// writer has finished the record. seq past the end returns an empty
+// slice, not an error.
+func (s *Store) ReadFrom(seq int64, dst []byte) ([]byte, error) {
+	if seq < 0 || len(dst) < RecordSize {
 		return nil, fmt.Errorf("cachestore: invalid ReadFrom(seq=%d, len(dst)=%d)", seq, len(dst))
 	}
 	head, err := s.LastSeq()
 	if err != nil {
 		return nil, err
 	}
-	want := int(min(int64(len(dst)), max(head-seq, 0)))
-	var raw [readPiece * recordSize]byte
-	n := 0
-	for n < want {
-		piece := raw[:min(want-n, readPiece)*recordSize]
-		got, err := s.f.ReadAt(piece, headerSize+(seq+int64(n))*recordSize)
-		if err != nil && err != io.EOF { // EOF: the file shrank under us; use what was read
-			return nil, err
-		}
-		for off := 0; off+recordSize <= got; off += recordSize {
-			r, ok := s.decode(piece[off : off+recordSize])
-			if !ok {
-				return dst[:n], nil // half-written or damaged: stop, retry later
-			}
-			dst[n] = r
-			n++
-		}
-		if got < len(piece) {
-			break
-		}
+	want := min(int64(len(dst)/RecordSize), max(head-seq, 0)) * RecordSize
+	got, err := s.f.ReadAt(dst[:want], headerSize+seq*RecordSize)
+	if err != nil && err != io.EOF { // EOF: the file shrank under us; use what was read
+		return nil, err
 	}
+	n, _ := valid(dst[:got-got%RecordSize], s.n)
 	return dst[:n], nil
 }
 
-// AppendFrom applies a replicated batch whose first record carries
-// sequence number seq, and returns the store's new LastSeq. The append is
-// idempotent: records the store already holds (seq below the current
-// cursor) are skipped rather than re-applied, so overlapping retries from
-// a primary that never saw an ack are harmless. A batch starting beyond
-// the cursor is refused with ErrSeqGap — the replica's file must stay a
-// gap-free prefix of the primary's log for promotion to be sound. A
-// negative seq is refused with an error, as ReadFrom refuses it. The new
-// records up to the first invalid one land in one write; the invalid
-// record's error is returned with the cursor after them.
-func (s *Store) AppendFrom(seq int64, recs []Record) (int64, error) {
+// AppendFrom applies a replicated batch, raw records in the file's layout
+// whose first carries sequence number seq, and returns the store's new
+// LastSeq. The append is idempotent: records the store already holds (seq
+// below the current cursor) are skipped rather than re-applied, so
+// overlapping retries from a primary that never saw an ack are harmless.
+// A batch starting beyond the cursor is refused with ErrSeqGap — the
+// replica's file must stay a gap-free prefix of the primary's log for
+// promotion to be sound. A negative seq is refused with an error, as
+// ReadFrom refuses it. The new records are checked as CheckRecords checks
+// them, and those up to the first invalid one land in one write, as
+// they are; the invalid record's error is returned with the cursor after
+// them.
+func (s *Store) AppendFrom(seq int64, raw []byte) (int64, error) {
 	cur, err := s.LastSeq()
 	if err != nil {
 		return 0, err
@@ -326,28 +370,19 @@ func (s *Store) AppendFrom(seq int64, recs []Record) (int64, error) {
 	if seq > cur {
 		return cur, fmt.Errorf("%w: batch starts at %d, store has %d records", ErrSeqGap, seq, cur)
 	}
-	skip := cur - seq
-	if skip >= int64(len(recs)) {
-		return cur, nil // entire batch already present
-	}
-	recs = recs[skip:]
-	buf := make([]byte, len(recs)*recordSize)
-	var invalid error
-	n := 0
-	for _, r := range recs {
-		if invalid = s.encode(buf[n:n+recordSize], r.I, r.J, r.Dist); invalid != nil {
-			break
-		}
-		n += recordSize
-	}
+	raw = raw[min((cur-seq)*RecordSize, int64(len(raw))):]
+	n, invalid := valid(raw, s.n)
 	if n > 0 {
-		w, err := s.f.Write(buf[:n])
-		cur += int64(w / recordSize)
+		w, err := s.f.Write(raw[:n])
+		cur += int64(w / RecordSize)
 		if err != nil {
 			return cur, err
 		}
 	}
-	return cur, invalid
+	if invalid != nil {
+		return cur, fmt.Errorf("cachestore: %w", invalid)
+	}
+	return cur, nil
 }
 
 // checksum is a small avalanche mix over the record body; it exists to

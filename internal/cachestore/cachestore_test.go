@@ -22,7 +22,7 @@ func TestCreateAppendReplay(t *testing.T) {
 	}
 	want := []Record{{1, 2, 0.5}, {3, 7, 0.25}, {0, 99, 1}}
 	for _, r := range want {
-		if err := s.Append(r.I, r.J, r.Dist); err != nil {
+		if _, err := s.Append(Record{r.I, r.J, r.Dist}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -58,7 +58,7 @@ func TestCreateAppendReplay(t *testing.T) {
 func TestAppendNormalisesPair(t *testing.T) {
 	path := tempPath(t)
 	s, _ := Create(path, 10)
-	s.Append(7, 2, 0.3)
+	s.Append(Record{7, 2, 0.3})
 	var r Record
 	s.Replay(func(rec Record) bool { r = rec; return true })
 	s.Close()
@@ -70,16 +70,16 @@ func TestAppendNormalisesPair(t *testing.T) {
 func TestAppendValidation(t *testing.T) {
 	s, _ := Create(tempPath(t), 10)
 	defer s.Close()
-	if err := s.Append(3, 3, 0.1); err == nil {
+	if _, err := s.Append(Record{3, 3, 0.1}); err == nil {
 		t.Fatal("self pair accepted")
 	}
-	if err := s.Append(0, 10, 0.1); err == nil {
+	if _, err := s.Append(Record{0, 10, 0.1}); err == nil {
 		t.Fatal("out-of-universe pair accepted")
 	}
-	if err := s.Append(0, 1, math.NaN()); err == nil {
+	if _, err := s.Append(Record{0, 1, math.NaN()}); err == nil {
 		t.Fatal("NaN distance accepted")
 	}
-	if err := s.Append(0, 1, -0.5); err == nil {
+	if _, err := s.Append(Record{0, 1, -0.5}); err == nil {
 		t.Fatal("negative distance accepted")
 	}
 }
@@ -87,13 +87,13 @@ func TestAppendValidation(t *testing.T) {
 func TestAppendAfterReopen(t *testing.T) {
 	path := tempPath(t)
 	s, _ := Create(path, 10)
-	s.Append(0, 1, 0.1)
+	s.Append(Record{0, 1, 0.1})
 	s.Close()
 	s2, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2.Append(2, 3, 0.2)
+	s2.Append(Record{2, 3, 0.2})
 	n, _ := s2.Len()
 	s2.Close()
 	if n != 2 {
@@ -104,8 +104,8 @@ func TestAppendAfterReopen(t *testing.T) {
 func TestTornWriteRepair(t *testing.T) {
 	path := tempPath(t)
 	s, _ := Create(path, 10)
-	s.Append(0, 1, 0.1)
-	s.Append(1, 2, 0.2)
+	s.Append(Record{0, 1, 0.1})
+	s.Append(Record{1, 2, 0.2})
 	s.Close()
 	// Simulate a crash mid-append: chop 7 bytes off the tail.
 	st, _ := os.Stat(path)
@@ -122,7 +122,7 @@ func TestTornWriteRepair(t *testing.T) {
 		t.Fatalf("Len = %d after torn-write repair, want 1", n)
 	}
 	// The store must remain appendable.
-	if err := s2.Append(3, 4, 0.4); err != nil {
+	if _, err := s2.Append(Record{3, 4, 0.4}); err != nil {
 		t.Fatal(err)
 	}
 	count := 0
@@ -144,7 +144,7 @@ func TestSyncSurvivesCrashWithTornTail(t *testing.T) {
 	}
 	want := []Record{{0, 1, 0.125}, {2, 3, 0.5}, {4, 5, 0.75}}
 	for _, r := range want {
-		if err := s.Append(r.I, r.J, r.Dist); err != nil {
+		if _, err := s.Append(Record{r.I, r.J, r.Dist}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -155,7 +155,7 @@ func TestSyncSurvivesCrashWithTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write(make([]byte, recordSize-6)); err != nil {
+	if _, err := f.Write(make([]byte, RecordSize-6)); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -204,13 +204,13 @@ func TestCreateSyncsHeader(t *testing.T) {
 func TestChecksumDamageStopsReplay(t *testing.T) {
 	path := tempPath(t)
 	s, _ := Create(path, 10)
-	s.Append(0, 1, 0.1)
-	s.Append(1, 2, 0.2)
-	s.Append(2, 3, 0.3)
+	s.Append(Record{0, 1, 0.1})
+	s.Append(Record{1, 2, 0.2})
+	s.Append(Record{2, 3, 0.3})
 	s.Close()
 	// Flip a byte inside the second record's payload.
 	f, _ := os.OpenFile(path, os.O_RDWR, 0)
-	f.WriteAt([]byte{0xff}, headerSize+recordSize+9)
+	f.WriteAt([]byte{0xff}, headerSize+RecordSize+9)
 	f.Close()
 	s2, err := Open(path)
 	if err != nil {
@@ -238,7 +238,7 @@ func TestOpenOrCreate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Append(0, 1, 0.9)
+	s.Append(Record{0, 1, 0.9})
 	s.Close()
 	s2, err := OpenOrCreate(path, 50)
 	if err != nil {
@@ -259,7 +259,7 @@ func TestReplayEarlyStop(t *testing.T) {
 	s, _ := Create(tempPath(t), 10)
 	defer s.Close()
 	for i := 0; i < 5; i++ {
-		s.Append(i, i+1, float64(i)/10)
+		s.Append(Record{i, i + 1, float64(i) / 10})
 	}
 	seen := 0
 	s.Replay(func(Record) bool { seen++; return seen < 2 })
@@ -267,7 +267,7 @@ func TestReplayEarlyStop(t *testing.T) {
 		t.Fatalf("early stop saw %d records, want 2", seen)
 	}
 	// Append must still land at the end after a replay.
-	s.Append(7, 8, 0.7)
+	s.Append(Record{7, 8, 0.7})
 	n, _ := s.Len()
 	if n != 6 {
 		t.Fatalf("Len = %d after post-replay append, want 6", n)
@@ -285,7 +285,7 @@ func TestReplayAcrossChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 	for k := 0; k < total; k++ {
-		if err := s.Append(0, k+1, float64(k)/total); err != nil {
+		if _, err := s.Append(Record{0, k + 1, float64(k) / total}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -294,7 +294,7 @@ func TestReplayAcrossChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.WriteAt([]byte{0xff}, headerSize+damaged*recordSize+9)
+	f.WriteAt([]byte{0xff}, headerSize+damaged*RecordSize+9)
 	f.Close()
 	s, err = Open(path)
 	if err != nil {
@@ -319,14 +319,14 @@ func TestReplayAcrossChunks(t *testing.T) {
 	if seen != replayChunk+1 {
 		t.Fatalf("early stop saw %d records, want %d", seen, replayChunk+1)
 	}
-	if err := s.Append(0, 1, 0.5); err != nil {
+	if _, err := s.Append(Record{0, 1, 0.5}); err != nil {
 		t.Fatal(err)
 	}
 	if n, _ := s.Len(); n != total+1 {
 		t.Fatalf("Len = %d after post-replay append, want %d", n, total+1)
 	}
-	if last, err := s.ReadFrom(total, make([]Record, 1)); err != nil || len(last) != 1 || last[0] != (Record{0, 1, 0.5}) {
-		t.Fatalf("record %d = %+v, %v; want the post-replay append", total, last, err)
+	if last := readFrom(t, s, total, 1); len(last) != 1 || last[0] != (Record{0, 1, 0.5}) {
+		t.Fatalf("record %d = %+v; want the post-replay append", total, last)
 	}
 }
 
@@ -346,7 +346,7 @@ func TestQuickRoundTrip(t *testing.T) {
 				continue
 			}
 			d := rng.Float64()
-			if err := s.Append(i, j, d); err != nil {
+			if _, err := s.Append(Record{i, j, d}); err != nil {
 				return false
 			}
 			if i > j {

@@ -120,12 +120,14 @@ func Calibrate(path string, tol float64, maxIter int) (CalibrateReport, error) {
 	if err != nil {
 		return rep, err
 	}
+	recs := make([]Record, len(pairs))
 	for q, p := range pairs {
-		if err := out.Append(p.i, p.j, x[q]); err != nil {
-			out.Close()
-			os.Remove(tmp)
-			return rep, fmt.Errorf("cachestore: calibrate rewrite: %w", err)
-		}
+		recs[q] = Record{I: p.i, J: p.j, Dist: x[q]}
+	}
+	if _, err := out.Append(recs...); err != nil {
+		out.Close()
+		os.Remove(tmp)
+		return rep, fmt.Errorf("cachestore: calibrate rewrite: %w", err)
 	}
 	if err := out.Close(); err != nil {
 		os.Remove(tmp)

@@ -23,7 +23,7 @@ func writeCalibrationStore(t *testing.T, path string, n int, override func(i, j 
 			if override != nil {
 				d = override(i, j, d)
 			}
-			if err := st.Append(i, j, d); err != nil {
+			if _, err := st.Append(Record{i, j, d}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -127,10 +127,10 @@ func TestCalibrateSparseStoreKeepsLonePairs(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Fully cached triangle (0,1,2) with a violation, plus a lone pair (4,5).
-	st.Append(0, 1, 2.0)
-	st.Append(0, 2, 0.4)
-	st.Append(1, 2, 0.4)
-	st.Append(4, 5, 0.123)
+	st.Append(Record{0, 1, 2.0})
+	st.Append(Record{0, 2, 0.4})
+	st.Append(Record{1, 2, 0.4})
+	st.Append(Record{4, 5, 0.123})
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -165,8 +165,8 @@ func TestCalibrateDuplicateKeepsFirst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st.Append(0, 1, 0.5)
-	st.Append(1, 0, 0.9) // duplicate of (0,1); replay semantics keep 0.5
+	st.Append(Record{0, 1, 0.5})
+	st.Append(Record{1, 0, 0.9}) // duplicate of (0,1); replay semantics keep 0.5
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}

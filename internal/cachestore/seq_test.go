@@ -1,12 +1,43 @@
 package cachestore
 
 import (
+	"encoding/binary"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
 )
+
+// raw encodes recs in the file's layout, each record sealed with its
+// checksum but otherwise as given: pairs are not normalised, and invalid
+// pairs and distances are kept.
+func raw(recs ...Record) []byte {
+	b := make([]byte, len(recs)*RecordSize)
+	for k, r := range recs {
+		rec := b[k*RecordSize : (k+1)*RecordSize]
+		binary.LittleEndian.PutUint32(rec[0:], uint32(r.I))
+		binary.LittleEndian.PutUint32(rec[4:], uint32(r.J))
+		binary.LittleEndian.PutUint64(rec[8:], math.Float64bits(r.Dist))
+		binary.LittleEndian.PutUint32(rec[16:], checksum(rec[:16]))
+	}
+	return b
+}
+
+// readFrom reads up to n records from seq with ReadFrom and decodes them.
+func readFrom(t *testing.T, s *Store, seq int64, n int) []Record {
+	t.Helper()
+	b, err := s.ReadFrom(seq, make([]byte, n*RecordSize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []Record
+	for k := 0; k < len(b); k += RecordSize {
+		out = append(out, unpack(b[k:k+RecordSize]))
+	}
+	return out
+}
 
 // seqPath returns a fresh store path for the replication-sequence tests.
 func seqPath(t *testing.T) string {
@@ -24,7 +55,7 @@ func TestLastSeqTracksAppends(t *testing.T) {
 		t.Fatalf("LastSeq of empty store = %d, want 0", seq)
 	}
 	for k := 0; k < 5; k++ {
-		if err := s.Append(k, k+1, float64(k+1)/10); err != nil {
+		if _, err := s.Append(Record{k, k + 1, float64(k+1) / 10}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -41,32 +72,26 @@ func TestReadFromWindows(t *testing.T) {
 	defer s.Close()
 	want := []Record{{0, 1, 0.1}, {1, 2, 0.2}, {2, 3, 0.3}, {3, 4, 0.4}}
 	for _, r := range want {
-		if err := s.Append(r.I, r.J, r.Dist); err != nil {
+		if _, err := s.Append(Record{r.I, r.J, r.Dist}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Middle window.
-	got, err := s.ReadFrom(1, make([]Record, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := readFrom(t, s, 1, 2)
 	if len(got) != 2 || got[0] != want[1] || got[1] != want[2] {
 		t.Fatalf("ReadFrom(1,2) = %+v, want %+v", got, want[1:3])
 	}
 	// Window past the end is clamped, not an error.
-	got, err = s.ReadFrom(3, make([]Record, 10))
-	if err != nil {
-		t.Fatal(err)
-	}
+	got = readFrom(t, s, 3, 10)
 	if len(got) != 1 || got[0] != want[3] {
 		t.Fatalf("ReadFrom(3,10) = %+v, want %+v", got, want[3:])
 	}
 	// Cursor exactly at the end: empty, no error.
-	if got, err := s.ReadFrom(4, make([]Record, 8)); err != nil || len(got) != 0 {
-		t.Fatalf("ReadFrom(4,8) = %+v, %v, want empty, nil", got, err)
+	if got := readFrom(t, s, 4, 8); len(got) != 0 {
+		t.Fatalf("ReadFrom(4,8) = %+v, want empty", got)
 	}
 	// ReadFrom must not disturb the append position.
-	if err := s.Append(9, 10, 0.9); err != nil {
+	if _, err := s.Append(Record{9, 10, 0.9}); err != nil {
 		t.Fatal(err)
 	}
 	if seq, _ := s.LastSeq(); seq != 5 {
@@ -77,24 +102,20 @@ func TestReadFromWindows(t *testing.T) {
 func TestReadFromStopsAtDamage(t *testing.T) {
 	path := seqPath(t)
 	s, _ := Create(path, 16)
-	s.Append(0, 1, 0.1)
-	s.Append(1, 2, 0.2)
-	s.Append(2, 3, 0.3)
+	s.Append(Record{0, 1, 0.1})
+	s.Append(Record{1, 2, 0.2})
+	s.Append(Record{2, 3, 0.3})
 	s.Close()
 	// Corrupt the middle record's payload.
 	f, _ := os.OpenFile(path, os.O_RDWR, 0)
-	f.WriteAt([]byte{0xee}, headerSize+recordSize+5)
+	f.WriteAt([]byte{0xee}, headerSize+RecordSize+5)
 	f.Close()
 	s2, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	got, err := s2.ReadFrom(0, make([]Record, 10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 {
+	if got := readFrom(t, s2, 0, 10); len(got) != 1 {
 		t.Fatalf("ReadFrom returned %d records past damage, want 1", len(got))
 	}
 }
@@ -114,7 +135,7 @@ func TestReadFromConcurrentWithAppends(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for k := 0; k < total; k++ {
-			if err := s.Append(k%100, 100+k%200, float64(k%97)/97); err != nil {
+			if _, err := s.Append(Record{k % 100, 100 + k%200, float64(k%97) / 97}); err != nil {
 				t.Error(err)
 				return
 			}
@@ -122,10 +143,7 @@ func TestReadFromConcurrentWithAppends(t *testing.T) {
 	}()
 	var cursor int64
 	for cursor < total {
-		recs, err := s.ReadFrom(cursor, make([]Record, 64))
-		if err != nil {
-			t.Fatal(err)
-		}
+		recs := readFrom(t, s, cursor, 64)
 		for i, r := range recs {
 			k := int(cursor) + i
 			if r.Dist != float64(k%97)/97 {
@@ -143,7 +161,7 @@ func TestAppendFromIdempotentAndGapChecked(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	batch := []Record{{0, 1, 0.1}, {1, 2, 0.2}, {2, 3, 0.3}}
+	batch := raw(Record{0, 1, 0.1}, Record{1, 2, 0.2}, Record{2, 3, 0.3})
 	// A negative cursor is refused, not read as an overlap.
 	if seq, err := s.AppendFrom(-2, batch); err == nil || seq != 0 {
 		t.Fatalf("AppendFrom(-2) = %d, %v, want cursor 0 and an error", seq, err)
@@ -156,7 +174,7 @@ func TestAppendFromIdempotentAndGapChecked(t *testing.T) {
 		t.Fatalf("AppendFrom(0) = %d, %v, want 3, nil", seq, err)
 	}
 	// Overlapping retry: first two records already present, third is new.
-	seq, err = s.AppendFrom(1, []Record{{1, 2, 0.2}, {2, 3, 0.3}, {4, 5, 0.5}})
+	seq, err = s.AppendFrom(1, raw(Record{1, 2, 0.2}, Record{2, 3, 0.3}, Record{4, 5, 0.5}))
 	if err != nil || seq != 4 {
 		t.Fatalf("overlapping AppendFrom = %d, %v, want 4, nil", seq, err)
 	}
@@ -169,7 +187,7 @@ func TestAppendFromIdempotentAndGapChecked(t *testing.T) {
 		t.Fatalf("Len = %d, want 4 (idempotent retries must not duplicate)", n)
 	}
 	// A gap is refused and reports the cursor to rewind to.
-	seq, err = s.AppendFrom(9, []Record{{6, 7, 0.7}})
+	seq, err = s.AppendFrom(9, raw(Record{6, 7, 0.7}))
 	if !errors.Is(err, ErrSeqGap) {
 		t.Fatalf("gap AppendFrom err = %v, want ErrSeqGap", err)
 	}
@@ -188,18 +206,15 @@ func TestAppendFromStopsAtInvalidRecord(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if _, err := s.AppendFrom(0, []Record{{0, 1, 0.5}}); err != nil {
+	if _, err := s.AppendFrom(0, raw(Record{0, 1, 0.5})); err != nil {
 		t.Fatal(err)
 	}
-	batch := []Record{{0, 1, 0.5}, {1, 2, 0.25}, {3, 2, 0.75}, {4, 4, 0.1}, {5, 6, 0.125}}
+	batch := raw(Record{0, 1, 0.5}, Record{1, 2, 0.25}, Record{2, 3, 0.75}, Record{4, 4, 0.1}, Record{5, 6, 0.125})
 	seq, err := s.AppendFrom(0, batch)
 	if err == nil || errors.Is(err, ErrSeqGap) || seq != 3 {
 		t.Fatalf("AppendFrom = %d, %v; want cursor 3 and the invalid-pair error", seq, err)
 	}
-	got, err := s.ReadFrom(0, make([]Record, 10))
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := readFrom(t, s, 0, 10)
 	want := []Record{{0, 1, 0.5}, {1, 2, 0.25}, {2, 3, 0.75}}
 	if len(got) != len(want) {
 		t.Fatalf("store holds %+v, want %+v", got, want)
@@ -213,36 +228,38 @@ func TestAppendFromStopsAtInvalidRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Size() != headerSize+3*recordSize {
+	if st.Size() != headerSize+3*RecordSize {
 		t.Fatalf("file is %d bytes, want exactly the header and 3 records", st.Size())
 	}
 }
 
 // BenchmarkReplLog times the replication log's batch calls at the
 // sender's default batch of 512 records: the primary's ReadFrom tailing
-// its store, the replica's AppendFrom applying the batch, and Replay
-// reading the same records back, as a warm start or promotion does.
+// its store, the replica's AppendFrom checking and applying the batch,
+// and Replay reading the same records back, as a warm start or promotion
+// does.
 func BenchmarkReplLog(b *testing.B) {
 	const batch = 512
 	recs := make([]Record, batch)
 	for k := range recs {
 		recs[k] = Record{I: k % 100, J: 100 + k, Dist: float64(k+1) / 1024}
 	}
+	body := raw(recs...)
 	b.Run("ReadFrom", func(b *testing.B) {
 		s, err := Create(filepath.Join(b.TempDir(), "log.cache"), 1<<12)
 		if err != nil {
 			b.Fatal(err)
 		}
 		defer s.Close()
-		if _, err := s.AppendFrom(0, recs); err != nil {
+		if _, err := s.AppendFrom(0, body); err != nil {
 			b.Fatal(err)
 		}
-		dst := make([]Record, batch)
+		dst := make([]byte, len(body))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if got, err := s.ReadFrom(0, dst); err != nil || len(got) != batch {
-				b.Fatalf("ReadFrom = %d records, %v", len(got), err)
+			if got, err := s.ReadFrom(0, dst); err != nil || len(got) != len(body) {
+				b.Fatalf("ReadFrom = %d bytes, %v", len(got), err)
 			}
 		}
 	})
@@ -252,7 +269,7 @@ func BenchmarkReplLog(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer s.Close()
-		if _, err := s.AppendFrom(0, recs); err != nil {
+		if _, err := s.AppendFrom(0, body); err != nil {
 			b.Fatal(err)
 		}
 		b.ReportAllocs()
@@ -273,11 +290,61 @@ func BenchmarkReplLog(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := s.AppendFrom(int64(i)*batch, recs); err != nil {
+			if _, err := s.AppendFrom(int64(i)*batch, body); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
+}
+
+// BenchmarkStoreAppend times the log's write path per record: one record
+// per Append call, as a session writes outside a bootstrap, against one
+// call of 512 records, as a bootstrap's chunk is written; each also with
+// a final Sync, the fsync that Close adds. ns/record is the figure to
+// compare; B/op and allocs/op are per call.
+func BenchmarkStoreAppend(b *testing.B) {
+	const batch = 512
+	recs := make([]Record, batch)
+	for k := range recs {
+		recs[k] = Record{I: k % 100, J: 100 + k, Dist: float64(k+1) / 1024}
+	}
+	for _, c := range []struct {
+		name string
+		per  int
+		sync bool
+	}{
+		{"one", 1, false},
+		{"one+sync", 1, true},
+		{"bulk", batch, false},
+		{"bulk+sync", batch, true},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			s, err := Create(filepath.Join(b.TempDir(), "log.cache"), 1<<12)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				// The bulk case writes every record of the batch; the
+				// one-record case walks through it.
+				one := recs[i%batch : i%batch+1]
+				if c.per == batch {
+					one = recs
+				}
+				if n, err := s.Append(one...); err != nil || n != len(one) {
+					b.Fatalf("Append = %d, %v", n, err)
+				}
+				if c.sync {
+					if err := s.Sync(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.per), "ns/record")
+		})
+	}
 }
 
 func TestReplicaMidStreamTruncationResumes(t *testing.T) {
@@ -294,7 +361,7 @@ func TestReplicaMidStreamTruncationResumes(t *testing.T) {
 	}
 	defer p.Close()
 	for k := 0; k < 10; k++ {
-		if err := p.Append(k, k+1, float64(k+1)/16); err != nil {
+		if _, err := p.Append(Record{k, k + 1, float64(k+1) / 16}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -304,7 +371,7 @@ func TestReplicaMidStreamTruncationResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs, err := p.ReadFrom(0, make([]Record, 6))
+	recs, err := p.ReadFrom(0, make([]byte, 6*RecordSize))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +387,7 @@ func TestReplicaMidStreamTruncationResumes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Write(make([]byte, recordSize-3)); err != nil {
+	if _, err := f.Write(make([]byte, RecordSize-3)); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -339,7 +406,7 @@ func TestReplicaMidStreamTruncationResumes(t *testing.T) {
 		t.Fatalf("replica LastSeq after torn-tail reopen = %d, want 6", seq)
 	}
 	// Resume: the primary resends from the replica's cursor.
-	rest, err := p.ReadFrom(seq, make([]Record, 100))
+	rest, err := p.ReadFrom(seq, make([]byte, 100*RecordSize))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,11 +434,11 @@ func TestReplicaTruncatedDeeperThanStream(t *testing.T) {
 	s, _ := Create(path, 32)
 	all := []Record{{0, 1, 0.1}, {1, 2, 0.2}, {2, 3, 0.3}, {3, 4, 0.4}, {4, 5, 0.5}}
 	for _, r := range all {
-		s.Append(r.I, r.J, r.Dist)
+		s.Append(Record{r.I, r.J, r.Dist})
 	}
 	s.Close()
 	// Roll back to 2 complete records plus half of the third.
-	if err := os.Truncate(path, headerSize+2*recordSize+9); err != nil {
+	if err := os.Truncate(path, headerSize+2*RecordSize+9); err != nil {
 		t.Fatal(err)
 	}
 	s2, err := Open(path)
@@ -384,7 +451,7 @@ func TestReplicaTruncatedDeeperThanStream(t *testing.T) {
 		t.Fatalf("LastSeq after deep truncation = %d, want 2", seq)
 	}
 	// The primary, unaware, resends an overlapping batch from seq 1.
-	if _, err := s2.AppendFrom(1, all[1:]); err != nil {
+	if _, err := s2.AppendFrom(1, raw(all[1:]...)); err != nil {
 		t.Fatal(err)
 	}
 	if n, _ := s2.Len(); n != len(all) {

@@ -40,8 +40,9 @@ const (
 const DefaultReplInterval = 100 * time.Millisecond
 
 // DefaultReplBatch is the per-round-trip record cap when ReplicatorConfig.
-// Batch is 0 (512 records ≈ 20 KiB of JSON — small enough to never stall
-// a node's HTTP handler, large enough to drain a burst in a few trips).
+// Batch is 0 (512 records: 10 KiB of log, about 14 KiB of JSON as base64
+// — small enough to never stall a node's HTTP handler, large enough to
+// drain a burst in a few trips).
 const DefaultReplBatch = 512
 
 // ReplicatorConfig parameterises a Replicator.
@@ -66,9 +67,9 @@ type ReplicatorConfig struct {
 // session's log to one peer.
 type peerCursor struct {
 	node   Node
-	seq    int64               // next record to send
-	halted bool                // peer answered 409 repl_conflict; stream is dead
-	buf    []cachestore.Record // ReadFrom's destination, reused every batch
+	seq    int64  // next record to send
+	halted bool   // peer answered 409 repl_conflict; stream is dead
+	buf    []byte // ReadFrom's destination, reused every batch
 }
 
 // replStream is the replication state of one locally-hosted session.
@@ -283,7 +284,7 @@ func (r *Replicator) pump(ctx context.Context) (behind int64, err error) {
 // returning the residual lag in records.
 func (r *Replicator) pushPeer(ctx context.Context, st *replStream, pc *peerCursor, head int64) int64 {
 	if pc.buf == nil {
-		pc.buf = make([]cachestore.Record, r.batch)
+		pc.buf = make([]byte, r.batch*cachestore.RecordSize)
 	}
 	for pc.seq < head {
 		recs, err := st.store.ReadFrom(pc.seq, pc.buf)
@@ -311,12 +312,12 @@ func (r *Replicator) pushPeer(ctx context.Context, st *replStream, pc *peerCurso
 	return 0
 }
 
-// ship sends recs — none for a cursor probe — from pc.seq and adopts the
-// peer's ack as the new cursor. It reports false when the stream cannot
-// go on this cycle: an append error (counted and logged; the cursor
-// stays) or a 409 repl_conflict (the peer hosts the session itself, so
-// the stream halts for good).
-func (r *Replicator) ship(ctx context.Context, st *replStream, pc *peerCursor, recs []cachestore.Record, head int64) bool {
+// ship sends recs, raw log records — none for a cursor probe — from
+// pc.seq and adopts the peer's ack as the new cursor. It reports false
+// when the stream cannot go on this cycle: an append error (counted and
+// logged; the cursor stays) or a 409 repl_conflict (the peer hosts the
+// session itself, so the stream halts for good).
+func (r *Replicator) ship(ctx context.Context, st *replStream, pc *peerCursor, recs []byte, head int64) bool {
 	ack, err := r.sendBatch(ctx, st, pc, recs, head)
 	switch {
 	case err != nil:
@@ -329,7 +330,7 @@ func (r *Replicator) ship(ctx context.Context, st *replStream, pc *peerCursor, r
 		r.logf("cluster: repl %q -> %s: peer hosts session, stream halted", st.name, pc.node.Name)
 		return false
 	}
-	if n := min(ack, pc.seq+int64(len(recs))) - pc.seq; n > 0 {
+	if n := min(ack, pc.seq+int64(len(recs)/cachestore.RecordSize)) - pc.seq; n > 0 {
 		r.sent(pc.node.Name).Add(n)
 	}
 	pc.seq = ack
@@ -345,18 +346,16 @@ func (r *Replicator) ship(ctx context.Context, st *replStream, pc *peerCursor, r
 // confirmed, moves the cursor forward. The log holds at least head
 // records (sampled when the cycle began) and every record just sent (a
 // batch may read past head); an ack beyond both is impossible for a
-// replica of this log and is an error. The body is the request's own
+// replica of this log and is an error. The records travel as the log
+// holds them (ReadFrom checked each). The body is the request's own
 // MarshalJSON output, which is already json.Marshal's bytes: calling
 // json.Marshal would only re-scan and copy it.
-func (r *Replicator) sendBatch(ctx context.Context, st *replStream, pc *peerCursor, recs []cachestore.Record, head int64) (int64, error) {
+func (r *Replicator) sendBatch(ctx context.Context, st *replStream, pc *peerCursor, recs []byte, head int64) (int64, error) {
 	reqBody := api.ReplAppendRequest{
 		Node:    r.cfg.Topology.SelfName(),
 		Meta:    st.meta,
 		From:    pc.seq,
-		Records: make([]api.ReplRecord, len(recs)),
-	}
-	for i, rec := range recs {
-		reqBody.Records[i] = api.ReplRecord{I: rec.I, J: rec.J, D: api.WireFloat(rec.Dist)}
+		Records: recs,
 	}
 	buf, err := reqBody.MarshalJSON()
 	if err != nil {
@@ -384,7 +383,7 @@ func (r *Replicator) sendBatch(ctx context.Context, st *replStream, pc *peerCurs
 	if err := json.Unmarshal(body, &ack); err != nil {
 		return 0, fmt.Errorf("bad ack: %w", err)
 	}
-	if end := pc.seq + int64(len(recs)); ack.Seq < 0 || ack.Seq > max(head, end) {
+	if end := pc.seq + int64(len(recs)/cachestore.RecordSize); ack.Seq < 0 || ack.Seq > max(head, end) {
 		return 0, fmt.Errorf("peer acked impossible cursor %d (sent [%d,%d) of a %d-record log)", ack.Seq, pc.seq, end, head)
 	}
 	return ack.Seq, nil

@@ -70,16 +70,12 @@ func (p *fakePeer) handle(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	p.metas = append(p.metas, req.Meta)
-	p.sizes = append(p.sizes, len(req.Records))
+	p.sizes = append(p.sizes, len(req.Records)/cachestore.RecordSize)
 	if p.mode == "lie" {
 		json.NewEncoder(w).Encode(api.ReplAppendResponse{Seq: 1 << 40})
 		return
 	}
-	recs := make([]cachestore.Record, len(req.Records))
-	for i, rr := range req.Records {
-		recs[i] = cachestore.Record{I: rr.I, J: rr.J, Dist: float64(rr.D)}
-	}
-	seq, err := p.store.AppendFrom(req.From, recs)
+	seq, err := p.store.AppendFrom(req.From, req.Records)
 	if err != nil && seq == 0 {
 		p.t.Errorf("peer: AppendFrom: %v", err)
 	}
@@ -132,7 +128,7 @@ func TestReplicatorStreamsAndResumes(t *testing.T) {
 	}
 	defer src.Close()
 	for k := 0; k < 10; k++ {
-		if err := src.Append(k, k+1, float64(k+1)/8); err != nil {
+		if _, err := src.Append(cachestore.Record{I: k, J: k + 1, Dist: float64(k+1) / 8}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -154,7 +150,7 @@ func TestReplicatorStreamsAndResumes(t *testing.T) {
 	// More appends, peer briefly down: the cursor must hold and resume.
 	peer.setMode("down")
 	for k := 10; k < 16; k++ {
-		src.Append(k, k+1, float64(k)/8)
+		src.Append(cachestore.Record{I: k, J: k + 1, Dist: float64(k) / 8})
 	}
 	shortCtx, shortCancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	_ = r.Flush(shortCtx) // expected to time out: peer refuses everything
@@ -190,7 +186,7 @@ func TestReplicatorRewindsAfterPeerTruncation(t *testing.T) {
 	}
 	defer src.Close()
 	for k := 0; k < 8; k++ {
-		src.Append(k, k+1, float64(k+1)/4)
+		src.Append(cachestore.Record{I: k, J: k + 1, Dist: float64(k+1) / 4})
 	}
 	r := NewReplicator(ReplicatorConfig{Topology: topo, Interval: time.Hour})
 	defer r.Close()
@@ -209,7 +205,7 @@ func TestReplicatorRewindsAfterPeerTruncation(t *testing.T) {
 		peer.mu.Unlock()
 		t.Fatal(err)
 	}
-	recs, _ := src.ReadFrom(0, make([]cachestore.Record, 3))
+	recs, _ := src.ReadFrom(0, make([]byte, 3*cachestore.RecordSize))
 	st.AppendFrom(0, recs)
 	peer.store = st
 	peer.mu.Unlock()
@@ -218,7 +214,7 @@ func TestReplicatorRewindsAfterPeerTruncation(t *testing.T) {
 	// New records: the sender believes the peer is at 8, sends from 8, the
 	// peer acks 3 (gap), the sender rewinds and re-converges.
 	for k := 8; k < 12; k++ {
-		src.Append(k, k+1, float64(k)/4)
+		src.Append(cachestore.Record{I: k, J: k + 1, Dist: float64(k) / 4})
 	}
 	if err := r.Flush(ctx); err != nil {
 		t.Fatal(err)
@@ -237,7 +233,7 @@ func TestReplicatorHaltsOnConflict(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer src.Close()
-	src.Append(0, 1, 0.5)
+	src.Append(cachestore.Record{I: 0, J: 1, Dist: 0.5})
 	peer.setMode("conflict")
 	r := NewReplicator(ReplicatorConfig{Topology: topo, Interval: time.Hour})
 	defer r.Close()
@@ -252,7 +248,7 @@ func TestReplicatorHaltsOnConflict(t *testing.T) {
 		t.Fatalf("conflicted peer applied %d records, want 0", got)
 	}
 	// Later appends never reach it either.
-	src.Append(1, 2, 0.25)
+	src.Append(cachestore.Record{I: 1, J: 2, Dist: 0.25})
 	if err := r.Flush(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +265,7 @@ func TestReplicatorUntrackStopsStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src.Append(0, 1, 0.5)
+	src.Append(cachestore.Record{I: 0, J: 1, Dist: 0.5})
 	r := NewReplicator(ReplicatorConfig{Topology: topo, Interval: time.Hour})
 	defer r.Close()
 	r.Track("sess", src, testMeta(n))
@@ -313,7 +309,7 @@ func TestReplicatorNoPeersIsNoop(t *testing.T) {
 func fillStore(t *testing.T, store *cachestore.Store, count int) {
 	t.Helper()
 	for k := 0; k < count; k++ {
-		if err := store.Append(k/60, 60+k%60, float64(k+1)/64); err != nil {
+		if _, err := store.Append(cachestore.Record{I: k / 60, J: 60 + k%60, Dist: float64(k+1) / 64}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -333,7 +329,7 @@ func TestReplicatorAdoptsReplicaAhead(t *testing.T) {
 	}
 	defer src.Close()
 	fillStore(t, src, 16)
-	recs, err := src.ReadFrom(0, make([]cachestore.Record, 16))
+	recs, err := src.ReadFrom(0, make([]byte, 16*cachestore.RecordSize))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,8 +396,8 @@ func TestFlushReportsDamagedRecordAsLag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	const headerSize, recordSize = 16, 20 // cachestore's file layout
-	if _, err := f.WriteAt([]byte{0xff, 0xff, 0xff, 0xff}, headerSize+8*recordSize+16); err != nil {
+	const headerSize = 16 // cachestore's file layout
+	if _, err := f.WriteAt([]byte{0xff, 0xff, 0xff, 0xff}, headerSize+8*cachestore.RecordSize+16); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.Close(); err != nil {
@@ -521,9 +517,10 @@ func TestRebalanceBesidePump(t *testing.T) {
 }
 
 // An append's body is the request's own MarshalJSON output, and that is
-// byte for byte what json.Marshal writes for it, on the float edges of
-// encoding/json's formats; a NaN, which encoding/json refuses, sends
-// nothing.
+// byte for byte what json.Marshal writes for it: the log's records as
+// the file holds them, distances on the float edges of encoding/json's
+// formats included, in base64. A NaN in the meta, which encoding/json
+// refuses, sends nothing.
 func TestReplicatorSendsMarshalBytes(t *testing.T) {
 	var bodies [][]byte
 	hc := &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
@@ -536,31 +533,42 @@ func TestReplicatorSendsMarshalBytes(t *testing.T) {
 	})}
 	r := NewReplicator(ReplicatorConfig{Topology: replTopo(t, "http://peer.invalid"), HTTPClient: hc})
 	defer r.Close()
+	src, err := cachestore.Create(filepath.Join(t.TempDir(), "src.cache"), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer src.Close()
+	edges := []float64{0, math.Copysign(0, -1), 5e-324, 1e-6, math.Nextafter(1e-6, 0), 1e21, math.Nextafter(1e21, 0), 0.1, 123456789, math.Inf(1)}
+	for k, d := range edges {
+		if _, err := src.Append(cachestore.Record{I: k, J: 63 - k, Dist: d}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	recs, err := src.ReadFrom(0, make([]byte, len(edges)*cachestore.RecordSize))
+	if err != nil || len(recs) != len(edges)*cachestore.RecordSize {
+		t.Fatalf("ReadFrom = %d bytes, %v", len(recs), err)
+	}
 	meta := testMeta(64)
 	meta.SlackEps, meta.SlackRatio = api.WireFloat(math.Inf(1)), 1e-7
-	st := &replStream{name: "sess", meta: meta}
+	nan := meta
+	nan.SlackRatio = api.WireFloat(math.NaN())
 	pc := &peerCursor{node: Node{Name: "peer", URL: "http://peer.invalid"}}
-	edges := []float64{0, math.Copysign(0, -1), 5e-324, 1e-6, math.Nextafter(1e-6, 0), 1e21, math.Nextafter(1e21, 0), 0.1, 123456789, math.Inf(1)}
-	var recs []cachestore.Record
-	for k, d := range edges {
-		recs = append(recs, cachestore.Record{I: k, J: 63 - k, Dist: d})
-	}
-	for _, batch := range [][]cachestore.Record{nil, recs[:1], recs, append(recs[:2:2], cachestore.Record{I: 1, J: 2, Dist: math.NaN()})} {
+	for _, c := range []struct {
+		meta api.ReplMeta
+		recs []byte
+	}{{meta, nil}, {meta, recs[:cachestore.RecordSize]}, {meta, recs}, {nan, recs}} {
 		bodies = nil
-		_, err := r.sendBatch(context.Background(), st, pc, batch, 0)
-		req := api.ReplAppendRequest{Node: "self", Meta: meta, From: pc.seq, Records: make([]api.ReplRecord, len(batch))}
-		for i, rec := range batch {
-			req.Records[i] = api.ReplRecord{I: rec.I, J: rec.J, D: api.WireFloat(rec.Dist)}
-		}
-		want, werr := json.Marshal(req)
+		st := &replStream{name: "sess", meta: c.meta}
+		_, err := r.sendBatch(context.Background(), st, pc, c.recs, 0)
+		want, werr := json.Marshal(api.ReplAppendRequest{Node: "self", Meta: c.meta, From: pc.seq, Records: c.recs})
 		if werr != nil {
 			if err == nil || len(bodies) != 0 {
-				t.Fatalf("%d records with a NaN: sent %d bodies, error %v", len(batch), len(bodies), err)
+				t.Fatalf("%d bytes of records with a NaN meta: sent %d bodies, error %v", len(c.recs), len(bodies), err)
 			}
 			continue
 		}
 		if err != nil || len(bodies) != 1 || !bytes.Equal(bodies[0], want) {
-			t.Fatalf("%d records: sent %q, %v; json.Marshal %s", len(batch), bodies, err, want)
+			t.Fatalf("%d bytes of records: sent %q, %v; json.Marshal %s", len(c.recs), bodies, err, want)
 		}
 	}
 }

@@ -161,7 +161,7 @@ func (rt *Router) handleList(w http.ResponseWriter, r *http.Request) {
 
 // handleCreate routes POST /v1/sessions by the name inside the body.
 func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
-	body, err := readRequest(r)
+	body, err := readRequest(w, r)
 	if err != nil {
 		rt.writeError(w, http.StatusBadRequest, api.CodeBadRequest, "reading body: "+err.Error())
 		return
@@ -178,7 +178,7 @@ func (rt *Router) handleCreate(w http.ResponseWriter, r *http.Request) {
 
 // handleSession routes every per-session path by the {name} segment.
 func (rt *Router) handleSession(w http.ResponseWriter, r *http.Request) {
-	body, err := readRequest(r)
+	body, err := readRequest(w, r)
 	if err != nil {
 		rt.writeError(w, http.StatusBadRequest, api.CodeBadRequest, "reading body: "+err.Error())
 		return
@@ -186,10 +186,12 @@ func (rt *Router) handleSession(w http.ResponseWriter, r *http.Request) {
 	rt.proxy(w, r, r.PathValue("name"), body)
 }
 
-// readRequest reads at most api.MaxBodyBytes of a request body, into a
-// buffer sized from its Content-Length.
-func readRequest(r *http.Request) ([]byte, error) {
-	return api.ReadBody(io.LimitReader(r.Body, api.MaxBodyBytes), r.ContentLength)
+// readRequest reads a request body into a buffer sized from its
+// Content-Length, and fails, as a node's decode does, when the body is
+// longer than api.MaxBodyBytes: no upstream is asked about a body that
+// every owner would refuse.
+func readRequest(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	return api.ReadBody(http.MaxBytesReader(w, r.Body, api.MaxBodyBytes), r.ContentLength)
 }
 
 // proxy forwards the request to the session's owners in failover order,

@@ -362,3 +362,44 @@ func TestRouterRefusesOversizedAnswer(t *testing.T) {
 		t.Fatalf("refusal carries the upstream Content-Length %s", cl)
 	}
 }
+
+// A request body longer than api.MaxBodyBytes is refused at the router
+// with 400 bad_request, as a node refuses it, and no upstream is asked;
+// the body is made as it is read, so the test holds only what the router
+// buffers.
+func TestRouterRefusesOversizedRequest(t *testing.T) {
+	var calls atomic.Int64
+	hc := &http.Client{Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		calls.Add(1)
+		return &http.Response{
+			StatusCode: http.StatusOK,
+			Header:     http.Header{"Content-Type": {"application/json"}},
+			Body:       io.NopCloser(strings.NewReader(`{"results":[]}`)),
+			Request:    r,
+		}, nil
+	})}
+	cfg := Config{Replicas: 2}
+	for _, name := range []string{"a", "b", "c"} {
+		cfg.Nodes = append(cfg.Nodes, Node{Name: name, URL: "http://" + name + ".invalid"})
+	}
+	topo, err := NewTopology(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := NewRouter(RouterConfig{Topology: topo, HTTPClient: hc})
+	for _, path := range []string{"/v1/sessions/s/batch", "/v1/sessions"} {
+		rec := httptest.NewRecorder()
+		body := io.LimitReader(endless{}, api.MaxBodyBytes+10)
+		rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, body))
+		var eb api.ErrorBody
+		if rec.Code != http.StatusBadRequest || json.Unmarshal(rec.Body.Bytes(), &eb) != nil || eb.Code != api.CodeBadRequest {
+			t.Fatalf("%s: oversized request: status %d, body %.200s; want 400 bad_request", path, rec.Code, rec.Body)
+		}
+		if !strings.Contains(eb.Message, "request body too large") {
+			t.Fatalf("%s: message %q, want the body cap's", path, eb.Message)
+		}
+	}
+	if n := calls.Load(); n != 0 {
+		t.Fatalf("%d upstream requests for oversized bodies, want 0", n)
+	}
+}

@@ -38,22 +38,56 @@ func (s *Session) AttachStore(store *cachestore.Store) error {
 	return nil
 }
 
+// holdChunk is how many resolutions a bootstrap holds before it writes
+// them to the store in one write.
+const holdChunk = 512
+
 // persistResolution appends a fresh oracle resolution to the attached
-// store, if any. Append errors are surfaced three ways, because the hot
-// path cannot return them: every failure bumps Stats.StoreErrors, the
-// first failure is latched in StoreErr, and that first failure is logged
-// once so a silently filling disk is noticed without flooding the log at
-// oracle-call rate. The caller holds the lock.
+// store, if any. While a bootstrap runs, s.hold is non-nil and the
+// resolution joins it instead, to be written with the others in one
+// write once holdChunk of them are held or the bootstrap flushes
+// (flushHold). The caller holds the lock.
 func (s *Session) persistResolution(i, j int, d float64) {
 	if s.store == nil {
 		return
 	}
-	if err := s.store.Append(i, j, d); err != nil {
-		s.ins.StoreErrors.Inc()
-		if s.storeErr == nil {
-			s.storeErr = err
-			log.Printf("core: cache store append failed; resolutions stay in memory but the on-disk cache is now incomplete: %v", err)
-		}
+	r := cachestore.Record{I: i, J: j, Dist: d}
+	if s.hold == nil {
+		s.appendStore(r)
+		return
+	}
+	s.hold = append(s.hold, r)
+	if len(s.hold) == holdChunk {
+		s.flushHold()
+	}
+}
+
+// flushHold writes the resolutions a bootstrap holds, in commit order.
+// A bootstrap calls it before every point where it lets go of the lock,
+// so whenever the lock is free the store holds every committed
+// resolution. The caller holds the lock.
+func (s *Session) flushHold() {
+	if len(s.hold) > 0 {
+		s.appendStore(s.hold...)
+		s.hold = s.hold[:0]
+	}
+}
+
+// appendStore writes recs to the attached store. Append errors are
+// surfaced three ways, because the hot path cannot return them: every
+// record not written bumps Stats.StoreErrors, the first failure is
+// latched in StoreErr, and that first failure is logged once so a
+// silently filling disk is noticed without flooding the log at
+// oracle-call rate. The caller holds the lock.
+func (s *Session) appendStore(recs ...cachestore.Record) {
+	written, err := s.store.Append(recs...)
+	if err == nil {
+		return
+	}
+	s.ins.StoreErrors.Add(int64(len(recs) - written))
+	if s.storeErr == nil {
+		s.storeErr = err
+		log.Printf("core: cache store append failed; resolutions stay in memory but the on-disk cache is now incomplete: %v", err)
 	}
 }
 

@@ -1,7 +1,12 @@
 package core
 
 import (
+	"bytes"
+	"log"
+	"math/rand"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"metricprox/internal/cachestore"
@@ -104,7 +109,7 @@ func TestStoreSyncAndLenPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Append(0, 1, 0.2); err != nil {
+	if _, err := store.Append(cachestore.Record{I: 0, J: 1, Dist: 0.2}); err != nil {
 		t.Fatal(err)
 	}
 	if err := store.Sync(); err != nil {
@@ -115,5 +120,183 @@ func TestStoreSyncAndLenPaths(t *testing.T) {
 	}
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// callLog is a space that logs every distance it computes, in order, and
+// panics at call panicAt (counting from 1; 0 never).
+type callLog struct {
+	metric.Space
+	calls   []cachestore.Record
+	panicAt int
+}
+
+func (c *callLog) Distance(i, j int) float64 {
+	if len(c.calls)+1 == c.panicAt {
+		panic("callLog: planted failure")
+	}
+	d := c.Space.Distance(i, j)
+	c.calls = append(c.calls, cachestore.Record{I: i, J: j, Dist: d})
+	return d
+}
+
+// perRecordFile returns the bytes of a store of n objects written one
+// record per Append call, the path a session takes outside a bootstrap.
+func perRecordFile(t *testing.T, n int, recs []cachestore.Record) []byte {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "per-record.cache")
+	st, err := cachestore.Create(path, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if _, err := st.Append(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// assertReplays opens path a second time, leaving the writer's handle
+// open, as a process that lost the writer would find the file, and fails
+// unless it replays exactly want, in order, pairs normalised.
+func assertReplays(t *testing.T, path string, want []cachestore.Record, when string) {
+	t.Helper()
+	st, err := cachestore.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	var got []cachestore.Record
+	if err := st.Replay(func(r cachestore.Record) bool { got = append(got, r); return true }); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: the file replays %d records, %d were committed", when, len(got), len(want))
+	}
+	for k, w := range want {
+		if w.I > w.J {
+			w.I, w.J = w.J, w.I
+		}
+		if got[k] != w {
+			t.Fatalf("%s: record %d replays as %+v, committed %+v", when, k, got[k], w)
+		}
+	}
+}
+
+// A bootstrap writes its resolutions 512 at a time, and the file it
+// leaves is byte for byte the one a record-per-call writer leaves for the
+// same commits: across chunk boundaries, for the Bootstrapper (TLAESA)
+// and the plain landmark rows, and with per-record appends after it.
+// Once BootstrapErr returns, a second handle replays every committed
+// resolution before anything is closed.
+func TestBootstrapStoreMatchesPerRecordPath(t *testing.T) {
+	const n = 300
+	landmarks := []int{0, 97, 211} // 894 records: one full chunk and a part
+	for _, scheme := range []Scheme{SchemeTri, SchemeLAESA, SchemeTLAESA, SchemeSPLUB} {
+		t.Run(scheme.String(), func(t *testing.T) {
+			space := &callLog{Space: datasets.RandomMetric(n, 66)}
+			s := NewSessionWithLandmarks(metric.NewOracle(space), scheme, landmarks)
+			path := filepath.Join(t.TempDir(), "boot.cache")
+			store, err := cachestore.Create(path, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer store.Close()
+			if err := s.AttachStore(store); err != nil {
+				t.Fatal(err)
+			}
+			spent, err := s.BootstrapErr(landmarks)
+			// TLAESA resolves its representatives' rows after the landmarks'.
+			if err != nil || spent < 894 || spent != int64(len(space.calls)) {
+				t.Fatalf("BootstrapErr = %d, %v; want one call per committed pair, at least 894", spent, err)
+			}
+			assertReplays(t, path, space.calls, "after BootstrapErr")
+			rng := rand.New(rand.NewSource(1))
+			for k := 0; k < 300; k++ {
+				if i, j := rng.Intn(n), rng.Intn(n); i != j {
+					s.DistIfLess(i, j, 0.5)
+				}
+			}
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := perRecordFile(t, n, space.calls); !bytes.Equal(got, want) {
+				t.Fatalf("the store holds %d bytes that differ from the %d a record-per-call writer leaves", len(got), len(want))
+			}
+			if st := s.Stats(); st.OracleCalls != int64(len(space.calls)) || st.StoreErrors != 0 {
+				t.Fatalf("OracleCalls %d, StoreErrors %d; want %d, 0", st.OracleCalls, st.StoreErrors, len(space.calls))
+			}
+		})
+	}
+}
+
+// A bootstrap that ends early, by a panic inside the oracle, still
+// writes everything it committed before the panic leaves it.
+func TestBootstrapPanicFlushesHeld(t *testing.T) {
+	const n = 300
+	space := &callLog{Space: datasets.RandomMetric(n, 67), panicAt: 600}
+	s := NewSessionWithLandmarks(metric.NewOracle(space), SchemeLAESA, []int{0, 97, 211})
+	path := filepath.Join(t.TempDir(), "panic.cache")
+	store, err := cachestore.Create(path, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	if err := s.AttachStore(store); err != nil {
+		t.Fatal(err)
+	}
+	func() {
+		defer func() {
+			if r := recover(); r == nil {
+				t.Fatal("the planted panic did not surface")
+			}
+		}()
+		s.BootstrapErr([]int{0, 97, 211})
+	}()
+	if len(space.calls) != 599 {
+		t.Fatalf("%d calls logged before the panic, want 599", len(space.calls))
+	}
+	assertReplays(t, path, space.calls, "after the panic")
+}
+
+// A failed write counts in StoreErrors once per record it did not write:
+// with the store's file gone, every one of a bootstrap's 894 resolutions,
+// in two chunks, is one error, latched and logged once.
+func TestBootstrapStoreErrorsCountRecords(t *testing.T) {
+	const n = 300
+	var logs bytes.Buffer
+	defer log.SetOutput(log.Writer())
+	log.SetOutput(&logs)
+	s := NewSessionWithLandmarks(metric.NewOracle(datasets.RandomMetric(n, 68)), SchemeTri, nil)
+	store, err := cachestore.Create(filepath.Join(t.TempDir(), "gone.cache"), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AttachStore(store); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Close(); err != nil { // the disk goes away
+		t.Fatal(err)
+	}
+	if _, err := s.BootstrapErr([]int{0, 97, 211}); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.BootstrapCalls != 894 || st.StoreErrors != 894 {
+		t.Fatalf("BootstrapCalls %d, StoreErrors %d; want 894 each", st.BootstrapCalls, st.StoreErrors)
+	}
+	if s.StoreErr() == nil {
+		t.Fatal("StoreErr not latched")
+	}
+	if lines := strings.Split(strings.TrimSuffix(logs.String(), "\n"), "\n"); len(lines) != 1 {
+		t.Fatalf("store failure logged %d times, want exactly once: %q", len(lines), lines)
 	}
 }

@@ -74,8 +74,9 @@ type Stats struct {
 	// returned by the legacy infallible methods after a failed resolution
 	// (not exact; the session's OracleErr is set alongside).
 	DegradedAnswers int64
-	// StoreErrors counts failed appends to the attached persistent cache
-	// (the resolutions stay in memory; only the on-disk cache is short).
+	// StoreErrors counts resolutions the attached persistent cache failed
+	// to take, one per record not written (the resolutions stay in
+	// memory; only the on-disk cache is short).
 	StoreErrors int64
 
 	// --- near-metric counters (see DESIGN.md §12) ---
@@ -111,7 +112,8 @@ type Session struct {
 	maxDist float64
 
 	// mu guards the mutable bookkeeping: g, b, cmp, inflight, oracleErr,
-	// store and storeErr. Only BootstrapErr holds it across oracle calls.
+	// store, hold and storeErr. Only BootstrapErr holds it across oracle
+	// calls.
 	mu sync.Mutex
 	// inflight lists the pairs some goroutine is resolving with the lock
 	// released: at most one per goroutine, so a scan beats hashing. A
@@ -159,6 +161,10 @@ type Session struct {
 	// store, when attached, persists resolutions across runs.
 	store    *cachestore.Store
 	storeErr error
+	// hold, non-nil only while a bootstrap runs with a store attached,
+	// holds its resolutions until they are written in one write (see
+	// persistResolution and flushHold).
+	hold []cachestore.Record
 
 	// slack, when active, declares the oracle a near-metric and widens
 	// every derived bound interval accordingly (see SlackPolicy and
@@ -942,11 +948,22 @@ func (s *Session) BootstrapErr(landmarks []int) (int64, error) {
 // is resolving is waited for, with the lock released only for the wait,
 // and the phase set back to run meanwhile: that call belongs to the
 // goroutine that made it, so it counts in the run phase and not in spent.
+// With a store attached, the resolutions are written holdChunk at a
+// time (persistResolution), and what is held is written before the wait
+// and on every exit, so the store holds every committed resolution, in
+// commit order, whenever the lock is free.
 func (s *Session) bootstrap(landmarks []int) (spent int64, err error) {
 	// Flip the phase so commitResolution counts into the
 	// phase=bootstrap series.
 	s.phase.Store(phaseBootstrap)
+	if s.store != nil {
+		s.hold = make([]cachestore.Record, 0, holdChunk)
+	}
 	defer func() {
+		// Every exit, a completion, an abort or a panic, writes what the
+		// bootstrap still holds before the caller releases the lock.
+		s.flushHold()
+		s.hold = nil
 		if r := recover(); r != nil {
 			a, ok := r.(bootstrapAbort)
 			if !ok {
@@ -964,11 +981,18 @@ func (s *Session) bootstrap(landmarks []int) (spent int64, err error) {
 			return w
 		}
 		if f, busy := s.join(pgraph.Key(i, j)); busy {
+			// Write what is held before letting go of the lock, and
+			// put the hold aside: what other goroutines commit
+			// meanwhile they write themselves.
+			s.flushHold()
+			hold := s.hold
+			s.hold = nil
 			s.phase.Store(phaseRun)
 			s.mu.Unlock()
 			d, werr := f.wait()
 			s.mu.Lock()
 			s.phase.Store(phaseBootstrap)
+			s.hold = hold
 			if werr != nil {
 				panic(bootstrapAbort{werr})
 			}

@@ -205,14 +205,16 @@ func (g *gatedSpace) Distance(i, j int) float64 {
 // is inside the oracle when goroutine B bootstraps landmark 0. B must
 // wait for A's call instead of making its own, so every pair costs one
 // oracle call and one store record, and A's call counts in the run
-// phase, not in B's spent figure.
+// phase, not in B's spent figure. While B waits, with the lock free, a
+// second handle on the store replays every resolution B committed.
 func TestBootstrapWaitsForInFlightPair(t *testing.T) {
 	const n = 16
 	m := datasets.RandomMetric(n, 65)
 	gated := &gatedSpace{Space: m, key: pgraph.Key(0, 5), entered: make(chan struct{}), release: make(chan struct{})}
 	inst := metric.NewInstrumented(gated, 0)
 	s := NewSessionWithLandmarks(metric.NewOracle(inst), SchemeLAESA, []int{0})
-	store, err := cachestore.Create(filepath.Join(t.TempDir(), "race.mpx"), n)
+	path := filepath.Join(t.TempDir(), "race.mpx")
+	store, err := cachestore.Create(path, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,6 +254,15 @@ func TestBootstrapWaitsForInFlightPair(t *testing.T) {
 			}
 			s.mu.Unlock()
 		}
+	}
+	if waiting {
+		// B let go of the lock to wait, so the file holds every
+		// resolution B committed before (0, 5): (0, 1) … (0, 4).
+		var committed []cachestore.Record
+		for x := 1; x < 5; x++ {
+			committed = append(committed, cachestore.Record{I: 0, J: x, Dist: m.Distance(0, x)})
+		}
+		assertReplays(t, path, committed, "while the bootstrap waits")
 	}
 	close(gated.release)
 	if err := <-aDone; err != nil {

@@ -19,6 +19,16 @@ func cacheEstimate(s *core.Session, st *cachestore.Store) {
 	st.Put(cachestore.Key(1, 2), d) // want `written to cachestore`
 }
 
+// cacheEstimateRecords writes estimates through the bulk append: the
+// taint rides the Record literal, directly or appended to a slice first.
+func cacheEstimateRecords(s *core.Session, st *cachestore.Store) {
+	d := s.Dist(1, 2)
+	st.Append(cachestore.Record{I: 1, J: 2, Dist: d}) // want `written to cachestore`
+	var held []cachestore.Record
+	held = append(held, cachestore.Record{I: 1, J: 2, Dist: s.Dist(1, 2)})
+	st.Append(held...) // want `written to cachestore`
+}
+
 func wireEstimate(s *core.Session) api.DistResponse {
 	d := s.Dist(1, 2)
 	return api.DistResponse{D: api.WireFloat(d)} // want `converted to api.WireFloat`

@@ -16,6 +16,7 @@ func commitResolved(s *core.Session, g *pgraph.Graph, st *cachestore.Store) (api
 	}
 	g.AddEdge(1, 2, d)
 	st.Put(cachestore.Key(1, 2), d)
+	st.Append(cachestore.Record{I: 1, J: 2, Dist: d})
 	return api.DistResponse{D: api.WireFloat(d)}, nil
 }
 

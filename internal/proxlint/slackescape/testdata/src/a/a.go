@@ -21,6 +21,17 @@ func cacheBound(s *core.Session, st *cachestore.Store) {
 	st.Put(cachestore.Key(1, 2), lb) // want `written to cachestore`
 }
 
+// cacheBoundRecords writes relaxed endpoints through the bulk append:
+// the taint rides the Record literal, directly or appended to a slice
+// first.
+func cacheBoundRecords(s *core.Session, st *cachestore.Store) {
+	lb, ub := s.Bounds(1, 2)
+	st.Append(cachestore.Record{I: 1, J: 2, Dist: lb}) // want `written to cachestore`
+	held := []cachestore.Record{{I: 1, J: 2, Dist: 0.5}}
+	held = append(held, cachestore.Record{I: 1, J: 2, Dist: ub})
+	st.Append(held...) // want `written to cachestore`
+}
+
 func wireBound(s *core.Session) api.DistResponse {
 	_, ub := s.Bounds(1, 2)
 	return api.DistResponse{D: api.WireFloat(ub)} // want `converted to api.WireFloat`

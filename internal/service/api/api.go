@@ -50,9 +50,9 @@ const (
 
 // MaxBodyBytes caps a request body (64 MiB — far above any legitimate
 // API payload; a batch of 10k ops is ~1 MiB). The service answers a
-// larger body with 400 bad_request. The router buffers at most this much
-// of a request, and refuses an upstream answer longer than this with 502
-// internal rather than relay it cut.
+// larger body with 400 bad_request, and so does the router, without
+// asking any node; the router refuses an upstream answer longer than
+// this with 502 internal rather than relay it cut.
 const MaxBodyBytes = 64 << 20
 
 // ErrorBody is the JSON error envelope every non-2xx response carries.
@@ -482,15 +482,6 @@ type ReplMeta struct {
 	N int `json:"n"`
 }
 
-// ReplRecord is one replicated exact-distance resolution.
-type ReplRecord struct {
-	// I and J are the object indices, I < J (cachestore normalised).
-	I int `json:"i"`
-	J int `json:"j"`
-	// D is the exact distance.
-	D WireFloat `json:"d"`
-}
-
 // ReplAppendRequest is the POST /v1/repl/{name} body: a sequence-numbered
 // batch of committed resolutions from the session's hosting node. From is
 // the sequence number of Records[0] in the sender's log; the receiver
@@ -505,9 +496,13 @@ type ReplAppendRequest struct {
 	Meta ReplMeta `json:"meta"`
 	// From is the sequence number of the first record in Records.
 	From int64 `json:"from"`
-	// Records are consecutive log records starting at From. An empty batch
-	// is a cursor probe: the response still reports the replica's seq.
-	Records []ReplRecord `json:"records,omitempty"`
+	// Records are consecutive log records starting at From, as the
+	// sender's log holds them: 20 bytes each (cachestore's record layout,
+	// checksum included), base64 on the wire as encoding/json writes a
+	// []byte. The receiver checks every record before it applies any. An
+	// empty batch is a cursor probe: the response still reports the
+	// replica's seq.
+	Records []byte `json:"records,omitempty"`
 }
 
 // ReplAppendResponse acknowledges an append batch.

@@ -2,17 +2,18 @@ package api
 
 import (
 	"bytes"
+	"encoding/base64"
 	"encoding/json"
 	"math"
 	"strconv"
 )
 
 // The bulk wire messages — BatchRequest, BatchResponse and
-// ReplAppendRequest — carry hundreds of numbers each, and reflection
-// dominated what encoding/json spent on them. This file reads all three
-// and writes the two that carry a float per element directly, byte for
-// byte in encoding/json's format; encoding/json stays the reference and
-// the fallback (DESIGN.md §10).
+// ReplAppendRequest — carry hundreds of numbers or records each, and
+// reflection dominated what encoding/json spent on them. This file reads
+// all three and writes the response and the replication append directly,
+// byte for byte in encoding/json's format; encoding/json stays the
+// reference and the fallback (DESIGN.md §10).
 //
 // The encoders append the fields in declaration order under encoding/json's
 // omitempty rule. A value encoding/json refuses (a NaN WireFloat) is handed
@@ -24,10 +25,11 @@ import (
 // writes for these types: the type's own lowercase keys in declaration
 // order, no whitespace but one trailing newline, integer literals for
 // integer fields, numbers or "+Inf"/"-Inf" for WireFloat fields, strings of
-// ASCII without escapes or control bytes, non-empty arrays, and a
-// zero-valued destination. Any other input is decoded by encoding/json
-// over the same bytes, so every input decodes to the value, or fails with
-// the error, that encoding/json alone gives it.
+// ASCII without escapes or control bytes, non-empty arrays, a non-empty
+// padded base64 string for the records, and a zero-valued destination.
+// Any other input is decoded by encoding/json over the same bytes, so
+// every input decodes to the value, or fails with the error, that
+// encoding/json alone gives it.
 
 // Method-less copies of the messages with codec methods: encoding/json on
 // these is the reference codec and the fallback.
@@ -36,12 +38,9 @@ type (
 	replAppendRequestJSON ReplAppendRequest
 )
 
-// Bytes to reserve per element when encoding: a batch result with two
-// full-precision floats, or a replication record.
-const (
-	resultBytes = 56
-	recordBytes = 48
-)
+// resultBytes is the room to reserve per batch result when encoding: one
+// with two full-precision floats.
+const resultBytes = 56
 
 // maxHint caps the elements a parser allocates before it has parsed them,
 // so that no input, however many '{' it holds, buys a larger allocation.
@@ -188,7 +187,7 @@ func (r ReplAppendRequest) MarshalJSON() ([]byte, error) {
 	if err != nil {
 		return json.Marshal(replAppendRequestJSON(r))
 	}
-	e := newEncoder(48 + len(r.Node) + len(meta) + len(r.Records)*recordBytes)
+	e := newEncoder(48 + len(r.Node) + len(meta) + base64.StdEncoding.EncodedLen(len(r.Records)))
 	e.raw(`{"node":`)
 	e.str(r.Node)
 	e.raw(`,"meta":`)
@@ -196,22 +195,11 @@ func (r ReplAppendRequest) MarshalJSON() ([]byte, error) {
 	e.raw(`,"from":`)
 	e.int(r.From)
 	if len(r.Records) > 0 {
-		e.raw(`,"records":`)
-		e.array(false, len(r.Records), func(k int) {
-			rec := &r.Records[k]
-			e.raw(`{"i":`)
-			e.int(int64(rec.I))
-			e.raw(`,"j":`)
-			e.int(int64(rec.J))
-			e.raw(`,"d":`)
-			e.float(rec.D)
-			e.raw("}")
-		})
+		e.raw(`,"records":"`)
+		e.b = base64.StdEncoding.AppendEncode(e.b, r.Records)
+		e.raw(`"`)
 	}
 	e.raw("}")
-	if !e.ok {
-		return json.Marshal(replAppendRequestJSON(r))
-	}
 	return e.b, nil
 }
 
@@ -447,10 +435,11 @@ func (p *parser) end() bool {
 	return !p.bad && p.i == len(p.b)
 }
 
-// sizeHint is the capacity for an array of objects in data: its '{'
-// count less the objects around the array, at most maxHint.
-func sizeHint(data []byte, around int) int {
-	return max(0, min(bytes.Count(data, []byte{'{'})-around, maxHint))
+// sizeHint is the capacity for the array of objects in a message that
+// is one object around that array: data's '{' count less one, at most
+// maxHint.
+func sizeHint(data []byte) int {
+	return max(0, min(bytes.Count(data, []byte{'{'})-1, maxHint))
 }
 
 // parseBatchRequest parses a canonical BatchRequest into the zero-valued
@@ -464,7 +453,7 @@ func parseBatchRequest(data []byte, r *BatchRequest) bool {
 	if !p.key("ops") {
 		return false
 	}
-	ops := make([]BatchOp, 0, sizeHint(data, 1))
+	ops := make([]BatchOp, 0, sizeHint(data))
 	p.array(func() {
 		var op BatchOp
 		p.expect('{')
@@ -508,7 +497,7 @@ func parseBatchResponse(data []byte, r *BatchResponse) bool {
 	if !p.key("results") {
 		return false
 	}
-	results := make([]BatchResult, 0, sizeHint(data, 1))
+	results := make([]BatchResult, 0, sizeHint(data))
 	p.array(func() {
 		var res BatchResult
 		p.expect('{')
@@ -563,22 +552,7 @@ func parseReplAppendRequest(data []byte, r *ReplAppendRequest) bool {
 		out.From = p.int(64)
 	}
 	if p.key("records") {
-		out.Records = make([]ReplRecord, 0, sizeHint(data, 2))
-		p.array(func() {
-			var rec ReplRecord
-			p.expect('{')
-			if p.key("i") {
-				rec.I = int(p.int(strconv.IntSize))
-			}
-			if p.key("j") {
-				rec.J = int(p.int(strconv.IntSize))
-			}
-			if p.key("d") {
-				rec.D = p.float()
-			}
-			p.expect('}')
-			out.Records = append(out.Records, rec)
-		})
+		out.Records = p.base64()
 	}
 	p.expect('}')
 	if !p.end() {
@@ -586,6 +560,32 @@ func parseReplAppendRequest(data []byte, r *ReplAppendRequest) bool {
 	}
 	*r = out
 	return true
+}
+
+// base64 reads a non-empty string of the standard base64 alphabet and
+// decodes it as encoding/json decodes a []byte. It leaves every byte
+// outside the alphabet to the decoder to refuse — an escape, a control
+// byte, non-ASCII — except the newlines the decoder would skip, which
+// JSON does not allow raw in a string.
+func (p *parser) base64() []byte {
+	if !p.next('"') {
+		p.fail()
+		return nil
+	}
+	end := bytes.IndexByte(p.b[p.i:], '"')
+	if end <= 0 {
+		p.fail()
+		return nil
+	}
+	s := p.b[p.i : p.i+end]
+	b := make([]byte, base64.StdEncoding.DecodedLen(len(s)))
+	n, err := base64.StdEncoding.Decode(b, s)
+	if err != nil || bytes.ContainsAny(s, "\r\n") {
+		p.fail()
+		return nil
+	}
+	p.i += end + 1
+	return b[:n]
 }
 
 // meta reads a ReplMeta object.

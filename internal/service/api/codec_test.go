@@ -40,15 +40,13 @@ func batchShape() (BatchRequest, BatchResponse) {
 	return BatchRequest{Ops: ops}, BatchResponse{Results: results}
 }
 
-// replShape is one replication append of n records, the sender's default
-// batch size being 512.
+// replShape is one replication append of n 20-byte records, the sender's
+// default batch size being 512. The codec carries records without
+// looking inside them, so random bytes stand in for them.
 func replShape(n int) ReplAppendRequest {
 	rng := rand.New(rand.NewSource(2))
-	recs := make([]ReplRecord, n)
-	for k := range recs {
-		i := rng.Intn(1999)
-		recs[k] = ReplRecord{I: i, J: i + 1 + rng.Intn(1999-i), D: WireFloat(rng.Float64())}
-	}
+	recs := make([]byte, n*20)
+	rng.Read(recs)
 	return ReplAppendRequest{
 		Node:    "node-a",
 		Meta:    ReplMeta{Scheme: "tri", Landmarks: 11, Seed: 7, Bootstrap: true, N: 2000},
@@ -219,11 +217,13 @@ func (d *fuzzData) replAppendRequest() ReplAppendRequest {
 		},
 		From: d.int(),
 	}
-	// An empty batch omits "records", which is canonical.
-	if n := int(d.byte() % 9); n > 0 {
-		r.Records = make([]ReplRecord, n)
+	// An empty batch omits "records", which is canonical. Any byte
+	// count travels, whole records or not: the codec does not look
+	// inside them.
+	if n := int(d.byte() % 61); n > 0 {
+		r.Records = make([]byte, n)
 		for k := range r.Records {
-			r.Records[k] = ReplRecord{I: int(d.int()), J: int(d.int()), D: d.float()}
+			r.Records[k] = d.byte()
 		}
 	}
 	return r
@@ -272,7 +272,17 @@ func FuzzWireCodec(f *testing.F) {
 	}
 	f.Add(uint64(0), []byte(`{"ops":[{"op":"bounds","i":1,"j":2},{"op":"dist","i":3,"j":4,"c":"+Inf"}]}`+"\n"))
 	f.Add(uint64(0), []byte(`{"results":[{},{"less":true,"d":0.5,"exact":true},{"err":"bad_request"}]}`))
-	f.Add(uint64(0), []byte(`{"node":"a","meta":{"scheme":"tri","landmarks":3,"seed":7,"n":60},"from":0,"records":[{"i":0,"j":1,"d":1e-7}]}`))
+	for _, records := range []string{
+		`"AAAAAAEAAAAAAAAAAADgP7ln7hs="`, // one record, (0, 1) at 0.5
+		`"AAAAAAEAAAAAAAAAAADgP7ln7h"`,   // no padding
+		`"AAAAAAEAAAAAAAAAAADgP7ln7ht="`, // nonzero padding bits
+		`"AAAAAAEAAAAAAAAAAADgP7ln7hs"`,  // cut padding
+		`"AAAA\/+/+"`,                    // an escape
+		`"AA\nAA"`,                       // an escaped newline, which base64 skips
+		`""`, `null`, `[0,1,2]`, `[{"i":0,"j":1,"d":1e-7}]`,
+	} {
+		f.Add(uint64(0), []byte(`{"node":"a","meta":{"scheme":"tri","landmarks":3,"seed":7,"n":60},"from":0,"records":`+records+`}`))
+	}
 	f.Add(uint64(0), []byte(`{"ops":[{"op":"dist","i":1.0,"j":99999999999999999999}]}`))
 	f.Fuzz(func(t *testing.T, bits uint64, data []byte) {
 		x := math.Float64frombits(bits)

@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"testing"
 
+	"metricprox/internal/cachestore"
 	"metricprox/internal/service/api"
 )
 
@@ -42,7 +43,10 @@ func sameError(a, b error) bool {
 func decodeSeeds() [][]byte {
 	batch := func(ops string) string { return `{"ops":[` + ops + `]}` }
 	appendOf := func(records string) string {
-		return `{"node":"a",` + replMeta + `,"from":0,"records":[` + records + `]}`
+		return `{"node":"a",` + replMeta + `,"from":0,"records":` + records + `}`
+	}
+	appendFrom := func(from string) string {
+		return `{"node":"a",` + replMeta + `,"from":` + from + `,"records":` + recHalf + `}`
 	}
 	seeds := []string{
 		`{ "ops" : [ { "op" : "dist" , "i" : 1 , "j" : 2 } ] }`,
@@ -58,18 +62,24 @@ func decodeSeeds() [][]byte {
 		batch(`{"op":"bounds","i":1,"j":2}`) + "xyz",
 		`{"ops":[]}`,
 		`{"ops":null}`,
-		`{ "node" : "a" , ` + replMeta + ` , "from" : 0 , "records" : [ { "i" : 0 , "j" : 1 , "d" : 0.5 } ] }`,
-		`{"from":0,"records":[{"d":0.5,"j":1,"i":0}],"node":"a",` + replMeta + `}`,
-		`{"NODE":"a",` + replMeta + `,"from":0,"records":[{"i":0,"j":1,"d":0.5}]}`,
-		`{"node":"a","meta":{"scheme":"tri","landmarks":3,"seed":1,"n":60},"from":0,"records":[{"i":0,"j":1,"d":0.5}]}`,
-		appendOf(`{"i":0,"j":1,"d":0.5,"x":1}`),
-		appendOf(`{"i":1.0,"j":2,"d":0.5}`),
-		appendOf(`{"i":1e2,"j":2,"d":0.5}`),
-		appendOf(`{"i":99999999999999999999,"j":2,"d":0.5}`),
-		appendOf(`{"i":0,"j":1,"d":"Inf"}`),
-		appendOf(`{"i":0,"j":1,"d":0.5}`) + "xyz",
-		appendOf(``),
-		`{"node":"a",` + replMeta + `,"from":0,"records":null}`,
+		`{ "node" : "a" , ` + replMeta + ` , "from" : 0 , "records" : ` + recHalf + ` }`,
+		`{"from":0,"records":` + recHalf + `,"node":"a",` + replMeta + `}`,
+		`{"NODE":"a",` + replMeta + `,"from":0,"records":` + recHalf + `}`,
+		`{"node":"a","meta":{"scheme":"\u0074ri","landmarks":3,"seed":1,"n":60},"from":0,"records":` + recHalf + `}`,
+		`{"node":"a",` + replMeta + `,"from":0,"records":` + recHalf + `,"x":1}`,
+		appendFrom(`1.0`),
+		appendFrom(`1e2`),
+		appendFrom(`99999999999999999999`),
+		appendOf(recInf),
+		appendOf(recHalf) + "xyz",
+		appendOf(`""`),
+		appendOf(`null`),
+		appendOf(`"\u0041AAAAAEAAAAAAAAAAADgP7ln7hs="`),
+		appendOf(`"AAAAAAEAAAAAAAAAAADgP7ln7hs"`),
+		appendOf(`[{"i":0,"j":1,"d":0.5}]`),
+		appendOf(`"AAAAAAEAAAAAAAAAAADgP7hn7hs="`),
+		appendOf(`"AAAAAAEAAAAAAAAAAADgP7ln7g=="`),
+		appendOf(`"AgAAAAIAAAAAAAAAAADgP6hx9Zw="`),
 	}
 	out := make([][]byte, 0, len(seeds)+4)
 	for _, s := range seeds {
@@ -78,7 +88,7 @@ func decodeSeeds() [][]byte {
 	req, _ := json.Marshal(api.BatchRequest{Ops: matchOps(1)})
 	repl, _ := api.ReplAppendRequest{
 		Node: "a", Meta: api.ReplMeta{Scheme: "tri", Landmarks: 3, Seed: 1, N: testN}, From: 7,
-		Records: []api.ReplRecord{{I: 0, J: 1, D: 0.5}, {I: 2, J: 5, D: api.WireFloat(math.Inf(1))}, {I: 3, J: 4, D: 1e-7}},
+		Records: rawRecords(cachestore.Record{I: 0, J: 1, Dist: 0.5}, cachestore.Record{I: 2, J: 5, Dist: math.Inf(1)}, cachestore.Record{I: 3, J: 4, Dist: 1e-7}),
 	}.MarshalJSON()
 	resp, _ := api.BatchResponse{Results: []api.BatchResult{{LB: 0.125, UB: 0.5}, {Less: true, D: 0.25, Exact: true}, {Err: api.CodeBadRequest}}}.MarshalJSON()
 	return append(out, req, append(req, '\n'), repl, resp)

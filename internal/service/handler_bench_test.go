@@ -10,6 +10,7 @@ import (
 	"sort"
 	"testing"
 
+	"metricprox/internal/cachestore"
 	"metricprox/internal/cluster"
 	"metricprox/internal/datasets"
 	"metricprox/internal/metric"
@@ -33,7 +34,8 @@ import (
 //     (seeded uniform pairs at their distances) to a cluster-mode node,
 //     each op continuing the replica's log where the last one ended, so
 //     every record is appended to its store. Bodies are the sender's
-//     bytes, about 20 KiB each; use -benchtime Nx to bound them.
+//     bytes, the records as base64, about 14 KB each; use -benchtime Nx
+//     to bound them.
 func BenchmarkHandler(b *testing.B) {
 	const n = 2000
 	space := datasets.SFPOIPlanar(n, 1)
@@ -102,15 +104,15 @@ func BenchmarkHandler(b *testing.B) {
 		rng := randv2.New(randv2.NewPCG(2, 0))
 		bodies := make([][]byte, b.N)
 		for x := range bodies {
-			recs := make([]api.ReplRecord, cluster.DefaultReplBatch)
+			recs := make([]cachestore.Record, cluster.DefaultReplBatch)
 			for k := range recs {
 				i, j := rng.IntN(n), rng.IntN(n-1)
 				if j >= i {
 					j++
 				}
-				recs[k] = api.ReplRecord{I: i, J: j, D: api.WireFloat(space.Distance(i, j))}
+				recs[k] = cachestore.Record{I: min(i, j), J: max(i, j), Dist: space.Distance(i, j)}
 			}
-			req := api.ReplAppendRequest{Node: "a", Meta: meta, From: int64(x * len(recs)), Records: recs}
+			req := api.ReplAppendRequest{Node: "a", Meta: meta, From: int64(x * len(recs)), Records: rawRecords(recs...)}
 			if bodies[x], err = req.MarshalJSON(); err != nil {
 				b.Fatal(err)
 			}

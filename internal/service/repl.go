@@ -3,7 +3,6 @@ package service
 import (
 	"errors"
 	"fmt"
-	"math"
 	"net/http"
 	"os"
 	"sync"
@@ -135,10 +134,11 @@ func (s *Server) replMeta(scheme core.Scheme, lmCount int, seed int64, bootstrap
 // session. Idempotent and resumable: the response always carries the
 // replica's post-append cursor, and the sender adopts it — including
 // rewinding after this replica lost a suffix to a crash. An empty batch
-// is a cursor probe. A batch with a malformed record (a pair outside the
-// universe or a self pair, a NaN or negative distance) is refused whole
-// with 400 bad_request. Refused with 409 repl_conflict while a live local
-// session owns the log.
+// is a cursor probe. The records arrive as the primary's log holds them
+// and are written as they are. A batch with a malformed record (a failed
+// checksum, a torn tail, a pair outside the universe or a self pair, a
+// NaN or negative distance) is refused whole with 400 bad_request.
+// Refused with 409 repl_conflict while a live local session owns the log.
 func (s *Server) handleReplAppend(w http.ResponseWriter, r *http.Request) {
 	if !s.clusterEnabled() {
 		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "node is not a cluster member (no -cluster/-cache-dir)")
@@ -166,18 +166,9 @@ func (s *Server) handleReplAppend(w http.ResponseWriter, r *http.Request) {
 	// Every record is checked before the store is opened: AppendFrom
 	// stops at the first record the store rejects, after the ones before
 	// it have landed and moved the cursor.
-	recs := make([]cachestore.Record, len(req.Records))
-	for i, rr := range req.Records {
-		d := float64(rr.D)
-		if err := s.checkPair(rr.I, rr.J); err != nil {
-			writeError(w, http.StatusBadRequest, api.CodeBadRequest, fmt.Sprintf("record %d: %v", i, err))
-			return
-		}
-		if math.IsNaN(d) || d < 0 {
-			writeError(w, http.StatusBadRequest, api.CodeBadRequest, fmt.Sprintf("record %d: invalid distance %v", i, d))
-			return
-		}
-		recs[i] = cachestore.Record{I: rr.I, J: rr.J, Dist: d}
+	if err := cachestore.CheckRecords(req.Records, s.n); err != nil {
+		writeError(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
+		return
 	}
 
 	s.repl.mu.Lock()
@@ -216,7 +207,7 @@ func (s *Server) handleReplAppend(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, api.CodeInternal, err.Error())
 		return
 	}
-	seq, err := st.store.AppendFrom(req.From, recs)
+	seq, err := st.store.AppendFrom(req.From, req.Records)
 	switch {
 	case errors.Is(err, cachestore.ErrSeqGap):
 		// Not an error on the wire: the cursor in the response tells the

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"math"
@@ -156,18 +157,18 @@ func TestReplAppendProtocol(t *testing.T) {
 		t.Fatalf("probe seq = %d, want 0", ack.Seq)
 	}
 	// Append three records.
-	recs := []api.ReplRecord{{I: 0, J: 1, D: 0.5}, {I: 1, J: 2, D: 0.25}, {I: 2, J: 3, D: 0.75}}
+	recs := rawRecords(cachestore.Record{I: 0, J: 1, Dist: 0.5}, cachestore.Record{I: 1, J: 2, Dist: 0.25}, cachestore.Record{I: 2, J: 3, Dist: 0.75})
 	post(t, base, api.ReplAppendRequest{Node: "a", Meta: meta, From: 0, Records: recs}, &ack, 200)
 	if ack.Seq != 3 {
 		t.Fatalf("append seq = %d, want 3", ack.Seq)
 	}
 	// Idempotent overlapping retry.
-	post(t, base, api.ReplAppendRequest{Node: "a", Meta: meta, From: 1, Records: recs[1:]}, &ack, 200)
+	post(t, base, api.ReplAppendRequest{Node: "a", Meta: meta, From: 1, Records: recs[cachestore.RecordSize:]}, &ack, 200)
 	if ack.Seq != 3 {
 		t.Fatalf("overlap seq = %d, want 3", ack.Seq)
 	}
 	// A gap is answered 200 with the rewind cursor, not an HTTP error.
-	post(t, base, api.ReplAppendRequest{Node: "a", Meta: meta, From: 9, Records: recs[:1]}, &ack, 200)
+	post(t, base, api.ReplAppendRequest{Node: "a", Meta: meta, From: 9, Records: recs[:cachestore.RecordSize]}, &ack, 200)
 	if ack.Seq != 3 {
 		t.Fatalf("gap seq = %d, want 3 (rewind cursor)", ack.Seq)
 	}
@@ -201,33 +202,44 @@ func TestReplAppendProtocol(t *testing.T) {
 	// the surviving file.
 	doDelete(t, cp.tsB.URL+"/v1/sessions/proto")
 	post(t, base, api.ReplAppendRequest{Node: "a", Meta: meta, From: 3,
-		Records: []api.ReplRecord{{I: 3, J: 4, D: 0.125}}}, &ack, 200)
+		Records: rawRecords(cachestore.Record{I: 3, J: 4, Dist: 0.125})}, &ack, 200)
 	if ack.Seq != 4 {
 		t.Fatalf("post-eviction append seq = %d, want 4 (resumed from file)", ack.Seq)
 	}
 }
 
 // TestReplAppendRejectsMalformedRecords sends batches whose later record
-// is malformed. The receiver must answer 400 before it touches the store:
-// no record of the batch lands, and the cursor does not move.
+// is malformed: a good checksum over an invalid pair or distance, a
+// broken checksum, or a torn tail. The receiver must answer 400 before it
+// touches the store: no record of the batch lands, the cursor does not
+// move, and the file is as it was (absent, before the first probe).
 func TestReplAppendRejectsMalformedRecords(t *testing.T) {
 	srv := replicaServer(t)
-	good := api.ReplRecord{I: 0, J: 1, D: 0.5}
-	for _, bad := range []api.ReplRecord{
-		{I: 2, J: 2, D: 0.1},     // self pair
-		{I: 2, J: testN, D: 0.1}, // index out of range
-		{I: -1, J: 2, D: 0.1},    // negative index
-		{I: 2, J: 3, D: -1},      // negative distance
-		{I: 2, J: 3, D: api.WireFloat(math.Inf(-1))},
+	good := rawRecords(cachestore.Record{I: 0, J: 1, Dist: 0.5})
+	broken := rawRecords(cachestore.Record{I: 2, J: 3, Dist: 0.1})
+	broken[cachestore.RecordSize-1] ^= 1
+	for _, bad := range [][]byte{
+		rawRecords(cachestore.Record{I: 2, J: 2, Dist: 0.1}),     // self pair
+		rawRecords(cachestore.Record{I: 2, J: testN, Dist: 0.1}), // index out of range
+		rawRecords(cachestore.Record{I: -1, J: 2, Dist: 0.1}),    // negative index
+		rawRecords(cachestore.Record{I: 2, J: 3, Dist: -1}),      // negative distance
+		rawRecords(cachestore.Record{I: 2, J: 3, Dist: math.Inf(-1)}),
+		rawRecords(cachestore.Record{I: 2, J: 3, Dist: math.NaN()}),
+		broken,
+		rawRecords(cachestore.Record{I: 2, J: 3, Dist: 0.1})[:cachestore.RecordSize-1], // torn
 	} {
-		if code, _ := replAppend(t, srv, "m", 0, []api.ReplRecord{good, bad}); code != http.StatusBadRequest {
-			t.Fatalf("batch with %+v: status %d, want 400", bad, code)
+		before := readFile(t, srv.cachePath("m"))
+		if code, _ := replAppend(t, srv, "m", 0, append(good[:len(good):len(good)], bad...)); code != http.StatusBadRequest {
+			t.Fatalf("batch with %x: status %d, want 400", bad, code)
+		}
+		if after := readFile(t, srv.cachePath("m")); !bytes.Equal(before, after) {
+			t.Fatalf("after rejecting %x: the replica file changed", bad)
 		}
 		if code, ack := replAppend(t, srv, "m", 0, nil); code != http.StatusOK || ack.Seq != 0 {
-			t.Fatalf("after rejecting %+v: probe = %d, seq %d; want 200, seq 0", bad, code, ack.Seq)
+			t.Fatalf("after rejecting %x: probe = %d, seq %d; want 200, seq 0", bad, code, ack.Seq)
 		}
 		if got := storeRecords(t, srv.cachePath("m")); len(got) != 0 {
-			t.Fatalf("after rejecting %+v: replica holds %+v, want nothing", bad, got)
+			t.Fatalf("after rejecting %x: replica holds %+v, want nothing", bad, got)
 		}
 	}
 }
@@ -333,7 +345,12 @@ func TestPromotedReplicaIsPrefixUnderFaultSchedules(t *testing.T) {
 				var d api.DistResponse
 				post(t, cp.tsA.URL+"/v1/sessions/"+name+"/dist", api.PairRequest{I: i, J: j}, &d, 200)
 				if k == stopAfter {
-					// Replication dies here; the primary keeps resolving.
+					// Replication dies here, after it has shipped what the
+					// primary holds so far: the replica then holds a
+					// non-empty prefix by construction, not by timing
+					// (the pump may have shipped nothing yet), and the
+					// primary keeps resolving.
+					flushReplicator(t, cp)
 					cp.repl.Close()
 				}
 			}
@@ -358,7 +375,7 @@ func TestPromotedReplicaIsPrefixUnderFaultSchedules(t *testing.T) {
 // replica's first append sets the gauge afterwards.
 func TestReplSessionsGaugeCountsUnpromoted(t *testing.T) {
 	srv := replicaServer(t)
-	rec := []api.ReplRecord{{I: 0, J: 1, D: 0.5}}
+	rec := rawRecords(cachestore.Record{I: 0, J: 1, Dist: 0.5})
 	if code, _ := replAppend(t, srv, "x", 0, rec); code != http.StatusOK {
 		t.Fatalf("append x: status %d", code)
 	}
